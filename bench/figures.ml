@@ -11,22 +11,12 @@
 module Json = Harness.Json
 module Pool = Harness.Pool
 module Radixvm = Vm.Radixvm.Default
-module MB_radix = Workloads.Microbench.Make (Vm.Radixvm.Default)
-module MB_linux = Workloads.Microbench.Make (Baselines.Linux_vm)
-module MB_bonsai = Workloads.Microbench.Make (Baselines.Bonsai_vm)
-module RL_bigmap = Workloads.Rangelock_bench.Make (Vm.Radixvm.Default)
-module Metis_radix = Workloads.Metis.Make (Vm.Radixvm.Default)
-module Metis_linux = Workloads.Metis.Make (Baselines.Linux_vm)
-module Metis_bonsai = Workloads.Metis.Make (Baselines.Bonsai_vm)
 module CB_refcache = Workloads.Counter_bench.Make (Refcnt.Refcache_counter)
 module CB_shared = Workloads.Counter_bench.Make (Refcnt.Shared_counter)
 module CB_snzi = Workloads.Counter_bench.Make (Refcnt.Snzi)
 module CB_dist = Workloads.Counter_bench.Make (Refcnt.Distributed_counter)
 module SB_shard = Workloads.Shard_bench.Make (Vm.Radixvm.Default)
 module PCache = Vm.Page_cache.Make (Refcnt.Refcache_counter)
-module CS_radix = Workloads.Cache_serve.Make (Vm.Radixvm.Default)
-module CS_linux = Workloads.Cache_serve.Make (Baselines.Linux_vm)
-module CS_bonsai = Workloads.Cache_serve.Make (Baselines.Bonsai_vm)
 
 type ctx = {
   quick : bool;  (* shrink sweeps for smoke testing *)
@@ -36,13 +26,14 @@ type ctx = {
   ppf : Format.formatter;  (* table output; jobs themselves never print *)
 }
 
-let default_ctx =
-  { quick = false; check = false; jobs = 1; shards = 4;
-    ppf = Format.std_formatter }
+(* One instrumented run's verdict. [report] is the full Check.report
+   (sharing census and findings), rendered inside the job — pooled jobs
+   must not print — and only when the run is not clean. *)
+type verdict = { check_name : string; clean : bool; report : string }
 
 type output = {
   json : Json.t;  (* the BENCH_<target>.json payload *)
-  checks : (string * bool) list;  (* checker verdicts, in job order *)
+  checks : verdict list;  (* checker verdicts, in job order *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -88,15 +79,34 @@ let k v =
   else if v >= 1e3 then Printf.sprintf "%.1fk" (v /. 1e3)
   else Printf.sprintf "%.0f" v
 
+(* One table row per distinct [key] of [rows], in first-appearance
+   order: [name] labels it, [cell] renders each of its rows. *)
+let render_rows ctx ~key ~name ~cell rows =
+  let keys =
+    List.fold_left
+      (fun acc r -> if List.mem (key r) acc then acc else acc @ [ key r ])
+      [] rows
+  in
+  List.iter
+    (fun kk ->
+      row ctx (name kk)
+        (List.filter_map
+           (fun r -> if key r = kk then Some (cell r) else None)
+           rows))
+    keys
+
 let report_checks ctx checks =
   if ctx.check then begin
     let total = List.length checks in
-    let bad = List.filter (fun (_, ok) -> not ok) checks in
+    let bad = List.filter (fun v -> not v.clean) checks in
     Format.fprintf ctx.ppf
       "\ncheck: %d instrumented runs, %d clean, %d with findings\n" total
       (total - List.length bad)
       (List.length bad);
-    List.iter (fun (n, _) -> Format.fprintf ctx.ppf "  findings: %s\n" n) bad;
+    List.iter
+      (fun v ->
+        Format.fprintf ctx.ppf "  findings: %s\n%s" v.check_name v.report)
+      bad;
     Format.pp_print_flush ctx.ppf ()
   end
 
@@ -106,8 +116,9 @@ let report_checks ctx checks =
 
    The verdict asserts what the run actually claims. Lock-order cycles,
    stale TLB entries and refcount faults are hard invariants for every
-   system on every workload. Race reports are filtered through
-   [race_allow], the per-system list of line labels whose concurrency
+   system on every workload, as is the run's own result check [holds].
+   Race reports are filtered through [race_allow], the per-system list
+   of line labels whose concurrency
    discipline the line-granular lockset analysis cannot express: the
    baselines' shared page table and Bonsai's RCU-style root are written
    or read lock-free by design (that sharing IS the figure), and RadixVM
@@ -119,7 +130,8 @@ let report_checks ctx checks =
    paper claims it ([zero_sharing]): RadixVM with per-core page tables
    on the disjoint-region (local) benchmark — pipeline/global share the
    region's pages by design. *)
-let checked ~ctx ~name ~allow ?(race_allow = []) ?(zero_sharing = false) run =
+let checked ~ctx ~name ~allow ?(race_allow = []) ?(zero_sharing = false)
+    ?(holds = fun _ -> true) run =
   if not ctx.check then (run ~on_machine:ignore ~on_measure:ignore, None)
   else begin
     let chk = ref None in
@@ -135,25 +147,125 @@ let checked ~ctx ~name ~allow ?(race_allow = []) ?(zero_sharing = false) run =
             (fun r -> not (List.mem r.Check.race_label race_allow))
             (Check.races c)
         in
-        let sound =
-          unexpected_races = [] && Check.cycles c = []
+        let clean =
+          holds r && unexpected_races = [] && Check.cycles c = []
           && Check.tlb_violations c = []
           && Check.rc_violations c = []
+          && ((not zero_sharing) || Check.multi_writer_lines ~allow c = [])
         in
-        let ok =
-          sound && ((not zero_sharing) || Check.multi_writer_lines ~allow c = [])
+        let report =
+          if clean then ""
+          else Format.asprintf "%a@." (Check.report ~allow ~race_allow) c
         in
         Check.detach c;
-        (r, Some (name, ok))
+        (r, Some { check_name = name; clean; report })
     | None -> (r, None)
   end
 
 let check_fields = function
   | None -> []
-  | Some (name, ok) ->
-      [ ("check_name", Json.String name); ("check_clean", Json.Bool ok) ]
+  | Some v ->
+      [
+        ("check_name", Json.String v.check_name);
+        ("check_clean", Json.Bool v.clean);
+      ]
 
 let checks_of_rows rows = List.filter_map (fun (_, c) -> c) rows
+
+(* ------------------------------------------------------------------ *)
+(* Systems under test                                                  *)
+
+(* A VM system packed with its constructor. The workload functors are
+   applied to it in one place each: [micro_run], [metis_run], [serve]. *)
+type vm =
+  | Vm : (module Vm.Vm_intf.S with type t = 'v) * (Ccsim.Machine.t -> 'v) -> vm
+
+type system = {
+  sys_name : string;
+  sys_vm : vm;
+  sys_allow : string list;  (* multi-writer line labels the census admits *)
+  sys_race_allow : string list;
+      (* line labels with documented lock-free or sub-line discipline *)
+  sys_zero : string list;
+      (* benches on which this system claims a zero-sharing census *)
+}
+
+(* RadixVM claims zero sharing only with per-core page tables and its
+   embedded range locks, and only on the local benchmark: pipeline hands
+   pages between cores and global maps one region from every core, so
+   those share application lines by design. "radix:slot" is race-allowed
+   because interior nodes keep eight per-slot lock bits on one line (see
+   [checked]). External range-lock backends share their lock lines and
+   walk the tree lock-free under range protection — admit exactly those
+   labels (Range_lock.labels), nothing more. With a shared page table,
+   PTE writes come from every faulting core: that sharing (and its
+   lock-free writes) is the point of Figure 9. *)
+let radixvm ?(name = "RadixVM") ?(mmu = Vm.Page_table.Per_core)
+    ?(rangelock = Locks.Range_lock.Radix_embedded) ?partition () =
+  let rl = Locks.Range_lock.labels rangelock in
+  let per_core = mmu = Vm.Page_table.Per_core in
+  {
+    sys_name = name;
+    sys_vm =
+      Vm
+        ( (module Radixvm),
+          fun m -> Radixvm.create_with ~mmu ~rangelock ?partition m );
+    sys_allow = Check.radixvm_allow @ rl;
+    sys_race_allow =
+      ("radix:slot" :: rl) @ if per_core then [] else [ "pt:shared" ];
+    sys_zero =
+      (if per_core && rangelock = Locks.Range_lock.Radix_embedded then
+         [ "local" ]
+       else []);
+  }
+
+(* The baselines' shared page table is written lock-free by design, and
+   Bonsai's root is RCU-style lock-free. *)
+let linux =
+  {
+    sys_name = "Linux";
+    sys_vm = Vm ((module Baselines.Linux_vm), Baselines.Linux_vm.create);
+    sys_allow = [];
+    sys_race_allow = [ "pt:shared" ];
+    sys_zero = [];
+  }
+
+let bonsai =
+  {
+    sys_name = "Bonsai";
+    sys_vm = Vm ((module Baselines.Bonsai_vm), Baselines.Bonsai_vm.create);
+    sys_allow = [];
+    sys_race_allow = [ "pt:shared"; "bonsai:root" ];
+    sys_zero = [];
+  }
+
+(* The section-5.3 microbenchmarks, plus the range-lock figure's bigmap
+   fault storm, on any system. *)
+let micro_run (Vm ((module V), make)) ~bench ~warmup ~ncores ~duration
+    ~on_machine ~on_measure =
+  let module MB = Workloads.Microbench.Make (V) in
+  match bench with
+  | "local" -> MB.local ~warmup ~on_machine ~on_measure ~ncores ~duration make
+  | "pipeline" ->
+      MB.pipeline ~warmup ~on_machine ~on_measure ~ncores ~duration make
+  | "global" -> MB.global ~warmup ~on_machine ~on_measure ~ncores ~duration make
+  | "bigmap" ->
+      let module RL = Workloads.Rangelock_bench.Make (V) in
+      RL.bigmap ~warmup ~on_machine ~on_measure ~ncores ~duration make
+  | other -> invalid_arg ("unknown microbenchmark " ^ other)
+
+let metis_run (Vm ((module V), make)) ~total_words ~unit_pages ~ncores =
+  let module M = Workloads.Metis.Make (V) in
+  M.run ~total_words ~unit_pages ~ncores make
+
+(* Takes the module unpacked so RadixVM's file-backed rows can pass
+   page-cache hooks typed against it. *)
+let serve (type v) (module V : Vm.Vm_intf.S with type t = v) ?file ?cache_ops
+    (make : Ccsim.Machine.t -> v) ~warmup ~slots ~ncores ~duration ~on_machine
+    ~on_measure =
+  let module CS = Workloads.Cache_serve.Make (V) in
+  CS.serve ~warmup ~slots ?file ?cache_ops ~on_machine ~on_measure ~ncores
+    ~duration make
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: major RadixVM components (line counts of this repo)        *)
@@ -250,34 +362,23 @@ let table1 ctx =
 
 let fig4 ctx =
   let units = [ ("8MB", 2048); ("64KB", 16) ] in
-  let systems =
-    [
-      ( "RadixVM",
-        fun ~unit_pages ~ncores ->
-          Metis_radix.run ~total_words:(metis_words ctx) ~unit_pages ~ncores
-            Radixvm.create );
-      ( "Bonsai",
-        fun ~unit_pages ~ncores ->
-          Metis_bonsai.run ~total_words:(metis_words ctx) ~unit_pages ~ncores
-            Baselines.Bonsai_vm.create );
-      ( "Linux",
-        fun ~unit_pages ~ncores ->
-          Metis_linux.run ~total_words:(metis_words ctx) ~unit_pages ~ncores
-            Baselines.Linux_vm.create );
-    ]
-  in
   let jobs =
     List.concat_map
       (fun (uname, unit_pages) ->
         List.concat_map
-          (fun (sysname, run) ->
+          (fun sys ->
             List.map
               (fun n ->
                 Pool.job
-                  ~name:(Printf.sprintf "%s/%s %d cores" sysname uname n)
-                  (fun () -> (uname, sysname, n, run ~unit_pages ~ncores:n)))
+                  ~name:(Printf.sprintf "%s/%s %d cores" sys.sys_name uname n)
+                  (fun () ->
+                    ( uname,
+                      sys.sys_name,
+                      n,
+                      metis_run sys.sys_vm ~total_words:(metis_words ctx)
+                        ~unit_pages ~ncores:n )))
               (core_counts ctx))
-          systems)
+          [ radixvm (); bonsai; linux ])
       units
   in
   let rows = Pool.run ~jobs:ctx.jobs jobs in
@@ -286,18 +387,11 @@ let fig4 ctx =
     (fun (uname, _) ->
       Format.fprintf ctx.ppf "\n-- allocation unit %s --\n" uname;
       row_header ctx "cores" (List.map string_of_int (core_counts ctx));
-      List.iter
-        (fun (sysname, _) ->
-          let cells =
-            List.filter_map
-              (fun (u, s, _, r) ->
-                if u = uname && s = sysname then
-                  Some (k r.Workloads.Metis.jobs_per_hour)
-                else None)
-              rows
-          in
-          row ctx (sysname ^ "/" ^ uname) cells)
-        systems)
+      render_rows ctx
+        ~key:(fun (_, s, _, _) -> s)
+        ~name:(fun s -> s ^ "/" ^ uname)
+        ~cell:(fun (_, _, _, r) -> k r.Workloads.Metis.jobs_per_hour)
+        (List.filter (fun (u, _, _, _) -> u = uname) rows))
     units;
   {
     json =
@@ -322,152 +416,45 @@ let fig4 ctx =
 (* ------------------------------------------------------------------ *)
 (* Figures 5 and 9: microbenchmarks                                    *)
 
-(* One runnable microbenchmark family: a VM system (possibly with a fixed
-   MMU policy) exposing the three section-5.3 benchmarks. *)
-type micro_sys = {
-  ms_name : string;
-  ms_allow : string list;
-  ms_race_allow : string list;
-      (* line labels with documented lock-free or sub-line discipline *)
-  ms_zero : string list;
-      (* benches on which this system claims a zero-sharing census *)
-  ms_local :
-    warmup:int ->
-    ncores:int ->
-    duration:int ->
-    on_machine:(Ccsim.Machine.t -> unit) ->
-    on_measure:(unit -> unit) ->
-    Workloads.Microbench.result;
-  ms_pipeline :
-    warmup:int ->
-    ncores:int ->
-    duration:int ->
-    on_machine:(Ccsim.Machine.t -> unit) ->
-    on_measure:(unit -> unit) ->
-    Workloads.Microbench.result;
-  ms_global :
-    warmup:int ->
-    ncores:int ->
-    duration:int ->
-    on_machine:(Ccsim.Machine.t -> unit) ->
-    on_measure:(unit -> unit) ->
-    Workloads.Microbench.result;
-}
-
-(* RadixVM with per-core page tables claims zero sharing only on the
-   local benchmark: pipeline hands pages between cores and global maps
-   one region from every core, so those share application lines by
-   design. "radix:slot" is race-allowed because interior nodes keep
-   eight per-slot lock bits on one line (see [checked]). *)
-let radix_sys ?(race_allow = [ "radix:slot" ]) ?(zero = [ "local" ]) ~name
-    ~allow make =
-  {
-    ms_name = name;
-    ms_allow = allow;
-    ms_race_allow = race_allow;
-    ms_zero = zero;
-    ms_local =
-      (fun ~warmup ~ncores ~duration ~on_machine ~on_measure ->
-        MB_radix.local ~warmup ~on_machine ~on_measure ~ncores ~duration make);
-    ms_pipeline =
-      (fun ~warmup ~ncores ~duration ~on_machine ~on_measure ->
-        MB_radix.pipeline ~warmup ~on_machine ~on_measure ~ncores ~duration make);
-    ms_global =
-      (fun ~warmup ~ncores ~duration ~on_machine ~on_measure ->
-        MB_radix.global ~warmup ~on_machine ~on_measure ~ncores ~duration make);
-  }
-
-let bonsai_sys =
-  {
-    ms_name = "Bonsai";
-    ms_allow = [];
-    (* shared page table written lock-free; RCU-style lock-free root *)
-    ms_race_allow = [ "pt:shared"; "bonsai:root" ];
-    ms_zero = [];
-    ms_local =
-      (fun ~warmup ~ncores ~duration ~on_machine ~on_measure ->
-        MB_bonsai.local ~warmup ~on_machine ~on_measure ~ncores ~duration
-          Baselines.Bonsai_vm.create);
-    ms_pipeline =
-      (fun ~warmup ~ncores ~duration ~on_machine ~on_measure ->
-        MB_bonsai.pipeline ~warmup ~on_machine ~on_measure ~ncores ~duration
-          Baselines.Bonsai_vm.create);
-    ms_global =
-      (fun ~warmup ~ncores ~duration ~on_machine ~on_measure ->
-        MB_bonsai.global ~warmup ~on_machine ~on_measure ~ncores ~duration
-          Baselines.Bonsai_vm.create);
-  }
-
-let linux_sys =
-  {
-    ms_name = "Linux";
-    ms_allow = [];
-    (* shared page table written lock-free by design *)
-    ms_race_allow = [ "pt:shared" ];
-    ms_zero = [];
-    ms_local =
-      (fun ~warmup ~ncores ~duration ~on_machine ~on_measure ->
-        MB_linux.local ~warmup ~on_machine ~on_measure ~ncores ~duration
-          Baselines.Linux_vm.create);
-    ms_pipeline =
-      (fun ~warmup ~ncores ~duration ~on_machine ~on_measure ->
-        MB_linux.pipeline ~warmup ~on_machine ~on_measure ~ncores ~duration
-          Baselines.Linux_vm.create);
-    ms_global =
-      (fun ~warmup ~ncores ~duration ~on_machine ~on_measure ->
-        MB_linux.global ~warmup ~on_machine ~on_measure ~ncores ~duration
-          Baselines.Linux_vm.create);
-  }
-
 let micro_benches = [ "local"; "pipeline"; "global" ]
 
-(* One job: run [bench] of [sys] at column [n] and return the result row
-   with its verdict. The pipeline benchmark needs at least two cores; the
-   global benchmark sizes both windows to the core count. *)
-let micro_job ~ctx ~sys ~bench ~n =
-  (* Names carry the effective core count (the pipeline benchmark needs
-     at least two), matching the machine the run actually simulates. *)
-  let effective = match bench with "pipeline" -> max 2 n | _ -> n in
-  let name = Printf.sprintf "%s %s %d cores" sys.ms_name bench effective in
-  Pool.job ~name (fun () ->
-      let run =
-        match bench with
-        | "local" ->
-            sys.ms_local ~warmup:(micro_warmup ctx n) ~ncores:n
-              ~duration:(micro_duration ctx)
-        | "pipeline" ->
-            sys.ms_pipeline ~warmup:(micro_warmup ctx n) ~ncores:effective
-              ~duration:(micro_duration ctx)
-        | "global" ->
-            let d = global_duration ctx n in
-            sys.ms_global ~warmup:d ~ncores:n ~duration:d
-        | other -> failwith ("unknown microbenchmark " ^ other)
-      in
-      let result, verdict =
-        checked ~ctx ~name ~allow:sys.ms_allow ~race_allow:sys.ms_race_allow
-          ~zero_sharing:(List.mem bench sys.ms_zero)
-          (fun ~on_machine ~on_measure -> run ~on_machine ~on_measure)
-      in
-      ((bench, sys.ms_name, n, result), verdict))
-
-let micro_json ?(extra = []) (bench, system, cores, (r : Workloads.Microbench.result))
-    verdict =
-  (* "cores" is the sweep column; when a benchmark's floor lifts the
-     simulated count (pipeline needs a producer and a consumer), the
-     machine actually built is recorded as "effective_cores". *)
-  let effective =
-    if bench = "pipeline" && cores < 2 then
-      [ ("effective_cores", Json.Int 2) ]
-    else []
+(* One job: run [bench] on [sys] at column [n] and return the result row
+   with its verdict. Names carry the effective core count (the pipeline
+   benchmark needs at least two), matching the machine the run actually
+   simulates; the global and bigmap benchmarks size both windows to the
+   core count. *)
+let micro_job ~ctx ~prefix ~label ~sys ~bench n =
+  let effective = if bench = "pipeline" then max 2 n else n in
+  let name =
+    Printf.sprintf "%s%s %s %d cores" prefix sys.sys_name (label bench)
+      effective
   in
+  let warmup, duration =
+    match bench with
+    | "global" | "bigmap" ->
+        let d = global_duration ctx n in
+        (d, d)
+    | _ -> (micro_warmup ctx n, micro_duration ctx)
+  in
+  Pool.job ~name (fun () ->
+      let result, verdict =
+        checked ~ctx ~name ~allow:sys.sys_allow ~race_allow:sys.sys_race_allow
+          ~zero_sharing:(List.mem bench sys.sys_zero)
+          (micro_run sys.sys_vm ~bench ~warmup ~ncores:effective ~duration)
+      in
+      ((bench, sys.sys_name, n, result), verdict))
+
+(* Every row's metrics after its sweep coordinates [coords] (which end
+   with "cores"). When a benchmark's floor lifts the simulated count
+   (pipeline needs a producer and a consumer), the machine actually built
+   is recorded as "effective_cores". *)
+let micro_json coords
+    ((bench, _, cores, (r : Workloads.Microbench.result)), verdict) =
   Json.Obj
-    (extra
-    @ [
-        ("bench", Json.String bench);
-        ("system", Json.String system);
-        ("cores", Json.Int cores);
-      ]
-    @ effective
+    (coords
+    @ (if bench = "pipeline" && cores < 2 then
+         [ ("effective_cores", Json.Int 2) ]
+       else [])
     @ [
         ("writes_per_sec", Json.Float r.writes_per_sec);
         ("page_writes", Json.Int r.page_writes);
@@ -481,89 +468,69 @@ let micro_json ?(extra = []) (bench, system, cores, (r : Workloads.Microbench.re
       ]
     @ check_fields verdict)
 
-let render_micro_tables ctx ~row_name ~rows =
+(* Sweep [benches] x [systems] x cores, then render one page-writes table
+   per bench (titled [label bench]), the checker summary, and one artifact
+   row per run whose coordinates are [coords bench system cores]. *)
+let micro_figure ctx ~title ?(prefix = "") ?(label = Fun.id) ~coords benches
+    systems =
+  let jobs =
+    List.concat_map
+      (fun bench ->
+        List.concat_map
+          (fun sys ->
+            List.map
+              (micro_job ~ctx ~prefix ~label ~sys ~bench)
+              (core_counts ctx))
+          systems)
+      benches
+  in
+  let rows = Pool.run ~jobs:ctx.jobs jobs in
+  header ctx title;
   List.iter
     (fun bench ->
-      Format.fprintf ctx.ppf "\n-- %s (total page writes/sec) --\n" bench;
+      Format.fprintf ctx.ppf "\n-- %s (total page writes/sec) --\n"
+        (label bench);
       row_header ctx "cores" (List.map string_of_int (core_counts ctx));
-      let systems_in_order =
-        List.fold_left
-          (fun acc ((b, s, _, _), _) ->
-            if b = bench && not (List.mem s acc) then acc @ [ s ] else acc)
-          [] rows
-      in
-      List.iter
-        (fun sysname ->
-          let cells =
-            List.filter_map
-              (fun ((b, s, _, r), _) ->
-                if b = bench && s = sysname then
-                  Some (k r.Workloads.Microbench.writes_per_sec)
-                else None)
-              rows
-          in
-          row ctx (row_name sysname) cells)
-        systems_in_order)
-    micro_benches
-
-let fig5 ctx =
-  let systems =
-    [ radix_sys ~name:"RadixVM" ~allow:Check.radixvm_allow Radixvm.create;
-      bonsai_sys; linux_sys ]
-  in
-  let jobs =
-    List.concat_map
-      (fun bench ->
-        List.concat_map
-          (fun sys ->
-            List.map (fun n -> micro_job ~ctx ~sys ~bench ~n) (core_counts ctx))
-          systems)
-      micro_benches
-  in
-  let rows = Pool.run ~jobs:ctx.jobs jobs in
-  header ctx "Figure 5: local / pipeline / global microbenchmarks";
-  render_micro_tables ctx ~row_name:(fun s -> s) ~rows;
-  let checks = checks_of_rows rows in
-  report_checks ctx checks;
-  { json = Json.List (List.map (fun (r, v) -> micro_json r v) rows); checks }
-
-let fig9 ctx =
-  let systems =
-    [
-      radix_sys ~name:"Per-core" ~allow:Check.radixvm_allow Radixvm.create;
-      (* With a shared page table, PTE writes come from every faulting
-         core: sharing (and its lock-free writes) is the point of the
-         comparison, so no zero-sharing claim. *)
-      radix_sys ~name:"Shared" ~allow:Check.radixvm_allow
-        ~race_allow:[ "radix:slot"; "pt:shared" ] ~zero:[]
-        (fun m -> Radixvm.create_with ~mmu:Vm.Page_table.Shared m);
-    ]
-  in
-  let jobs =
-    List.concat_map
-      (fun bench ->
-        List.concat_map
-          (fun sys ->
-            List.map (fun n -> micro_job ~ctx ~sys ~bench ~n) (core_counts ctx))
-          systems)
-      micro_benches
-  in
-  let rows = Pool.run ~jobs:ctx.jobs jobs in
-  header ctx "Figure 9: per-core vs shared page tables (RadixVM)";
-  render_micro_tables ctx ~row_name:(fun s -> s) ~rows;
+      render_rows ctx
+        ~key:(fun ((_, s, _, _), _) -> s)
+        ~name:Fun.id
+        ~cell:(fun ((_, _, _, r), _) -> k r.Workloads.Microbench.writes_per_sec)
+        (List.filter (fun ((b, _, _, _), _) -> b = bench) rows))
+    benches;
   let checks = checks_of_rows rows in
   report_checks ctx checks;
   {
     json =
       Json.List
         (List.map
-           (fun ((b, s, n, r), v) ->
-             micro_json
-               ~extra:[ ("page_tables", Json.String s) ]
-               (b, "RadixVM", n, r) v)
+           (fun (((b, s, n, _), _) as row) -> micro_json (coords b s n) row)
            rows);
     checks;
   }
+
+let fig5 ctx =
+  micro_figure ctx ~title:"Figure 5: local / pipeline / global microbenchmarks"
+    micro_benches [ radixvm (); bonsai; linux ] ~coords:(fun b s n ->
+      [
+        ("bench", Json.String b);
+        ("system", Json.String s);
+        ("cores", Json.Int n);
+      ])
+
+let fig9 ctx =
+  micro_figure ctx ~title:"Figure 9: per-core vs shared page tables (RadixVM)"
+    micro_benches
+    [
+      radixvm ~name:"Per-core" ();
+      radixvm ~name:"Shared" ~mmu:Vm.Page_table.Shared ();
+    ]
+    ~coords:(fun b s n ->
+      [
+        ("page_tables", Json.String s);
+        ("bench", Json.String b);
+        ("system", Json.String "RadixVM");
+        ("cores", Json.Int n);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Range-lock crossover: backends x operation mixes                    *)
@@ -574,13 +541,11 @@ let fig9 ctx =
    64 pages instead of propagating locks into them). *)
 let rangelock_variants =
   [
-    ("radix", Locks.Range_lock.Radix_embedded, None);
-    ("radix-part64", Locks.Range_lock.Radix_embedded, Some 64);
-    ("list", Locks.Range_lock.List_based, None);
-    ("global", Locks.Range_lock.Global, None);
+    radixvm ~name:"radix" ();
+    radixvm ~name:"radix-part64" ~partition:64 ();
+    radixvm ~name:"list" ~rangelock:Locks.Range_lock.List_based ();
+    radixvm ~name:"global" ~rangelock:Locks.Range_lock.Global ();
   ]
-
-let rangelock_mixes = [ "disjoint"; "bigmap" ]
 
 (* Two operation mixes bracket the design space: "disjoint" is the
    Figure 5 local benchmark (per-core private regions — the embedded
@@ -589,101 +554,17 @@ let rangelock_mixes = [ "disjoint"; "bigmap" ]
    fault's expansion propagates the lock to every new slot, which is
    exactly what the partition variant avoids and what the external
    backends never do). Where the curves cross is the figure. *)
+let mix_of_bench = function "local" -> "disjoint" | b -> b
+
 let rangelock ctx =
-  let jobs =
-    List.concat_map
-      (fun mix ->
-        List.concat_map
-          (fun (vname, kind, partition) ->
-            List.map
-              (fun n ->
-                let name =
-                  Printf.sprintf "rangelock %s %s %d cores" vname mix n
-                in
-                Pool.job ~name (fun () ->
-                    let make m =
-                      Radixvm.create_with ~rangelock:kind ?partition m
-                    in
-                    let run =
-                      match mix with
-                      | "disjoint" ->
-                          fun ~on_machine ~on_measure ->
-                            MB_radix.local ~warmup:(micro_warmup ctx n)
-                              ~on_machine ~on_measure ~ncores:n
-                              ~duration:(micro_duration ctx) make
-                      | "bigmap" ->
-                          let d = global_duration ctx n in
-                          fun ~on_machine ~on_measure ->
-                            RL_bigmap.bigmap ~warmup:d ~on_machine ~on_measure
-                              ~ncores:n ~duration:d make
-                      | other -> failwith ("unknown rangelock mix " ^ other)
-                    in
-                    (* External backends share their lock lines and walk
-                       the tree lock-free under range protection — admit
-                       exactly those labels (Range_lock.labels), nothing
-                       more. Zero sharing is claimed where the paper
-                       claims it: the embedded backend on the disjoint
-                       mix. *)
-                    let rl = Locks.Range_lock.labels kind in
-                    let result, verdict =
-                      checked ~ctx ~name
-                        ~allow:(Check.radixvm_allow @ rl)
-                        ~race_allow:("radix:slot" :: rl)
-                        ~zero_sharing:
-                          (mix = "disjoint"
-                          && kind = Locks.Range_lock.Radix_embedded)
-                        run
-                    in
-                    ((mix, vname, n, result), verdict)))
-              (core_counts ctx))
-          rangelock_variants)
-      rangelock_mixes
-  in
-  let rows = Pool.run ~jobs:ctx.jobs jobs in
-  header ctx "Range-lock crossover: backend x mix (page writes/sec)";
-  List.iter
-    (fun mix ->
-      Format.fprintf ctx.ppf "\n-- %s (total page writes/sec) --\n" mix;
-      row_header ctx "cores" (List.map string_of_int (core_counts ctx));
-      List.iter
-        (fun (vname, _, _) ->
-          let cells =
-            List.filter_map
-              (fun ((m, v, _, r), _) ->
-                if m = mix && v = vname then
-                  Some (k r.Workloads.Microbench.writes_per_sec)
-                else None)
-              rows
-          in
-          row ctx vname cells)
-        rangelock_variants)
-    rangelock_mixes;
-  let checks = checks_of_rows rows in
-  report_checks ctx checks;
-  {
-    json =
-      Json.List
-        (List.map
-           (fun ((mix, vname, n, (r : Workloads.Microbench.result)), v) ->
-             Json.Obj
-               ([
-                  ("backend", Json.String vname);
-                  ("mix", Json.String mix);
-                  ("cores", Json.Int n);
-                  ("writes_per_sec", Json.Float r.writes_per_sec);
-                  ("page_writes", Json.Int r.page_writes);
-                  ("cycles", Json.Int r.cycles);
-                  ("ipis", Json.Int r.ipis);
-                  ("shootdowns", Json.Int r.shootdown_events);
-                  ("transfers", Json.Int r.transfers);
-                  ("lock_wait", Json.Int r.lock_wait);
-                  ("shootdown_wait", Json.Int r.shootdown_wait);
-                  ("line_stall", Json.Int r.line_stall);
-                ]
-               @ check_fields v))
-           rows);
-    checks;
-  }
+  micro_figure ctx
+    ~title:"Range-lock crossover: backend x mix (page writes/sec)" ~prefix:"rangelock " ~label:mix_of_bench [ "local"; "bigmap" ]
+    rangelock_variants ~coords:(fun b s n ->
+      [
+        ("backend", Json.String s);
+        ("mix", Json.String (mix_of_bench b));
+        ("cores", Json.Int n);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: memory overhead                                            *)
@@ -734,7 +615,9 @@ let pt_overhead ctx =
       vm
     in
     let _metis =
-      Metis_radix.run ~total_words:(metis_words ctx) ~unit_pages:16 ~ncores make
+      metis_run
+        (Vm ((module Radixvm), make))
+        ~total_words:(metis_words ctx) ~unit_pages:16 ~ncores
     in
     match !captured with
     | Some vm ->
@@ -807,17 +690,11 @@ let fig_index ctx ~title ~structure ~writer_counts run =
   let rows = Pool.run ~jobs:ctx.jobs jobs in
   header ctx title;
   row_header ctx "reader cores" (List.map string_of_int (core_counts ctx));
-  List.iter
-    (fun writers ->
-      let cells =
-        List.filter_map
-          (fun (w, _, r) ->
-            if w = writers then Some (k r.Workloads.Index_bench.lookups_per_sec)
-            else None)
-          rows
-      in
-      row ctx (Printf.sprintf "%d writers" writers) cells)
-    writer_counts;
+  render_rows ctx
+    ~key:(fun (w, _, _) -> w)
+    ~name:(Printf.sprintf "%d writers")
+    ~cell:(fun (_, _, r) -> k r.Workloads.Index_bench.lookups_per_sec)
+    rows;
   {
     json =
       Json.List
@@ -877,17 +754,11 @@ let fig8 ctx =
   let rows = Pool.run ~jobs:ctx.jobs jobs in
   header ctx "Figure 8: page-sharing throughput by refcount scheme (iters/sec)";
   row_header ctx "cores" (List.map string_of_int (core_counts ctx));
-  List.iter
-    (fun (name, _) ->
-      let cells =
-        List.filter_map
-          (fun (s, _, r) ->
-            if s = name then Some (k r.Workloads.Counter_bench.iters_per_sec)
-            else None)
-          rows
-      in
-      row ctx name cells)
-    schemes;
+  render_rows ctx
+    ~key:(fun (s, _, _) -> s)
+    ~name:Fun.id
+    ~cell:(fun (_, _, r) -> k r.Workloads.Counter_bench.iters_per_sec)
+    rows;
   {
     json =
       Json.List
@@ -926,9 +797,10 @@ let ablation_mmu ctx =
               ~name:(Printf.sprintf "mmu %s %d cores" name n)
               (fun () ->
                 let r =
-                  MB_radix.local ~warmup:(micro_warmup ctx n) ~ncores:n
-                    ~duration:(micro_duration ctx)
-                    (fun m -> Radixvm.create_with ~mmu m)
+                  micro_run (radixvm ~mmu ()).sys_vm ~bench:"local"
+                    ~warmup:(micro_warmup ctx n) ~ncores:n
+                    ~duration:(micro_duration ctx) ~on_machine:ignore
+                    ~on_measure:ignore
                 in
                 (name, n, r.Workloads.Microbench.writes_per_sec)))
           (core_counts ctx))
@@ -938,15 +810,8 @@ let ablation_mmu ctx =
   Format.fprintf ctx.ppf
     "\n-- A. MMU policy, local benchmark (page writes/sec) --\n";
   row_header ctx "cores" (List.map string_of_int (core_counts ctx));
-  List.iter
-    (fun (name, _) ->
-      let cells =
-        List.filter_map
-          (fun (p, _, w) -> if p = name then Some (k w) else None)
-          rows
-      in
-      row ctx name cells)
-    policies;
+  render_rows ctx ~key:(fun (p, _, _) -> p) ~name:Fun.id
+    ~cell:(fun (_, _, w) -> k w) rows;
   Json.List
     (List.map
        (fun (p, n, w) ->
@@ -1303,7 +1168,9 @@ let shard ctx =
       if not ok then
         Format.fprintf ctx.ppf
           "  DIGEST MISMATCH: %s differs across shard widths\n" scenario;
-      checks := (Printf.sprintf "shard-det:%s" scenario, ok) :: !checks)
+      checks :=
+        { check_name = "shard-det:" ^ scenario; clean = ok; report = "" }
+        :: !checks)
     Workloads.Shard_bench.scenarios;
   { json = Json.List (List.rev !rows); checks = List.rev !checks }
 
@@ -1348,88 +1215,61 @@ let cacheserve_backends =
     ("global", Locks.Range_lock.Global);
   ]
 
+(* A row's label in job names and the table: RadixVM's anonymous rows
+   are told apart by backend. *)
+let cacheserve_label (sys, backend) =
+  if sys = "RadixVM" then sys ^ "/" ^ backend else sys
+
 let cacheserve ctx =
   let slots = cacheserve_slots ctx in
   let duration = micro_duration ctx in
   let fd = 3 in
-  let cache_ops = cacheserve_ops fd in
   (* File-backed rows reload evicted slots through the 80k-cycle disk
      latency; give them a window several misses deep so every core lands
      in it. *)
   let duration_file = max duration (slots * 80_000 / 2) in
+  let job sys ~backend n run =
+    let name =
+      Printf.sprintf "cacheserve %s %d cores"
+        (cacheserve_label (sys.sys_name, backend))
+        n
+    in
+    Pool.job ~name (fun () ->
+        let r, v =
+          checked ~ctx ~name ~allow:sys.sys_allow
+            ~race_allow:sys.sys_race_allow run
+        in
+        ((sys.sys_name, backend, n, r), v))
+  in
+  let anon sys ~backend n =
+    let (Vm (m, make)) = sys.sys_vm in
+    job sys ~backend n
+      (serve m make ~warmup:(cacheserve_warmup ctx n ~slots ~file:false) ~slots
+         ~ncores:n ~duration)
+  in
   let perf_jobs =
     List.concat_map
       (fun n ->
         let warm_file = cacheserve_warmup ctx n ~slots ~file:true in
-        let warm_anon = cacheserve_warmup ctx n ~slots ~file:false in
         (* The cross-system comparison runs anonymous — the baselines
            have no page cache, so charging only RadixVM the disk would
            measure the disk, not the VM design. The full-stack rows
            (page cache, dirty writeback, disk reloads) are RadixVM-only:
            "RadixVM-pc" in-process and "RadixVM-procs" via syscalls. *)
         List.map
-          (fun (vname, kind) ->
-            let name = Printf.sprintf "cacheserve RadixVM/%s %d cores" vname n in
-            Pool.job ~name (fun () ->
-                let rl = Locks.Range_lock.labels kind in
-                let run ~on_machine ~on_measure =
-                  CS_radix.serve ~warmup:warm_anon ~slots ~on_machine
-                    ~on_measure ~ncores:n ~duration (fun m ->
-                      Radixvm.create_with ~rangelock:kind m)
-                in
-                let r, v =
-                  checked ~ctx ~name
-                    ~allow:(Check.radixvm_allow @ rl)
-                    ~race_allow:("radix:slot" :: rl) run
-                in
-                (("RadixVM", vname, n, r), v)))
+          (fun (backend, rangelock) -> anon (radixvm ~rangelock ()) ~backend n)
           cacheserve_backends
         @ [
-            (let name = Printf.sprintf "cacheserve RadixVM-pc %d cores" n in
-             Pool.job ~name (fun () ->
-                 let run ~on_machine ~on_measure =
-                   CS_radix.serve ~warmup:warm_file ~slots ~file:fd ~cache_ops
-                     ~on_machine ~on_measure ~ncores:n ~duration:duration_file
-                     (fun m -> Radixvm.create m)
-                 in
-                 let r, v =
-                   checked ~ctx ~name ~allow:Check.radixvm_allow
-                     ~race_allow:[ "radix:slot" ] run
-                 in
-                 (("RadixVM-pc", "radix", n, r), v)));
-            (let name = Printf.sprintf "cacheserve RadixVM-procs %d cores" n in
-             Pool.job ~name (fun () ->
-                 let run ~on_machine ~on_measure =
-                   Workloads.Cache_serve.Procs.serve ~warmup:warm_file ~slots
-                     ~on_machine ~on_measure ~ncores:n ~duration:duration_file
-                     ()
-                 in
-                 let r, v =
-                   checked ~ctx ~name ~allow:Check.radixvm_allow
-                     ~race_allow:[ "radix:slot" ] run
-                 in
-                 (("RadixVM-procs", "radix", n, r), v)));
-            (let name = Printf.sprintf "cacheserve Linux %d cores" n in
-             Pool.job ~name (fun () ->
-                 let run ~on_machine ~on_measure =
-                   CS_linux.serve ~warmup:warm_anon ~slots ~on_machine
-                     ~on_measure ~ncores:n ~duration Baselines.Linux_vm.create
-                 in
-                 let r, v =
-                   checked ~ctx ~name ~allow:[] ~race_allow:[ "pt:shared" ] run
-                 in
-                 (("Linux", "-", n, r), v)));
-            (let name = Printf.sprintf "cacheserve Bonsai %d cores" n in
-             Pool.job ~name (fun () ->
-                 let run ~on_machine ~on_measure =
-                   CS_bonsai.serve ~warmup:warm_anon ~slots ~on_machine
-                     ~on_measure ~ncores:n ~duration Baselines.Bonsai_vm.create
-                 in
-                 let r, v =
-                   checked ~ctx ~name ~allow:[]
-                     ~race_allow:[ "pt:shared"; "bonsai:root" ] run
-                 in
-                 (("Bonsai", "-", n, r), v)));
+            job (radixvm ~name:"RadixVM-pc" ()) ~backend:"radix" n
+              (serve (module Radixvm) ~file:fd ~cache_ops:(cacheserve_ops fd)
+                 Radixvm.create ~warmup:warm_file ~slots ~ncores:n
+                 ~duration:duration_file);
+            job (radixvm ~name:"RadixVM-procs" ()) ~backend:"radix" n
+              (fun ~on_machine ~on_measure ->
+                Workloads.Cache_serve.Procs.serve ~warmup:warm_file ~slots
+                  ~on_machine ~on_measure ~ncores:n ~duration:duration_file ());
+            anon linux ~backend:"-" n;
+            anon bonsai ~backend:"-" n;
           ])
       (core_counts ctx)
   in
@@ -1444,43 +1284,27 @@ let cacheserve ctx =
       let session_ops = if ctx.quick then 1_500 else 6_000 in
       let session_slots = if ctx.quick then 32 else 64 in
       let model_job ~name ~rangelock ~via_kernel =
+        let sys = radixvm ~rangelock () in
         Pool.job ~name (fun () ->
-            let chk = ref None in
-            let o =
-              Workloads.Cache_serve.Session.run ~ncores:4 ~procs:3
-                ~slots:session_slots ~ops:session_ops ~rangelock ~via_kernel
-                ~compact_every:(session_ops / 2)
-                ~on_machine:(fun m -> chk := Some (Check.attach m))
-                ()
+            let o, v =
+              checked ~ctx ~name ~allow:sys.sys_allow
+                ~race_allow:sys.sys_race_allow
+                ~holds:(fun o ->
+                  o.Workloads.Cache_serve.Session.divergences = [])
+                (fun ~on_machine ~on_measure:_ ->
+                  Workloads.Cache_serve.Session.run ~ncores:4 ~procs:3
+                    ~slots:session_slots ~ops:session_ops ~rangelock
+                    ~via_kernel ~compact_every:(session_ops / 2) ~on_machine
+                    ())
             in
-            let clean =
-              match !chk with
-              | None -> o.Workloads.Cache_serve.Session.divergences = []
-              | Some c ->
-                  let rl = Locks.Range_lock.labels rangelock in
-                  let unexpected =
-                    List.filter
-                      (fun r ->
-                        not (List.mem r.Check.race_label ("radix:slot" :: rl)))
-                      (Check.races c)
-                  in
-                  let ok =
-                    o.Workloads.Cache_serve.Session.divergences = []
-                    && unexpected = [] && Check.cycles c = []
-                    && Check.tlb_violations c = []
-                    && Check.rc_violations c = []
-                  in
-                  Check.detach c;
-                  ok
-            in
-            (name, o, clean))
+            ((name, o), v))
       in
       Pool.run ~jobs:ctx.jobs
         (List.map
-           (fun (vname, kind) ->
+           (fun (backend, rangelock) ->
              model_job
-               ~name:(Printf.sprintf "cacheserve-model:%s" vname)
-               ~rangelock:kind ~via_kernel:false)
+               ~name:("cacheserve-model:" ^ backend)
+               ~rangelock ~via_kernel:false)
            cacheserve_backends
         @ [
             model_job ~name:"cacheserve-model:kernel"
@@ -1489,43 +1313,24 @@ let cacheserve ctx =
     end
   in
   header ctx "Cache serving (\"mmap in anger\"): service ops/sec";
-  let display =
-    [
-      ("RadixVM/radix", "RadixVM", "radix");
-      ("RadixVM/list", "RadixVM", "list");
-      ("RadixVM/global", "RadixVM", "global");
-      ("RadixVM-pc", "RadixVM-pc", "radix");
-      ("RadixVM-procs", "RadixVM-procs", "radix");
-      ("Linux", "Linux", "-");
-      ("Bonsai", "Bonsai", "-");
-    ]
-  in
   row_header ctx "cores" (List.map string_of_int (core_counts ctx));
+  render_rows ctx
+    ~key:(fun ((s, b, _, _), _) -> (s, b))
+    ~name:cacheserve_label
+    ~cell:(fun ((_, _, _, r), _) -> k r.Workloads.Cache_serve.ops_per_sec)
+    rows;
   List.iter
-    (fun (label, sys, backend) ->
-      let cells =
-        List.filter_map
-          (fun ((s, b, _, r), _) ->
-            if s = sys && b = backend then
-              Some (k r.Workloads.Cache_serve.ops_per_sec)
-            else None)
-          rows
-      in
-      row ctx label cells)
-    display;
-  List.iter
-    (fun (name, (o : Workloads.Cache_serve.Session.outcome), clean) ->
+    (fun ((name, (o : Workloads.Cache_serve.Session.outcome)), v) ->
       Format.fprintf ctx.ppf
         "%s: %d ops, %d evictions, %d writebacks, %d compactions, %d \
          divergences%s\n"
         name o.ops_done o.evictions o.writebacks o.compactions
         (List.length o.divergences)
-        (if clean then "" else "  [FINDINGS]"))
+        (if Option.fold ~none:true ~some:(fun v -> v.clean) v then ""
+         else "  [FINDINGS]"))
     model_rows;
   Format.pp_print_flush ctx.ppf ();
-  let checks =
-    checks_of_rows rows @ List.map (fun (n, _, ok) -> (n, ok)) model_rows
-  in
+  let checks = checks_of_rows rows @ checks_of_rows model_rows in
   report_checks ctx checks;
   {
     json =
@@ -1561,23 +1366,43 @@ let cacheserve ctx =
 
 (* ------------------------------------------------------------------ *)
 
+(* The target registry. [fields] is the row schema validate.exe checks
+   every row of the target's artifact against: the sweep coordinates
+   and the metrics every consumer plots. *)
+type target = { name : string; run : ctx -> output; fields : string list }
+
 let targets =
+  let t ?(fields = []) name run = { name; run; fields } in
   [
-    ("table1", table1);
-    ("fig4", fig4);
-    ("fig5", fig5);
-    ("table2", table2);
-    ("pt-overhead", pt_overhead);
-    ("fig6", fig6);
-    ("fig7", fig7);
-    ("fig8", fig8);
-    ("fig9", fig9);
-    ("ablations", ablations);
-    ("rangelock", rangelock);
-    ("wallclock", wallclock);
-    ("shard", shard);
-    ("cacheserve", cacheserve);
+    t "table1" table1;
+    t "fig4" fig4;
+    t "fig5" fig5;
+    t "table2" table2;
+    t "pt-overhead" pt_overhead;
+    t "fig6" fig6;
+    t "fig7" fig7;
+    t "fig8" fig8;
+    t "fig9" fig9;
+    t "ablations" ablations;
+    t "rangelock" rangelock
+      ~fields:[ "backend"; "mix"; "cores"; "writes_per_sec" ];
+    t "wallclock" wallclock;
+    (* The shard figure's cross-shard traffic counters, wall-clock and
+       speedup, and the digest whose cross-width equality it asserts. *)
+    t "shard" shard
+      ~fields:
+        [
+          "scenario"; "shards"; "effective_shards"; "host_domains"; "nodes";
+          "cores"; "ops"; "xs_sent"; "xs_delivered"; "sim_cycles";
+          "wall_clock_seconds"; "speedup"; "digest";
+        ];
+    t "cacheserve" cacheserve
+      ~fields:[ "system"; "backend"; "cores"; "ops_per_sec"; "ops_per_core" ];
   ]
 
-let target_names = List.map fst targets
-let run_target ctx name = Option.map (fun f -> f ctx) (List.assoc_opt name targets)
+let target_names = List.map (fun t -> t.name) targets
+let find_target name = List.find_opt (fun t -> t.name = name) targets
+let run_target ctx name = Option.map (fun t -> t.run ctx) (find_target name)
+
+let artifact_name target =
+  "BENCH_" ^ String.map (fun c -> if c = '-' then '_' else c) target ^ ".json"

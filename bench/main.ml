@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (section 5). Run with no arguments for everything, or pass
-   target names: table1 fig4 fig5 table2 pt-overhead fig6 fig7 fig8 fig9
-   ablations wallclock.
+   target names (see usage for the list). Every name is checked before
+   any target runs.
 
    Flags:
      --quick      shrink sweeps for smoke testing
@@ -53,9 +53,6 @@ let git_commit () =
         | None -> "unknown")
       else head
 
-let artifact_name target =
-  "BENCH_" ^ String.map (fun c -> if c = '-' then '_' else c) target ^ ".json"
-
 let () =
   let quick = ref false
   and check = ref false
@@ -97,6 +94,17 @@ let () =
   let selected =
     match args with [] | [ "all" ] -> Figures.target_names | names -> names
   in
+  let targets =
+    List.map
+      (fun name ->
+        match Figures.find_target name with
+        | Some t -> t
+        | None ->
+            Printf.eprintf "unknown target %s; available: %s\n" name
+              (String.concat " " Figures.target_names);
+            exit 1)
+      selected
+  in
   (* A shard-figure world already runs up to --shards domains of its own,
      so when the shard target is part of the run an explicit --jobs is
      clamped to jobs x shards <= the host's parallelism
@@ -119,21 +127,16 @@ let () =
   let all_checks = ref [] in
   let target_walls = ref [] in
   List.iter
-    (fun name ->
+    (fun (t : Figures.target) ->
       let t_target = Unix.gettimeofday () in
-      match Figures.run_target ctx name with
-      | None ->
-          Printf.eprintf "unknown target %s; available: %s\n" name
-            (String.concat " " Figures.target_names);
-          exit 1
-      | Some out ->
-          all_checks := !all_checks @ out.Figures.checks;
-          target_walls :=
-            (name, Unix.gettimeofday () -. t_target) :: !target_walls;
-          Json.to_file ~pretty:true
-            (Filename.concat !out_dir (artifact_name name))
-            out.Figures.json)
-    selected;
+      let out = t.run ctx in
+      all_checks := !all_checks @ out.Figures.checks;
+      target_walls :=
+        (t.name, Unix.gettimeofday () -. t_target) :: !target_walls;
+      Json.to_file ~pretty:true
+        (Filename.concat !out_dir (Figures.artifact_name t.name))
+        out.Figures.json)
+    targets;
   let wall = Unix.gettimeofday () -. t0 in
   Json.to_file ~pretty:true
     (Filename.concat !out_dir "BENCH_meta.json")
@@ -156,13 +159,18 @@ let () =
          ( "instrumented_runs",
            Json.List
              (List.map
-                (fun (n, ok) ->
+                (fun (v : Figures.verdict) ->
                   Json.Obj
-                    [ ("name", Json.String n); ("clean", Json.Bool ok) ])
+                    [
+                      ("name", Json.String v.check_name);
+                      ("clean", Json.Bool v.clean);
+                    ])
                 !all_checks) );
        ]);
   if !strict then begin
-    let bad = List.filter (fun (_, ok) -> not ok) !all_checks in
+    let bad =
+      List.filter (fun (v : Figures.verdict) -> not v.clean) !all_checks
+    in
     if bad <> [] then begin
       Printf.eprintf "strict: %d instrumented runs with findings\n"
         (List.length bad);

@@ -9,28 +9,16 @@ module Json = Harness.Json
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
 (* Artifacts with a known row schema get field-level checks on top of the
-   generic shape check; the crossover figure's rows must carry the sweep
-   coordinates (backend, mix, cores) and the metric every consumer plots
-   (writes_per_sec). *)
+   generic shape check: the fields the writing target's registry entry
+   declares. *)
 let required_fields path =
-  match Filename.basename path with
-  | "BENCH_rangelock.json" ->
-      [ "backend"; "mix"; "cores"; "writes_per_sec" ]
-  | "BENCH_cacheserve.json" ->
-      (* The cache-serving figure: sweep coordinates (system, backend,
-         cores) and the service-throughput metrics every consumer
-         plots. *)
-      [ "system"; "backend"; "cores"; "ops_per_sec"; "ops_per_core" ]
-  | "BENCH_shard.json" ->
-      (* The shard-scaling figure: sweep coordinates, the cross-shard
-         traffic counters, the wall-clock/speedup metrics, and the digest
-         whose cross-width equality the figure itself asserts. *)
-      [
-        "scenario"; "shards"; "effective_shards"; "host_domains"; "nodes";
-        "cores"; "ops"; "xs_sent"; "xs_delivered"; "sim_cycles";
-        "wall_clock_seconds"; "speedup"; "digest";
-      ]
-  | _ -> []
+  List.find_map
+    (fun (t : Figures.target) ->
+      if Figures.artifact_name t.name = Filename.basename path then
+        Some t.fields
+      else None)
+    Figures.targets
+  |> Option.value ~default:[]
 
 let require_rows path = function
   | Json.List [] -> fail "%s: empty rows array" path

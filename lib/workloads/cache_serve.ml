@@ -26,16 +26,6 @@ type result = {
   line_stall : int;
 }
 
-let pp_result ppf r =
-  Format.fprintf ppf
-    "@[<v>%s [%s]: %d cores, %.0f ops/s (%.0f per core)@,\
-     ops %d (get %d / set %d / del %d, lost %d)@,\
-     evictions %d, writebacks %d, resizes %d@,\
-     ipis %d, shootdowns %d, lock wait %d, shootdown wait %d@]"
-    r.name r.system r.ncores r.ops_per_sec r.ops_per_core r.ops r.gets r.sets
-    r.dels r.lost r.evictions r.writebacks r.resizes r.ipis r.shootdown_events
-    r.lock_wait r.shootdown_wait
-
 type 'vm cache_ops = {
   co_evict : 'vm -> Ccsim.Core.t -> page:int -> unit;
   co_mark_dirty : 'vm -> Ccsim.Core.t -> page:int -> unit;

@@ -43,8 +43,6 @@ type result = {
   line_stall : int;
 }
 
-val pp_result : Format.formatter -> result -> unit
-
 (** The page-cache hooks a VM system may provide. The generic serve loop
     cannot name RadixVM's page cache, so callers inject the three
     operations the sweep needs; [None] (the baselines) means eviction is

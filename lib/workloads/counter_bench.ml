@@ -8,10 +8,6 @@ type result = {
   transfers : int;
 }
 
-let pp_result ppf r =
-  Format.fprintf ppf "%-12s %3d cores: %12.0f iters/sec" r.scheme r.ncores
-    r.iters_per_sec
-
 module Make (C : Refcnt.Counter_intf.S) = struct
   module R = Vm.Radixvm.Make (C)
 

@@ -14,8 +14,6 @@ type result = {
   transfers : int;
 }
 
-val pp_result : Format.formatter -> result -> unit
-
 module Make (_ : Refcnt.Counter_intf.S) : sig
   val run :
     ?warmup:int -> ?on_machine:(Ccsim.Machine.t -> unit) ->

@@ -10,11 +10,6 @@ type result = {
   write_pairs_per_sec : float;
 }
 
-let pp_result ppf r =
-  Format.fprintf ppf
-    "%-8s %3d readers / %2d writers: %12.0f lookups/sec, %10.0f pairs/sec"
-    r.structure r.readers r.writers r.lookups_per_sec r.write_pairs_per_sec
-
 let regions = 1_000
 let key_stride = 211
 
@@ -34,13 +29,7 @@ let align_clocks machine =
   Array.iter (fun (c : Core.t) -> c.Core.clock <- t) (Machine.cores machine);
   t
 
-(* [debug] is an explicit caller-threaded flag (radixvm-bench's
-   --debug-stats), not ambient environment state: benchmark behavior must
-   be a pure function of the configuration (simlint's det-getenv rule). *)
-let finish ~structure ~readers ~writers ~duration ~debug machine lookups pairs =
-  if debug then
-    Format.eprintf "[%s r=%d w=%d] %a@." structure readers writers Stats.pp
-      (Machine.stats machine);
+let finish ~structure ~readers ~writers ~duration lookups pairs =
   let secs = float_of_int duration /. (Params.default ()).Params.clock_hz in
   {
     structure;
@@ -52,7 +41,7 @@ let finish ~structure ~readers ~writers ~duration ~debug machine lookups pairs =
     write_pairs_per_sec = float_of_int pairs /. secs;
   }
 
-let skiplist ?(debug = false) ~readers ~writers ~duration () =
+let skiplist ~readers ~writers ~duration () =
   let ncores = max 1 (readers + writers) in
   let machine = Machine.create (Params.default ~ncores ()) in
   let core0 = Machine.core machine 0 in
@@ -84,10 +73,9 @@ let skiplist ?(debug = false) ~readers ~writers ~duration () =
         true)
   done;
   Machine.run_for machine ~cycles:(start + duration);
-  finish ~structure:"skiplist" ~readers ~writers ~duration ~debug machine
-    !lookups !pairs
+  finish ~structure:"skiplist" ~readers ~writers ~duration !lookups !pairs
 
-let radix ?(debug = false) ~readers ~writers ~duration () =
+let radix ~readers ~writers ~duration () =
   let ncores = max 1 (readers + writers) in
   let machine = Machine.create (Params.default ~ncores ()) in
   let rc = Refcnt.Refcache.create machine in
@@ -128,5 +116,4 @@ let radix ?(debug = false) ~readers ~writers ~duration () =
         true)
   done;
   Machine.run_for machine ~cycles:(start + duration);
-  finish ~structure:"radix" ~readers ~writers ~duration ~debug machine !lookups
-    !pairs
+  finish ~structure:"radix" ~readers ~writers ~duration !lookups !pairs

@@ -19,13 +19,7 @@ type result = {
   write_pairs_per_sec : float;
 }
 
-val pp_result : Format.formatter -> result -> unit
-
-val skiplist :
-  ?debug:bool -> readers:int -> writers:int -> duration:int -> unit -> result
-
-val radix :
-  ?debug:bool -> readers:int -> writers:int -> duration:int -> unit -> result
-(** [debug] (default false) dumps the machine's stat counters to stderr
-    when the run finishes — an explicit flag, threaded from radixvm-bench's
-    [--debug-stats], never ambient environment state. *)
+val skiplist : readers:int -> writers:int -> duration:int -> unit -> result
+val radix : readers:int -> writers:int -> duration:int -> unit -> result
+(** Each builds a fresh machine with [readers + writers] cores, fills the
+    index, and measures [duration] simulated cycles. *)

@@ -11,11 +11,6 @@ type report = {
   ipis : int;
 }
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "%-8s %3d cores, unit %4d pages: %8.1f jobs/hour (%d mmaps, %d faults)"
-    r.vm_name r.ncores r.unit_pages r.jobs_per_hour r.mmaps r.pagefaults
-
 (* One intermediate bucket per (mapper, reducer) pair. The header is
    written only by its mapper during Map and read by one reducer during
    Reduce — pairwise sharing, as in the paper. *)

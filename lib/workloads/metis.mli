@@ -26,8 +26,6 @@ type report = {
   ipis : int;
 }
 
-val pp_report : Format.formatter -> report -> unit
-
 module Make (V : Vm.Vm_intf.S) : sig
   val run :
     ?total_words:int ->

@@ -14,12 +14,6 @@ type result = {
   line_stall : int;
 }
 
-let pp_result ppf r =
-  Format.fprintf ppf
-    "%-10s %3d cores: %10.0f pages/sec (%d writes, %d ipis, lockwait %d, sdwait %d, stall %d)"
-    r.name r.ncores r.writes_per_sec r.page_writes r.ipis r.lock_wait
-    r.shootdown_wait r.line_stall
-
 let make_machine ncores =
   Machine.create (Params.default ~ncores ())
 
@@ -34,12 +28,8 @@ let measure ~warmup ~duration ~on_measure machine (writes : int ref) =
   Machine.run_for machine ~cycles:(warmup + duration);
   !writes - writes0
 
-(* [debug] is an explicit caller-threaded flag (radixvm-bench's
-   --debug-stats), not ambient environment state: benchmark behavior must
-   be a pure function of the configuration (simlint's det-getenv rule). *)
-let finish ~name ~ncores ~duration ~debug machine page_writes =
+let finish ~name ~ncores ~duration machine page_writes =
   let s = Machine.stats machine in
-  if debug then Format.eprintf "[%s/%d] %a@." name ncores Stats.pp s;
   {
     name;
     ncores;
@@ -62,7 +52,7 @@ module Make (V : Vm.Vm_intf.S) = struct
   let local_spacing = 4096
 
   let local ?(warmup = 4_000_000) ?(region_pages = 1) ?(on_machine = ignore)
-      ?(on_measure = ignore) ?(debug = false) ~ncores ~duration make_vm =
+      ?(on_measure = ignore) ~ncores ~duration make_vm =
     let machine = make_machine ncores in
     on_machine machine;
     let vm = make_vm machine in
@@ -83,7 +73,7 @@ module Make (V : Vm.Vm_intf.S) = struct
           true)
     done;
     let measured = measure ~warmup ~duration ~on_measure machine writes in
-    finish ~name:"local" ~ncores ~duration ~debug machine measured
+    finish ~name:"local" ~ncores ~duration machine measured
 
   (* Pipeline: a ring. Each core owns [nbuf] buffer slots in its own part
      of the address space; it maps a slot, writes it, and sends it to the
@@ -92,7 +82,7 @@ module Make (V : Vm.Vm_intf.S) = struct
   type pipe_msg = { owner : int; slot : int; vpn : int; pages : int }
 
   let pipeline ?(warmup = 4_000_000) ?(region_pages = 1) ?(on_machine = ignore)
-      ?(on_measure = ignore) ?(debug = false) ~ncores ~duration make_vm =
+      ?(on_measure = ignore) ~ncores ~duration make_vm =
     if ncores < 2 then invalid_arg "Microbench.pipeline: needs >= 2 cores";
     let machine = make_machine ncores in
     on_machine machine;
@@ -149,7 +139,7 @@ module Make (V : Vm.Vm_intf.S) = struct
           true)
     done;
     let measured = measure ~warmup ~duration ~on_measure machine writes in
-    finish ~name:"pipeline" ~ncores ~duration ~debug machine measured
+    finish ~name:"pipeline" ~ncores ~duration machine measured
 
   (* Global: iterate map-slice / write-everything / unmap-slice with
      barriers between the phases. Page accesses happen in a per-core
@@ -162,7 +152,7 @@ module Make (V : Vm.Vm_intf.S) = struct
     | Waiting_next of int
 
   let global ?(warmup = 4_000_000) ?(slice_pages = 64) ?(on_machine = ignore)
-      ?(on_measure = ignore) ?(debug = false) ~ncores ~duration make_vm =
+      ?(on_measure = ignore) ~ncores ~duration make_vm =
     let machine = make_machine ncores in
     on_machine machine;
     let vm = make_vm machine in
@@ -223,5 +213,5 @@ module Make (V : Vm.Vm_intf.S) = struct
           true)
     done;
     let measured = measure ~warmup ~duration ~on_measure machine writes in
-    finish ~name:"global" ~ncores ~duration ~debug machine measured
+    finish ~name:"global" ~ncores ~duration machine measured
 end

@@ -31,12 +31,10 @@ type result = {
   line_stall : int;  (** cycles queued on busy cache lines *)
 }
 
-val pp_result : Format.formatter -> result -> unit
-
 module Make (V : Vm.Vm_intf.S) : sig
   val local :
     ?warmup:int -> ?region_pages:int -> ?on_machine:(Ccsim.Machine.t -> unit) ->
-    ?on_measure:(unit -> unit) -> ?debug:bool ->
+    ?on_measure:(unit -> unit) ->
     ncores:int -> duration:int ->
     (Ccsim.Machine.t -> V.t) -> result
   (** [local ~ncores ~duration make_vm] builds a fresh machine with
@@ -48,20 +46,17 @@ module Make (V : Vm.Vm_intf.S) : sig
       the hook used to attach a [Check] instance; [on_measure] runs at
       the warmup/measure boundary, right after the stats reset (the hook
       for [Check.reset_window], so sharing is judged over the same
-      steady-state window as the cost model's counters). [debug] (default
-      false) dumps the machine's stat counters to stderr when the run
-      finishes — an explicit flag, threaded from radixvm-bench's
-      --debug-stats, never ambient environment state. *)
+      steady-state window as the cost model's counters). *)
 
   val pipeline :
     ?warmup:int -> ?region_pages:int -> ?on_machine:(Ccsim.Machine.t -> unit) ->
-    ?on_measure:(unit -> unit) -> ?debug:bool ->
+    ?on_measure:(unit -> unit) ->
     ncores:int -> duration:int ->
     (Ccsim.Machine.t -> V.t) -> result
 
   val global :
     ?warmup:int -> ?slice_pages:int -> ?on_machine:(Ccsim.Machine.t -> unit) ->
-    ?on_measure:(unit -> unit) -> ?debug:bool ->
+    ?on_measure:(unit -> unit) ->
     ncores:int -> duration:int ->
     (Ccsim.Machine.t -> V.t) -> result
 end

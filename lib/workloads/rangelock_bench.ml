@@ -33,7 +33,7 @@ module Make (V : Vm.Vm_intf.S) = struct
     | Unmapping
 
   let bigmap ?(warmup = 4_000_000) ?(region_pages = 512) ?(on_machine = ignore)
-      ?(on_measure = ignore) ?(debug = false) ~ncores ~duration make_vm =
+      ?(on_measure = ignore) ~ncores ~duration make_vm =
     if region_pages < ncores then
       invalid_arg "Rangelock_bench.bigmap: fewer pages than cores";
     let machine = Machine.create (Params.default ~ncores ()) in
@@ -85,7 +85,6 @@ module Make (V : Vm.Vm_intf.S) = struct
     Machine.run_for machine ~cycles:(warmup + duration);
     let page_writes = !writes - writes0 in
     let s = Machine.stats machine in
-    if debug then Format.eprintf "[bigmap/%d] %a@." ncores Stats.pp s;
     {
       Microbench.name = "bigmap";
       ncores;

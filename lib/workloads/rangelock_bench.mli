@@ -17,7 +17,6 @@ module Make (V : Vm.Vm_intf.S) : sig
     ?region_pages:int ->
     ?on_machine:(Ccsim.Machine.t -> unit) ->
     ?on_measure:(unit -> unit) ->
-    ?debug:bool ->
     ncores:int ->
     duration:int ->
     (Ccsim.Machine.t -> V.t) ->

@@ -2,8 +2,8 @@
    performance work must not move the simulation.
 
    Regenerates, in-process, the artifacts of a `--quick --jobs 2` sweep
-   (BENCH_fig5.json, BENCH_fig9.json, BENCH_table2.json) and the
-   transcript of the seed-42 checked fuzz session, digests each, and
+   of every deterministic bench target and the transcripts of the
+   seed-42 checked fuzz session and world, digests each, and
    compares against the digests committed in test/golden/digests.txt.
    Any drift in the cost model or operation semantics — including from
    host-side optimization of the simulator's hot paths — changes the
@@ -123,6 +123,14 @@ let subjects =
     ("fuzz_seed42.transcript", fuzz_bytes);
     ("fuzz_world_seed42.transcript", fuzz_world_bytes);
   ]
+  (* Every other deterministic quick target: table1, wallclock and shard
+     count source lines or time the host, so they stay unpinned. *)
+  @ List.map
+      (fun target ->
+        (Figures.artifact_name target, fun () -> artifact_bytes target))
+      [
+        "fig4"; "fig6"; "fig7"; "fig8"; "rangelock"; "ablations"; "pt-overhead";
+      ]
 
 let read_goldens () =
   match List.find_opt Sys.file_exists golden_paths with

@@ -216,6 +216,36 @@ let test_fig5_deterministic_across_jobs () =
   let parallel = run 4 in
   Alcotest.(check string) "serial = 4-domain sweep" serial parallel
 
+(* A non-clean verdict carries the full checker report for the driver to
+   print under its findings line. Linux-like runs share one address-space
+   lock, so a local run that claims zero sharing must fail and name it. *)
+let test_checked_renders_report () =
+  let module MB = Workloads.Microbench.Make (Baselines.Linux_vm) in
+  let ctx =
+    { Figures.quick = true; check = true; jobs = 1; shards = 1; ppf = null_ppf }
+  in
+  let _, verdict =
+    Figures.checked ~ctx ~name:"Linux local 4 cores" ~allow:[]
+      ~race_allow:[ "pt:shared" ] ~zero_sharing:true
+      (fun ~on_machine ~on_measure ->
+        MB.local ~warmup:200_000 ~on_machine ~on_measure ~ncores:4
+          ~duration:200_000 Baselines.Linux_vm.create)
+  in
+  match verdict with
+  | None -> Alcotest.fail "no verdict under check = true"
+  | Some v ->
+      Alcotest.(check bool) "not clean" false v.Figures.clean;
+      let mentions needle hay =
+        let n = String.length needle in
+        let rec go i =
+          i + n <= String.length hay
+          && (String.sub hay i n = needle || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool) "report names linux:aslock" true
+        (mentions "linux:aslock" v.Figures.report)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "harness"
@@ -240,4 +270,9 @@ let () =
         ] );
       ( "determinism",
         [ tc "fig5 serial = parallel" `Quick test_fig5_deterministic_across_jobs ] );
+      ( "checker",
+        [
+          tc "non-clean verdict renders report" `Quick
+            test_checked_renders_report;
+        ] );
     ]
