@@ -1,27 +1,28 @@
 type entry = { pfn : int; writable : bool }
 
 (* Open-addressed linear-probe table over ints: [keys.(s)] holds the vpn,
-   [-1] for an empty slot, [-2] for a tombstone left by invalidation;
-   [vals.(s)] packs the translation as [pfn lsl 1 lor writable]. A TLB
-   lookup happens on every simulated memory access, so both the lookup and
-   the fill path must run without allocating — the stdlib [Hashtbl] boxes
-   an entry record per insert and an option per probe.
+   [-1] for an empty slot; [vals.(s)] packs the translation as
+   [pfn lsl 1 lor writable], and [pos.(s)] is the ring index of the vpn's
+   FIFO entry. A TLB lookup happens on every simulated memory access, so
+   both the lookup and the fill path must run without allocating — the
+   stdlib [Hashtbl] boxes an entry record per insert and an option per
+   probe.
 
    The table is sized at four times the capacity (live entries never
-   exceed [capacity]), and rebuilt in place once tombstones plus live
-   entries fill half of it, which keeps probe chains short: each rebuild
-   clears at least [size/4] tombstones, paid for by the removals that
-   created them. Vpns are nonnegative (they share the key space with the
-   two sentinels). *)
+   exceed [capacity]), which keeps probe chains short. Removal shifts the
+   rest of its probe chain back instead of leaving a tombstone, so the
+   table never needs rebuilding. Vpns are nonnegative (they share the key
+   space with the empty sentinel). *)
 
 type t = {
   capacity : int;
-  mutable keys : int array;
-  mutable vals : int array;
+  keys : int array;
+  vals : int array;
+  pos : int array;
   mutable live : int;  (* slots holding a current translation *)
-  mutable occupied : int;  (* live + tombstones *)
-  (* FIFO insertion order as a growable int ring; may contain stale vpns. *)
-  mutable ring : int array;
+  (* FIFO replacement order: one entry per live vpn, in the order the vpns
+     became live, plus holes ([-1]) left by invalidation. *)
+  ring : int array;
   mutable head : int;
   mutable len : int;
   obs : Obs.t option;
@@ -43,9 +44,9 @@ let create ?obs ?(core = -1) ?(asid = -1) ~capacity () =
     capacity;
     keys = Array.make size (-1);
     vals = Array.make size 0;
+    pos = Array.make size 0;
     live = 0;
-    occupied = 0;
-    ring = Array.make (next_pow2 ((2 * capacity) + 2)) (-1);
+    ring = Array.make (next_pow2 (2 * capacity)) (-1);
     head = 0;
     len = 0;
     obs;
@@ -53,13 +54,16 @@ let create ?obs ?(core = -1) ?(asid = -1) ~capacity () =
     asid;
   }
 
+(* A vpn's first probe slot; inlined, as it sits on every lookup. *)
+let[@inline] home mask vpn = vpn * 0x9E3779B1 land mask
+
 (* Slot holding [vpn], or [-1]. Callers guard against negative vpns (they
-   would collide with the sentinels). Probing skips tombstones; an empty
-   slot always exists because occupancy is capped at half the table. *)
+   would collide with the sentinel). An empty slot always exists because
+   occupancy is capped at a quarter of the table. *)
 let find_slot t vpn =
   let keys = t.keys in
   let mask = Array.length keys - 1 in
-  let s = ref (vpn * 0x9E3779B1 land mask) in
+  let s = ref (home mask vpn) in
   let k = ref (Array.unsafe_get keys !s) in
   while !k <> vpn && !k <> -1 do
     s := (!s + 1) land mask;
@@ -67,62 +71,66 @@ let find_slot t vpn =
   done;
   if !k = vpn then !s else -1
 
-(* Insert into a table known not to contain [vpn] or any tombstone. *)
-let raw_add keys vals vpn packed =
-  let mask = Array.length keys - 1 in
-  let s = ref (vpn * 0x9E3779B1 land mask) in
-  while Array.unsafe_get keys !s <> -1 do
-    s := (!s + 1) land mask
-  done;
-  Array.unsafe_set keys !s vpn;
-  Array.unsafe_set vals !s packed
-
-(* Rebuild at the same size, shedding tombstones. *)
-let rebuild t =
-  let size = Array.length t.keys in
-  let old_keys = t.keys and old_vals = t.vals in
-  t.keys <- Array.make size (-1);
-  t.vals <- Array.make size 0;
-  for s = 0 to size - 1 do
-    let k = Array.unsafe_get old_keys s in
-    if k >= 0 then raw_add t.keys t.vals k (Array.unsafe_get old_vals s)
-  done;
-  t.occupied <- t.live
-
-(* Insert [vpn] (known absent), reusing a tombstone when the probe chain
-   ends on one. *)
+(* Insert [vpn] (known absent) and return its slot. *)
 let add_slot t vpn packed =
   let keys = t.keys in
   let mask = Array.length keys - 1 in
-  let s = ref (vpn * 0x9E3779B1 land mask) in
-  let k = ref (Array.unsafe_get keys !s) in
-  while !k <> -1 && !k <> -2 do
-    s := (!s + 1) land mask;
-    k := Array.unsafe_get keys !s
+  let s = ref (home mask vpn) in
+  while Array.unsafe_get keys !s <> -1 do
+    s := (!s + 1) land mask
   done;
-  if !k = -1 then t.occupied <- t.occupied + 1;
   keys.(!s) <- vpn;
   t.vals.(!s) <- packed;
   t.live <- t.live + 1;
-  if t.occupied * 2 > Array.length keys then rebuild t
+  !s
 
+(* Empty slot [s], then walk the rest of its probe chain: each entry
+   whose probe from its home passed the hole moves into it, leaving the
+   hole where it was. Every remaining key stays reachable from its home,
+   so no tombstone is needed. *)
 let remove_slot t s =
-  t.keys.(s) <- -2;
+  let keys = t.keys in
+  let mask = Array.length keys - 1 in
+  let hole = ref s and j = ref ((s + 1) land mask) in
+  while keys.(!j) <> -1 do
+    let k = keys.(!j) in
+    if (!j - home mask k) land mask >= (!j - !hole) land mask then begin
+      keys.(!hole) <- k;
+      t.vals.(!hole) <- t.vals.(!j);
+      t.pos.(!hole) <- t.pos.(!j);
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  keys.(!hole) <- -1;
   t.live <- t.live - 1
 
+(* Invalidation leaves a hole in the ring, drained only when eviction
+   pops it. When a push finds the ring full, squeeze the holes out in
+   place, keeping the head, and repoint each moved vpn's slot. The ring
+   holds at least twice the capacity and at most [capacity] entries are
+   live, so a squeeze frees at least [capacity] places: pushes stay O(1)
+   amortized. *)
+let compact t =
+  let mask = Array.length t.ring - 1 in
+  let kept = ref 0 in
+  for k = 0 to t.len - 1 do
+    let vpn = t.ring.((t.head + k) land mask) in
+    if vpn >= 0 then begin
+      let i = (t.head + !kept) land mask in
+      t.ring.(i) <- vpn;
+      t.pos.(find_slot t vpn) <- i;
+      incr kept
+    end
+  done;
+  t.len <- !kept
+
 let ring_push t vpn =
-  (if t.len = Array.length t.ring then begin
-     (* Grow, unrolling so the queue starts at index 0. *)
-     let cap = Array.length t.ring in
-     let bigger = Array.make (2 * cap) (-1) in
-     for k = 0 to t.len - 1 do
-       bigger.(k) <- t.ring.((t.head + k) land (cap - 1))
-     done;
-     t.ring <- bigger;
-     t.head <- 0
-   end);
-  t.ring.((t.head + t.len) land (Array.length t.ring - 1)) <- vpn;
-  t.len <- t.len + 1
+  if t.len = Array.length t.ring then compact t;
+  let i = (t.head + t.len) land (Array.length t.ring - 1) in
+  t.ring.(i) <- vpn;
+  t.len <- t.len + 1;
+  i
 
 (* Precondition: [t.len > 0]. *)
 let ring_take t =
@@ -163,43 +171,13 @@ let note_drop t vpn =
       Obs.emit obs (Obs.Tlb_drop { core = t.core; asid = t.asid; vpn })
   | _ -> ()
 
-(* Pop stale queue entries until a live one is evicted. *)
+(* Pop holes until a live vpn is evicted. Precondition: [t.live > 0]. *)
 let rec evict_one t =
-  if t.len > 0 then begin
-    let vpn = ring_take t in
-    let s = find_slot t vpn in
-    if s >= 0 then begin
-      remove_slot t s;
-      note_drop t vpn
-    end
-    else evict_one t
-  end
-
-(* Invalidation removes vpns from the table but leaves them queued; without
-   a bound, munmap-heavy runs grow the queue forever (stale entries only
-   drained on insert-at-capacity). When stale entries dominate — the live
-   count is at most [capacity] — rebuild the queue keeping only the first
-   (oldest) occurrence of each live vpn, which is exactly the entry
-   [evict_one] would act on. Rebuilding costs one pass over the queue and
-   is triggered only after at least [capacity] invalidations, so eviction
-   stays O(1) amortized. *)
-let compact t =
-  if t.len > 2 * t.capacity then begin
-    let seen = Int_table.create ~size_hint:(2 * t.live) false in
-    let keep = Array.make t.len (-1) in
-    let kept = ref 0 in
-    let cap = Array.length t.ring in
-    for k = 0 to t.len - 1 do
-      let vpn = t.ring.((t.head + k) land (cap - 1)) in
-      if find_slot t vpn >= 0 && not (Int_table.mem seen vpn) then begin
-        Int_table.set seen vpn true;
-        keep.(!kept) <- vpn;
-        incr kept
-      end
-    done;
-    Array.blit keep 0 t.ring 0 !kept;
-    t.head <- 0;
-    t.len <- !kept
+  let vpn = ring_take t in
+  if vpn < 0 then evict_one t
+  else begin
+    remove_slot t (find_slot t vpn);
+    note_drop t vpn
   end
 
 let insert t ~vpn ~pfn ~writable =
@@ -209,39 +187,38 @@ let insert t ~vpn ~pfn ~writable =
   if s >= 0 then t.vals.(s) <- packed
   else begin
     if t.live >= t.capacity then evict_one t;
-    add_slot t vpn packed;
-    ring_push t vpn;
+    let s = add_slot t vpn packed in
+    t.pos.(s) <- ring_push t vpn;
     note_fill t vpn
   end
+
+let drop_slot t s =
+  let vpn = t.keys.(s) in
+  t.ring.(t.pos.(s)) <- -1;
+  remove_slot t s;
+  note_drop t vpn
 
 let invalidate t vpn =
   if vpn >= 0 then begin
     let s = find_slot t vpn in
-    if s >= 0 then begin
-      remove_slot t s;
-      note_drop t vpn;
-      compact t
-    end
+    if s >= 0 then drop_slot t s
   end
 
 let invalidate_range t ~lo ~hi =
   (* Probe per vpn while the range is narrower than the capacity (each
      probe is a word or two); scan the slots — bounded by [4 * capacity] —
-     only for wide ranges. Either branch drops the same entries; drop
-     order carries no cost and no stats. *)
+     only for wide ranges. A drop can shift a later key into the slot just
+     scanned, so the scan re-reads it before moving on. Either branch
+     drops the same entries; drop order carries no cost and no stats. *)
   if hi - lo <= t.capacity then
     for vpn = lo to hi - 1 do
       invalidate t vpn
     done
   else begin
-    let keys = t.keys in
-    for s = 0 to Array.length keys - 1 do
-      let k = Array.unsafe_get keys s in
-      if k >= 0 && k >= lo && k < hi then begin
-        remove_slot t s;
-        note_drop t k;
-        compact t
-      end
+    let s = ref 0 in
+    while !s < Array.length t.keys do
+      let k = t.keys.(!s) in
+      if k >= 0 && k >= lo && k < hi then drop_slot t !s else incr s
     done
   end
 
@@ -259,6 +236,5 @@ let flush t =
   | _ -> ());
   Array.fill t.keys 0 (Array.length t.keys) (-1);
   t.live <- 0;
-  t.occupied <- 0;
   t.head <- 0;
   t.len <- 0

@@ -27,7 +27,9 @@ val lookup_packed : t -> int -> int
     absent, otherwise [pfn lsl 1 lor writable]. *)
 
 val insert : t -> vpn:int -> pfn:int -> writable:bool -> unit
-(** Insert a translation, evicting the oldest entry if full. *)
+(** Insert a translation. A vpn not yet cached joins the back of the
+    FIFO, evicting the entry that has been cached longest if full;
+    replacing a cached vpn's translation keeps its place. *)
 
 val invalidate : t -> int -> unit
 (** Drop the entry for one vpn (no-op if absent). *)
@@ -42,7 +44,7 @@ val size : t -> int
 val mem : t -> int -> bool
 
 val queue_length : t -> int
-(** Length of the internal FIFO replacement queue, including entries made
-    stale by invalidation. Bounded by roughly twice the capacity — stale
-    entries are compacted away once they dominate — which is the invariant
-    the leak-regression tests assert. *)
+(** Length of the internal FIFO replacement queue, including the holes
+    invalidation leaves in it. At most twice the capacity, rounded up to a
+    power of two — holes are squeezed out when the queue fills — which is
+    the invariant the leak-regression tests assert. *)

@@ -66,30 +66,15 @@ type lstate = Virgin | Exclusive of int | Shared | Shared_mod
 type line_rec = {
   lr_label : string;
   mutable lr_state : lstate;
-  mutable lr_cand : int array;
-      (* candidate lockset: sorted ascending, first [lr_cand_len] entries
-         valid. A plain array filtered in place: wide operations seed
-         thousands of candidates per line, and a persistent set paid a
-         tree rebuild on every refinement. *)
-  mutable lr_cand_len : int;
+  mutable lr_cand : Int_set.t;
+      (* candidate lockset. Seeded by pointer from the accessing core's
+         held set and refined by intersection, so it shares structure with
+         every held set it was derived from. *)
   mutable lr_readers : IS.t;
   mutable lr_writers : IS.t;
   mutable lr_reads : int;
   mutable lr_writes : int;
   mutable lr_raced : bool;  (* one report per line *)
-  (* Per-mode memo of the last candidate refinement: the core and that
-     core's release counter at the time. Refinement can only shrink the
-     candidate set when a candidate is released, so while the memo'd core
-     releases nothing the refinement is a no-op and is skipped. A wide
-     operation (a destroy locks the whole space) performs thousands of
-     line accesses per lock event; without the memo each one re-filters a
-     candidate set the size of the held stack. Write-mode refinement
-     filters against the stricter write-mode table, so it revalidates the
-     read memo as well, but not vice versa. *)
-  mutable lr_rd_core : int;
-  mutable lr_rd_ver : int;
-  mutable lr_wr_core : int;
-  mutable lr_wr_ver : int;
 }
 
 type rc_rec = {
@@ -99,18 +84,12 @@ type rc_rec = {
   mutable rr_freed : bool;
 }
 
-(* A core's held locks in one mode: a multiset (count per id) plus a
-   sorted array of the distinct ids, maintained incrementally on 0 -> 1
-   and 1 -> 0 count transitions. The counts answer the per-candidate
-   membership probe of [full_filter] in O(1); the sorted array seeds a
-   line's candidate set with a single [Array.sub] — the former
-   sort-on-demand rebuilt and re-sorted the whole set once per lock
-   event, O(held log held) each time under a wide [Radix.lock_range]. *)
-type lockset = {
-  counts : int Int_table.t;
-  mutable sorted : int array;
-  mutable sorted_len : int;
-}
+(* A core's held locks in one mode: a multiset (count per id) plus the
+   persistent set of the distinct ids, edited on 0 -> 1 and 1 -> 0 count
+   transitions. Range locking holds one lock per radix slot, thousands at
+   once under a whole-space operation; a line seeded from this set keeps
+   a pointer to it, and successive versions share all but one path. *)
+type lockset = { counts : int Int_table.t; mutable set : Int_set.t }
 
 type t = {
   machine : Machine.t;
@@ -118,21 +97,12 @@ type t = {
   dummy_line_rec : line_rec;
   held : held_lock list array;  (* per core, most recent acquisition first *)
   held_all : lockset array;
-      (* per core: every mode. Incremental mirror of [held] so lockset
-         queries cost O(1) per lock instead of rebuilding a set from the
-         whole held list on every shared access — a full-address-space
-         operation holds thousands of slot locks, and the rebuild made
-         every access under it O(held). *)
+      (* per core: every mode. Incremental mirror of [held], so a lockset
+         query costs no rebuild from the whole held list. *)
   held_wr : lockset array;
       (* per core: write-mode holds only *)
   seen_locks : int Int_table.t;
       (* locks that have completed a first acquisition; see note_acquire *)
-  rel_ver : int array;  (* per core: total releases; versions the memos *)
-  rel_ring : int array array;
-      (* per core: the last [ring_size] released lock ids, indexed by
-         release number mod [ring_size]. Lets a refinement prove "no
-         candidate was released since the memo" with a few binary searches
-         instead of a full filter. *)
   edges : lock_edge Int_table.t;
       (* keyed [from lsl 31 lor to]: lock ids are line ids, far below
          2^31 in any feasible run, so the packing is injective *)
@@ -160,17 +130,12 @@ let line_rec t line label =
       {
         lr_label = label;
         lr_state = Virgin;
-        lr_cand = [||];
-        lr_cand_len = 0;
+        lr_cand = Int_set.empty;
         lr_readers = IS.empty;
         lr_writers = IS.empty;
         lr_reads = 0;
         lr_writes = 0;
         lr_raced = false;
-        lr_rd_core = -1;
-        lr_rd_ver = -1;
-        lr_wr_core = -1;
-        lr_wr_ver = -1;
       }
     in
     Int_table.set t.lines line r;
@@ -179,125 +144,21 @@ let line_rec t line label =
 
 (* The lockset protecting an access: read-mode rwlock acquisitions protect
    only reads (two readers cannot conflict, but a reader does not exclude a
-   writer). The count tables mirror [held] incrementally; a line pays for a
-   full lockset materialisation once, at its Exclusive -> Shared
-   transition, and afterwards only filters its own candidate set — and the
-   per-mode memos skip even that while the owning core releases nothing. *)
+   writer). *)
 let held_ls t ~core ~write = if write then t.held_wr.(core) else t.held_all.(core)
-
-let ring_size = 64
-
-(* Blit between [int array]s by plain stores: the type is statically
-   immediate, so each store compiles barrier-free, where [Array.blit] on
-   a major-heap destination pays the generic write barrier per element.
-   Handles overlap within one array for shifts in either direction. *)
-let int_blit (src : int array) spos (dst : int array) dpos len =
-  if dpos <= spos then
-    for k = 0 to len - 1 do
-      Array.unsafe_set dst (dpos + k) (Array.unsafe_get src (spos + k))
-    done
-  else
-    for k = len - 1 downto 0 do
-      Array.unsafe_set dst (dpos + k) (Array.unsafe_get src (spos + k))
-    done
-
-let int_sub src len =
-  let dst = Array.make len 0 in
-  int_blit src 0 dst 0 len;
-  dst
-
-(* Position of [id] (or its insertion point) in [ls.sorted]. *)
-let ls_pos ls id =
-  let lo = ref 0 and hi = ref ls.sorted_len in
-  while !hi > !lo do
-    let mid = (!lo + !hi) / 2 in
-    if Array.unsafe_get ls.sorted mid < id then lo := mid + 1 else hi := mid
-  done;
-  !lo
 
 let ls_incr ls id =
   let c = Int_table.find_default ls.counts id 0 in
   Int_table.set ls.counts id (c + 1);
-  if c = 0 then begin
-    let pos = ls_pos ls id in
-    let len = ls.sorted_len in
-    if len = Array.length ls.sorted then begin
-      let bigger = Array.make (max 16 (2 * len)) 0 in
-      int_blit ls.sorted 0 bigger 0 len;
-      ls.sorted <- bigger
-    end;
-    int_blit ls.sorted pos ls.sorted (pos + 1) (len - pos);
-    ls.sorted.(pos) <- id;
-    ls.sorted_len <- len + 1
-  end
+  if c = 0 then ls.set <- Int_set.add id ls.set
 
 let ls_decr ls id =
   match Int_table.find_default ls.counts id 0 with
   | 0 -> ()  (* release without acquire: tolerated (attached mid-run) *)
   | 1 ->
       Int_table.remove ls.counts id;
-      let pos = ls_pos ls id in
-      int_blit ls.sorted (pos + 1) ls.sorted pos (ls.sorted_len - pos - 1);
-      ls.sorted_len <- ls.sorted_len - 1
+      ls.set <- Int_set.remove id ls.set
   | n -> Int_table.set ls.counts id (n - 1)
-
-let cand_mem r id =
-  let lo = ref 0 and hi = ref r.lr_cand_len in
-  while !hi > !lo do
-    let mid = (!lo + !hi) / 2 in
-    if r.lr_cand.(mid) < id then lo := mid + 1 else hi := mid
-  done;
-  !lo < r.lr_cand_len && r.lr_cand.(!lo) = id
-
-let full_filter t r ~core ~write =
-  let tbl = (held_ls t ~core ~write).counts in
-  let j = ref 0 in
-  for i = 0 to r.lr_cand_len - 1 do
-    let id = r.lr_cand.(i) in
-    if Int_table.mem tbl id then begin
-      r.lr_cand.(!j) <- id;
-      incr j
-    end
-  done;
-  r.lr_cand_len <- !j
-
-let mark_refined t r ~core ~write =
-  let ver = t.rel_ver.(core) in
-  (* A write-mode bound also bounds reads: write-mode holds are a subset
-     of all holds. The converse does not hold, so a read refinement leaves
-     the write memo alone. *)
-  if write then begin
-    r.lr_wr_core <- core;
-    r.lr_wr_ver <- ver
-  end;
-  r.lr_rd_core <- core;
-  r.lr_rd_ver <- ver
-
-(* Intersect the candidate set with the current lockset. Skipped entirely
-   when the memo proves the result unchanged: same core, and either no
-   release since, or none of the (few, ring-buffered) releases since was a
-   candidate. Releases are the only events that can shrink the set —
-   acquires only grow the held tables. *)
-let refine_cand t r ~core ~write =
-  let seen_core, seen_ver =
-    if write then (r.lr_wr_core, r.lr_wr_ver)
-    else (r.lr_rd_core, r.lr_rd_ver)
-  in
-  let ver = t.rel_ver.(core) in
-  let unchanged =
-    seen_core = core && seen_ver >= 0
-    && (ver = seen_ver
-       || ver - seen_ver <= ring_size
-          &&
-          let ring = t.rel_ring.(core) in
-          let clean = ref true in
-          for v = seen_ver to ver - 1 do
-            if cand_mem r ring.(v mod ring_size) then clean := false
-          done;
-          !clean)
-  in
-  if not unchanged then full_filter t r ~core ~write;
-  mark_refined t r ~core ~write
 
 let note_census r ~core ~write =
   if write then begin
@@ -309,45 +170,45 @@ let note_census r ~core ~write =
     r.lr_reads <- r.lr_reads + 1
   end
 
+let refine t r ~core ~write =
+  r.lr_cand <- Int_set.inter r.lr_cand (held_ls t ~core ~write).set
+
+let report_race t r ~line ~core ~write =
+  if (not r.lr_raced) && Int_set.is_empty r.lr_cand then begin
+    r.lr_raced <- true;
+    t.races <-
+      {
+        race_line = line;
+        race_label = r.lr_label;
+        race_core = core;
+        race_write = write;
+        race_cores = IS.elements (IS.union r.lr_readers r.lr_writers);
+      }
+      :: t.races
+  end
+
 let note_plain t r ~line ~core ~write =
-  let update_cand () = refine_cand t r ~core ~write in
-  let report () =
-    if (not r.lr_raced) && r.lr_cand_len = 0 then begin
-      r.lr_raced <- true;
-      t.races <-
-        {
-          race_line = line;
-          race_label = r.lr_label;
-          race_core = core;
-          race_write = write;
-          race_cores = IS.elements (IS.union r.lr_readers r.lr_writers);
-        }
-        :: t.races
-    end
-  in
   match r.lr_state with
   | Virgin -> r.lr_state <- Exclusive core
   | Exclusive c when c = core -> ()
   | Exclusive _ ->
-      (* Second core: the candidate set starts as this access's lockset. *)
-      let ls = held_ls t ~core ~write in
-      r.lr_cand <- int_sub ls.sorted ls.sorted_len;
-      r.lr_cand_len <- ls.sorted_len;
-      mark_refined t r ~core ~write;
+      (* Second core: the candidate set starts as this access's lockset,
+         shared, not copied. *)
+      r.lr_cand <- (held_ls t ~core ~write).set;
       if write then begin
         r.lr_state <- Shared_mod;
-        report ()
+        report_race t r ~line ~core ~write
       end
       else r.lr_state <- Shared
   | Shared ->
-      update_cand ();
+      refine t r ~core ~write;
       if write then begin
         r.lr_state <- Shared_mod;
-        report ()
+        report_race t r ~line ~core ~write
       end
   | Shared_mod ->
-      update_cand ();
-      report ()
+      refine t r ~core ~write;
+      report_race t r ~line ~core ~write
 
 let note_access t ~line ~label ~core ~write kind =
   t.accesses <- t.accesses + 1;
@@ -416,10 +277,7 @@ let note_release t ~core ~lock ~line ~label =
   match !dropped with
   | Some h ->
       ls_decr t.held_all.(core) lock;
-      if not h.hl_rd then ls_decr t.held_wr.(core) lock;
-      let ver = t.rel_ver.(core) in
-      t.rel_ring.(core).(ver mod ring_size) <- lock;
-      t.rel_ver.(core) <- ver + 1
+      if not h.hl_rd then ls_decr t.held_wr.(core) lock
   | None -> ()
 
 let note_rc t ~core ~oid ~label f =
@@ -558,17 +416,12 @@ let attach machine =
     {
       lr_label = "";
       lr_state = Virgin;
-      lr_cand = [||];
-      lr_cand_len = 0;
+      lr_cand = Int_set.empty;
       lr_readers = IS.empty;
       lr_writers = IS.empty;
       lr_reads = 0;
       lr_writes = 0;
       lr_raced = false;
-      lr_rd_core = -1;
-      lr_rd_ver = -1;
-      lr_wr_core = -1;
-      lr_wr_ver = -1;
     }
   in
   let dummy_edge =
@@ -578,11 +431,7 @@ let attach machine =
     { rr_label = ""; rr_count = 0; rr_made = false; rr_freed = false }
   in
   let fresh_ls () =
-    {
-      counts = Int_table.create ~size_hint:64 0;
-      sorted = Array.make 64 0;
-      sorted_len = 0;
-    }
+    { counts = Int_table.create ~size_hint:64 0; set = Int_set.empty }
   in
   let t =
     {
@@ -593,8 +442,6 @@ let attach machine =
       held_all = Array.init ncores (fun _ -> fresh_ls ());
       held_wr = Array.init ncores (fun _ -> fresh_ls ());
       seen_locks = Int_table.create ~size_hint:1024 0;
-      rel_ver = Array.make ncores 0;
-      rel_ring = Array.init ncores (fun _ -> Array.make ring_size (-1));
       edges = Int_table.create ~size_hint:64 dummy_edge;
       tlb = Array.init ncores (fun _ -> Int_table.create ~size_hint:64 0);
       rc = Int_table.create ~size_hint:1024 dummy_rc;

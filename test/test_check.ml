@@ -133,6 +133,52 @@ let test_lock_order_silent_when_consistent () =
   Machine.run m;
   Alcotest.(check int) "no cycles" 0 (List.length (Check.cycles chk))
 
+(* Range locking at full width: one core holds 4096 slot locks while the
+   lines under them pass between two cores. Line [k] is guarded by lock
+   [k]; core 1 seeds every line's candidate set under the whole stack,
+   then drops one mid-stack lock before touching that lock's line, and
+   core 0 finally touches each line holding only its own lock. Only that
+   line loses its last common lock. The seeding shares core 1's held set
+   instead of copying 4096 ids per line, which the allocation bound pins:
+   a per-line copy costs 32 KB. *)
+let test_wide_hold_race () =
+  let m = machine () in
+  let chk = Check.attach m in
+  let c0 = Machine.core m 0 and c1 = Machine.core m 1 in
+  let nlocks = 4096 and nlines = 1024 and dropped = 512 in
+  let locks = Array.init nlocks (fun _ -> Lock.create ~label:"fixture:slot" c0) in
+  let lines = Array.init nlines (fun _ -> Cell.make ~label:"fixture:page" c0 0) in
+  let hold core = Array.iter (Lock.acquire core) locks in
+  hold c0;
+  Array.iter (fun x -> Cell.write c0 x 1) lines;
+  Array.iter (Lock.release c0) locks;
+  hold c1;
+  let before = Gc.allocated_bytes () in
+  Array.iter (fun x -> Cell.write c1 x 2) lines;
+  let seeded = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "no race under the shared stack" 0
+    (List.length (Check.races chk));
+  Alcotest.(check bool)
+    (Printf.sprintf "seeding allocates %.0f bytes for %d lines" seeded nlines)
+    true
+    (seeded < float_of_int (nlines * 1024));
+  Lock.release c1 locks.(dropped);
+  Cell.write c1 lines.(dropped) 3;
+  Array.iteri (fun i l -> if i <> dropped then Lock.release c1 l) locks;
+  Array.iteri
+    (fun k x ->
+      Lock.acquire c0 locks.(k);
+      Cell.write c0 x 4;
+      Lock.release c0 locks.(k))
+    lines;
+  (match Check.races chk with
+  | [ r ] ->
+      Alcotest.(check int) "on the dropped lock's line"
+        (Line.id (Cell.line lines.(dropped)))
+        r.Check.race_line
+  | rs -> Alcotest.failf "expected exactly one race, got %d" (List.length rs));
+  Alcotest.(check int) "no leaked locks" 0 (List.length (Check.leaked_locks chk))
+
 (* A buggy VM that "unmaps" by clearing only its own core's page table
    and TLB — the stale-TLB window every shootdown protocol exists to
    close. The checker's TLB mirror must catch core 1's surviving
@@ -397,6 +443,7 @@ let () =
         [
           tc "racy counter detected" `Quick test_race_fires;
           tc "locked counter silent" `Quick test_race_silent_under_lock;
+          tc "wide hold: one dropped lock races" `Quick test_wide_hold_race;
           tc "AB/BA cycle detected" `Quick test_lock_order_cycle_fires;
           tc "consistent order silent" `Quick
             test_lock_order_silent_when_consistent;
