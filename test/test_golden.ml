@@ -2,9 +2,10 @@
    performance work must not move the simulation.
 
    Regenerates, in-process, the artifacts of a `--quick --jobs 2` sweep
-   of every deterministic bench target and the transcripts of the
-   seed-42 checked fuzz session and world, digests each, and
-   compares against the digests committed in test/golden/digests.txt.
+   of every deterministic bench target, the transcripts of the seed-42
+   checked fuzz session and world, and the model-checked cache-serve
+   sessions, digests each, and compares against the digests committed
+   in test/golden/digests.txt.
    Any drift in the cost model or operation semantics — including from
    host-side optimization of the simulator's hot paths — changes the
    simulated cycle counts and therefore the bytes, and fails tier-1
@@ -114,6 +115,68 @@ let fuzz_world_bytes () =
       reference
   | [] -> assert false
 
+(* The model-checked cache-serve session (4 cores, 3 forked processes, 64
+   slots, fault plan seed 11). The history alone is too weak a subject:
+   several crash rules leave the same history over different simulated
+   states, so every outcome counter, the machine's final Stats and every
+   core's clock ride along. *)
+module CS = Workloads.Cache_serve
+
+let session_bytes ~via_kernel ~compact_every ~ops ~arm () =
+  let mref = ref None and plan = ref None in
+  let o =
+    CS.Session.run ~ncores:4 ~procs:3 ~slots:64 ~ops ~via_kernel
+      ~compact_every
+      ~on_machine:(fun m ->
+        let p = Ccsim.Fault.create ~seed:11 () in
+        Ccsim.Machine.set_fault m (Some p);
+        mref := Some m;
+        plan := Some p)
+      ~arm:(fun () -> arm (Option.get !plan) (Option.get !mref))
+      ()
+  in
+  let m = Option.get !mref in
+  Format.asprintf
+    "%sops=%d gets=%d hits=%d misses=%d sets=%d dels=%d evictions=%d \
+     writebacks=%d compactions=%d resizes=%d enomem=%d aborts=%d crashes=%d \
+     served_after_crash=%b@.divergences:@.%s@.%a@.clocks %s@."
+    o.CS.Session.history o.ops_done o.gets o.hits o.misses o.sets o.dels
+    o.evictions o.writebacks o.compactions o.resizes o.enomem o.aborts
+    o.crashes_reaped o.served_after_crash
+    (String.concat "\n" o.divergences)
+    Ccsim.Stats.pp (Ccsim.Machine.stats m)
+    (String.concat " "
+       (Array.to_list
+          (Array.map
+             (fun c -> string_of_int (Ccsim.Core.now c))
+             (Ccsim.Machine.cores m))))
+
+let session ?(via_kernel = false) ?(compact_every = 0) ?(ops = 10_000)
+    ?(arm = fun _ _ -> ()) name =
+  ("session_" ^ name, session_bytes ~via_kernel ~compact_every ~ops ~arm)
+
+let session_subjects =
+  [
+    session "direct";
+    session ~via_kernel:true "kernel";
+    session ~compact_every:4_000 "compact";
+    session ~ops:4_000 "budget" ~arm:(fun plan m ->
+        let live = Ccsim.Physmem.live_frames (Ccsim.Machine.physmem m) in
+        Ccsim.Fault.set_frame_budget plan (Some (live + 8)));
+  ]
+  @ List.map
+      (fun (op, point, prob) ->
+        session ~ops:3_000
+          (Printf.sprintf "crash_%s@%s" op point)
+          ~arm:(fun plan _ -> Ccsim.Fault.crash_ops plan ~op ~point ~prob ()))
+      [
+        ("mmap", "locked", 0.05);
+        ("munmap", "locked", 0.05);
+        ("munmap", "cleared", 0.05);
+        ("mprotect", "locked", 1.0);
+        ("pagefault", "locked", 0.02);
+      ]
+
 let subjects =
   [
     ("BENCH_fig5.json", fun () -> artifact_bytes "fig5");
@@ -131,6 +194,7 @@ let subjects =
       [
         "fig4"; "fig6"; "fig7"; "fig8"; "rangelock"; "ablations"; "pt-overhead";
       ]
+  @ session_subjects
 
 let read_goldens () =
   match List.find_opt Sys.file_exists golden_paths with
