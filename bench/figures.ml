@@ -16,7 +16,6 @@ module CB_shared = Workloads.Counter_bench.Make (Refcnt.Shared_counter)
 module CB_snzi = Workloads.Counter_bench.Make (Refcnt.Snzi)
 module CB_dist = Workloads.Counter_bench.Make (Refcnt.Distributed_counter)
 module SB_shard = Workloads.Shard_bench.Make (Vm.Radixvm.Default)
-module PCache = Vm.Page_cache.Make (Refcnt.Refcache_counter)
 
 type ctx = {
   quick : bool;  (* shrink sweeps for smoke testing *)
@@ -1191,23 +1190,6 @@ let cacheserve_slots ctx = if ctx.quick then 64 else 256
 let cacheserve_warmup ctx n ~slots ~file =
   micro_warmup ctx n + (if file then 80_000 * (slots + (4 * n)) else 0)
 
-(* The three page-cache hooks the RadixVM rows give the sweep; the
-   baselines run anonymous (they have no page cache) so their eviction
-   is munmap + remap only. *)
-let cacheserve_ops fd =
-  {
-    Workloads.Cache_serve.co_evict =
-      (fun vm core ~page -> Radixvm.evict_file_page vm core ~file:fd ~page);
-    co_mark_dirty =
-      (fun vm core ~page ->
-        PCache.set_dirty (Radixvm.page_cache vm) core ~file:fd ~page);
-    co_dirty =
-      (fun vm ~page -> PCache.dirty (Radixvm.page_cache vm) ~file:fd ~page);
-    co_clear_dirty =
-      (fun vm core ~page ->
-        PCache.clear_dirty (Radixvm.page_cache vm) core ~file:fd ~page);
-  }
-
 let cacheserve_backends =
   [
     ("radix", Locks.Range_lock.Radix_embedded);
@@ -1261,7 +1243,8 @@ let cacheserve ctx =
           cacheserve_backends
         @ [
             job (radixvm ~name:"RadixVM-pc" ()) ~backend:"radix" n
-              (serve (module Radixvm) ~file:fd ~cache_ops:(cacheserve_ops fd)
+              (serve (module Radixvm) ~file:fd
+                 ~cache_ops:(Workloads.Cache_serve.radixvm_cache_ops ~file:fd)
                  Radixvm.create ~warmup:warm_file ~slots ~ncores:n
                  ~duration:duration_file);
             job (radixvm ~name:"RadixVM-procs" ()) ~backend:"radix" n

@@ -287,14 +287,16 @@ let store _t core p ~vpn value =
     in
     go 0
 
-let load _t core p ~vpn =
-  if p.state <> Running then None
+let load_result _t core p ~vpn =
+  if p.state <> Running then Ok None
   else
     let rec go tries =
       match R.load p.vm core ~vpn with
-      | r -> r
-      | exception Physmem.Out_of_frames -> None
+      | r -> Ok r
+      | exception Physmem.Out_of_frames -> Error ENOMEM
       | exception Fault.Injected_abort _ ->
-          if tries < access_retries then go (tries + 1) else None
+          if tries < access_retries then go (tries + 1) else Error EFAULT
     in
     go 0
+
+let load t core p ~vpn = Result.value (load_result t core p ~vpn) ~default:None

@@ -107,3 +107,12 @@ val store : t -> Ccsim.Core.t -> process -> vpn:int -> int ->
 
 val load : t -> Ccsim.Core.t -> process -> vpn:int -> int option
 (** [None] for a fatal fault {e or} frame exhaustion; never raises. *)
+
+val load_result : t -> Ccsim.Core.t -> process -> vpn:int -> int option result
+(** {!load} with the two told apart: [Ok None] is a fatal fault, [ENOMEM]
+    frame exhaustion, [EFAULT] an injected abort that outlived the retry
+    budget. *)
+
+val access_retries : int
+(** How many times a user access retries an injected abort (each attempt
+    was rolled back) before giving up. *)

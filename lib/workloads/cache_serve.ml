@@ -33,6 +33,166 @@ type 'vm cache_ops = {
   co_clear_dirty : 'vm -> Ccsim.Core.t -> page:int -> unit;
 }
 
+let radixvm_cache_ops ~file =
+  {
+    co_evict = (fun vm core ~page -> R.evict_file_page vm core ~file ~page);
+    co_mark_dirty =
+      (fun vm core ~page -> PC.set_dirty (R.page_cache vm) core ~file ~page);
+    co_dirty = (fun vm ~page -> PC.dirty (R.page_cache vm) ~file ~page);
+    co_clear_dirty =
+      (fun vm core ~page -> PC.clear_dirty (R.page_cache vm) core ~file ~page);
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The process shape: what every entry point drives                    *)
+
+type load_step = [ `Val of int | `Absent | `Nomem | `Abort | `Crashed ]
+type acc_step = [ `Ok | `Seg | `Nomem | `Abort | `Crashed ]
+type unit_step = [ `Ok | `Nomem | `Abort | `Crashed ]
+
+(* The sweep's page-cache hooks, bound to the address space that owns
+   the page cache. *)
+type hooks = {
+  evict : Core.t -> page:int -> unit;
+  dirty : page:int -> bool;
+  mark : Core.t -> page:int -> unit;
+  clean : Core.t -> page:int -> unit;
+}
+
+let hooks co vm =
+  {
+    evict = co.co_evict vm;
+    dirty = co.co_dirty vm;
+    mark = co.co_mark_dirty vm;
+    clean = co.co_clear_dirty vm;
+  }
+
+(* Threads of one process, threads of a baseline, forked address spaces
+   or kernel processes: the region at [base] as seen through process
+   [p]'s accesses and VM calls (the int argument), plus the page cache,
+   whole-file compaction, crash reap and exit. Slot [s] is page
+   [base + s] in every process. *)
+type shape = {
+  base : int;
+  load : int -> Core.t -> vpn:int -> load_step;
+  store : int -> Core.t -> vpn:int -> int -> acc_step;
+  munmap : int -> Core.t -> vpn:int -> npages:int -> unit_step;
+  map : int -> Core.t -> vpn:int -> npages:int -> unit_step;
+  mprotect : int -> Core.t -> vpn:int -> T.prot -> unit_step;
+  cache : hooks;
+  compact : Core.t -> unit;
+  reap : int -> Core.t -> unit;
+  destroy : int -> Core.t -> unit;
+}
+
+let access = function T.Ok -> `Ok | T.Segfault -> `Seg | T.Oom -> `Nomem
+let value = function Some w -> `Val w | None -> `Absent
+let ok () = `Ok
+
+let of_vm ok = function
+  | Ok v -> ok v
+  | Error T.Enomem -> `Nomem
+  | Error (T.Aborted _) -> `Abort
+
+let of_errno ok = function
+  | Ok v -> ok v
+  | Error K.ENOMEM -> `Nomem
+  | Error _ -> `Abort
+
+(* The cache file, sized to cover the region at [base], and its
+   compaction (truncate to zero and back). Truncation drops every cached
+   page beyond the new EOF through [vm]'s page cache; keys in the page
+   cache are vpns, so the sweep starts at the region base. *)
+let cache_file vfs ~base ~slots vm c0 =
+  let fd = Os.Vfs.create_file vfs ~name:"cache.mmap" ~pages:(base + slots) in
+  Os.Vfs.set_resize_hook vfs (fun f ~old_pages ~new_pages ->
+      if f = fd && new_pages < old_pages then
+        for p = max new_pages base to old_pages - 1 do
+          R.evict_file_page vm c0 ~file:fd ~page:p
+        done);
+  let compact _core =
+    ignore (Os.Vfs.resize_file vfs fd ~pages:0);
+    ignore (Os.Vfs.resize_file vfs fd ~pages:(base + slots))
+  in
+  (fd, compact)
+
+(* [procs] RadixVM address spaces: a root mapping the file at vpn 0 and
+   its forks, all sharing the root's page cache. *)
+let forked m ~rangelock ~slots ~procs =
+  let c0 = Machine.core m 0 in
+  let root = R.create_with ~rangelock m in
+  let fd, compact = cache_file (Os.Vfs.create ()) ~base:0 ~slots root c0 in
+  (match R.mmap_result root c0 ~vpn:0 ~npages:slots ~backing:(T.File fd) ()
+   with
+  | Ok () -> ()
+  | Error e ->
+      failwith
+        (Format.asprintf "cache_serve: initial mmap: %a" T.pp_vm_error e));
+  let vms = Array.init procs (fun i -> if i = 0 then root else R.fork root c0) in
+  {
+    base = 0;
+    load = (fun p core ~vpn -> of_vm value (R.load_result vms.(p) core ~vpn));
+    store =
+      (fun p core ~vpn w -> of_vm access (R.store_result vms.(p) core ~vpn w));
+    munmap =
+      (fun p core ~vpn ~npages ->
+        of_vm ok (R.munmap_result vms.(p) core ~vpn ~npages));
+    map =
+      (fun p core ~vpn ~npages ->
+        of_vm ok
+          (R.mmap_result vms.(p) core ~vpn ~npages ~backing:(T.File fd) ()));
+    mprotect =
+      (fun p core ~vpn prot ->
+        of_vm ok (R.mprotect_result vms.(p) core ~vpn ~npages:1 prot));
+    cache = hooks (radixvm_cache_ops ~file:fd) root;
+    compact;
+    reap = (fun p core -> R.reap vms.(p) core);
+    destroy = (fun p core -> R.destroy vms.(p) core);
+  }
+
+(* [procs] Os.Kernel processes forked from init, each mapping the file
+   at vpn 0x800 with sys_mmap: every access, remap and protection change
+   goes through the syscall layer. *)
+let processes m ~slots ~procs =
+  let c0 = Machine.core m 0 in
+  let kern = K.boot m in
+  let init = K.init_process kern in
+  let base = 0x800 in
+  let fd, compact = cache_file (K.vfs kern) ~base ~slots (K.vm init) c0 in
+  let expect what = function
+    | Ok v -> v
+    | Error e ->
+        failwith
+          (Printf.sprintf "cache_serve: %s: %s" what (K.errno_to_string e))
+  in
+  let ps = Array.init procs (fun _ -> expect "fork" (K.sys_fork kern c0 init)) in
+  Array.iter
+    (fun p ->
+      expect "mmap" (K.sys_mmap kern c0 p ~vpn:base ~npages:slots ~file:fd ()))
+    ps;
+  {
+    base;
+    load =
+      (fun p core ~vpn -> of_errno value (K.load_result kern core ps.(p) ~vpn));
+    store = (fun p core ~vpn w -> access (K.store kern core ps.(p) ~vpn w));
+    munmap =
+      (fun p core ~vpn ~npages ->
+        of_errno ok (K.sys_munmap kern core ps.(p) ~vpn ~npages));
+    map =
+      (fun p core ~vpn ~npages ->
+        of_errno ok (K.sys_mmap kern core ps.(p) ~vpn ~npages ~file:fd ()));
+    mprotect =
+      (fun p core ~vpn prot ->
+        of_errno ok (K.sys_mprotect kern core ps.(p) ~vpn ~npages:1 prot));
+    cache = hooks (radixvm_cache_ops ~file:fd) (K.vm init);
+    compact;
+    reap = (fun p core -> R.reap (K.vm ps.(p)) core);
+    destroy = (fun p core -> K.sys_exit kern core ps.(p) ~code:0);
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The concurrent throughput run over a shape                          *)
+
 (* Live counters shared by every serving core (plain OCaml state: the
    simulation interleaves deterministically, and the counters are not
    part of the simulated machine). The measured window is a delta
@@ -48,36 +208,22 @@ type counters = {
   mutable c_resizes : int;
 }
 
-let fresh_counters () =
-  {
-    c_ops = 0;
-    c_gets = 0;
-    c_sets = 0;
-    c_dels = 0;
-    c_lost = 0;
-    c_evictions = 0;
-    c_writebacks = 0;
-    c_resizes = 0;
-  }
-
-let snapshot c = { c with c_ops = c.c_ops }
-
-let build_result ~name ~system ~ncores ~duration machine c base =
+let build_result ~name ~system ~ncores ~duration machine c warm =
   let s = Machine.stats machine in
-  let ops = c.c_ops - base.c_ops in
+  let ops = c.c_ops - warm.c_ops in
   let per_sec = float_of_int ops /. Machine.seconds machine duration in
   {
     name;
     system;
     ncores;
     ops;
-    gets = c.c_gets - base.c_gets;
-    sets = c.c_sets - base.c_sets;
-    dels = c.c_dels - base.c_dels;
-    lost = c.c_lost - base.c_lost;
-    evictions = c.c_evictions - base.c_evictions;
-    writebacks = c.c_writebacks - base.c_writebacks;
-    resizes = c.c_resizes - base.c_resizes;
+    gets = c.c_gets - warm.c_gets;
+    sets = c.c_sets - warm.c_sets;
+    dels = c.c_dels - warm.c_dels;
+    lost = c.c_lost - warm.c_lost;
+    evictions = c.c_evictions - warm.c_evictions;
+    writebacks = c.c_writebacks - warm.c_writebacks;
+    resizes = c.c_resizes - warm.c_resizes;
     ops_per_sec = per_sec;
     ops_per_core = per_sec /. float_of_int ncores;
     cycles = duration;
@@ -88,304 +234,221 @@ let build_result ~name ~system ~ncores ~duration machine c base =
     line_stall = s.Stats.line_stall_cycles;
   }
 
-(* ------------------------------------------------------------------ *)
-(* The concurrent throughput run, generic over the VM system           *)
+(* Core 0 doubles as the LRU sweeper. Eviction is deliberately spread
+   over several scheduler steps (one victim munmapped per step, then
+   remapped the next) so other cores genuinely race their faults against
+   the teardown — an access landing in the window segfaults and is
+   counted as [lost], exactly like a reader hitting a page a real cache
+   is expunging. *)
+type state =
+  | Mapping of Barrier.t
+  | Wait_mapped of Barrier.t * int
+  | Serving
+  | Evict_unmap of int list
+  | Evict_remap of int * int list
+  | Resize_ro
+  | Resize_rw of int
+
+(* Core [c] serves through process [c] of the shape. What differs between
+   callers is data: [batch] operations per scheduler step, [map_first]
+   (core 0 maps the region behind a barrier before anyone serves), and
+   [compact] (the shape's compaction every [4 * resize_every] sweeps). *)
+let serve_shape ?(warmup = 1_000_000) ?(slots = 128) ?(keys = 0)
+    ?(zipf_s = 1.1) ?(evict_every = 512) ?(resize_every = 8) ?(seed = 1)
+    ?(on_machine = ignore) ?(on_measure = ignore) ~name ~system ~batch
+    ~map_first ~compact ~ncores ~duration shape_on =
+  if slots <= 0 then invalid_arg "Cache_serve.serve";
+  let keys = if keys <= 0 then 2 * slots else keys in
+  let machine = Machine.create (Params.default ~ncores ()) in
+  on_machine machine;
+  let sh = shape_on machine ~slots in
+  let c =
+    {
+      c_ops = 0;
+      c_gets = 0;
+      c_sets = 0;
+      c_dels = 0;
+      c_lost = 0;
+      c_evictions = 0;
+      c_writebacks = 0;
+      c_resizes = 0;
+    }
+  in
+  let last_access = Array.make slots 0 in
+  let rounds = ref 0 in
+  (* The n coldest slots by recency, ties broken by slot index — what an
+     LRU cache under steady memory pressure expels each sweep. *)
+  let victims () =
+    let idx = Array.init slots (fun s -> s) in
+    Array.sort
+      (fun a b ->
+        let c = compare last_access.(a) last_access.(b) in
+        if c <> 0 then c else compare a b)
+      idx;
+    Array.to_list (Array.sub idx 0 (max 1 (slots / 8)))
+  in
+  let hottest () =
+    let hot = ref 0 in
+    for s = 1 to slots - 1 do
+      if last_access.(s) > last_access.(!hot) then hot := s
+    done;
+    !hot
+  in
+  let start =
+    if map_first then
+      Mapping (Barrier.create (Machine.core machine 0) ~parties:ncores)
+    else Serving
+  in
+  let out_of_frames () = failwith "cache_serve: out of frames" in
+  for cid = 0 to ncores - 1 do
+    let core = Machine.core machine cid in
+    let z = Zipf.create ~n:keys ~s:zipf_s ~seed:(seed + cid) in
+    let state = ref start in
+    let e_ops = ref 0 in
+    Machine.set_workload machine cid (fun () ->
+        (match !state with
+        | Mapping b ->
+            if cid = 0 then
+              ignore (sh.map cid core ~vpn:sh.base ~npages:slots);
+            state := Wait_mapped (b, Barrier.arrive core b)
+        | Wait_mapped (b, gen) ->
+            if Barrier.passed core b gen then state := Serving
+            else Machine.wait_hint machine core
+        | Serving ->
+            for _ = 1 to batch do
+              let k = Zipf.next z in
+              let s = k mod slots in
+              let vpn = sh.base + s in
+              let roll = Random.State.int core.Core.rng 100 in
+              (if roll < 70 then
+                 match sh.load cid core ~vpn with
+                 | `Val _ -> c.c_gets <- c.c_gets + 1
+                 | `Absent -> c.c_lost <- c.c_lost + 1
+                 | `Nomem | `Abort | `Crashed -> out_of_frames ()
+               else
+                 match sh.store cid core ~vpn (k lor (1 lsl 40)) with
+                 | `Ok ->
+                     sh.cache.mark core ~page:vpn;
+                     if roll < 95 then c.c_sets <- c.c_sets + 1
+                     else c.c_dels <- c.c_dels + 1
+                 | `Seg -> c.c_lost <- c.c_lost + 1
+                 | `Nomem | `Abort | `Crashed -> out_of_frames ());
+              last_access.(s) <- Core.now core;
+              c.c_ops <- c.c_ops + 1
+            done;
+            if cid = 0 then begin
+              e_ops := !e_ops + batch;
+              if !e_ops >= evict_every then begin
+                e_ops := 0;
+                incr rounds;
+                if compact && !rounds mod (4 * resize_every) = 0 then
+                  sh.compact core;
+                state := Evict_unmap (victims ())
+              end
+            end
+        | Evict_unmap (s :: rest) ->
+            let vpn = sh.base + s in
+            if sh.cache.dirty ~page:vpn then begin
+              Core.tick core core.Core.params.Params.disk_read;
+              sh.cache.clean core ~page:vpn;
+              c.c_writebacks <- c.c_writebacks + 1
+            end;
+            ignore (sh.munmap cid core ~vpn ~npages:1);
+            sh.cache.evict core ~page:vpn;
+            state := Evict_remap (s, rest)
+        | Evict_unmap [] -> state := Serving
+        | Evict_remap (s, rest) ->
+            ignore (sh.map cid core ~vpn:(sh.base + s) ~npages:1);
+            c.c_evictions <- c.c_evictions + 1;
+            state :=
+              (match rest with
+              | [] ->
+                  if !rounds mod resize_every = 0 then Resize_ro else Serving
+              | _ -> Evict_unmap rest)
+        | Resize_ro ->
+            let hot = hottest () in
+            ignore (sh.mprotect cid core ~vpn:(sh.base + hot) T.Read_only);
+            state := Resize_rw hot
+        | Resize_rw hot ->
+            ignore (sh.mprotect cid core ~vpn:(sh.base + hot) T.Read_write);
+            c.c_resizes <- c.c_resizes + 1;
+            state := Serving);
+        true)
+  done;
+  Machine.run_for machine ~cycles:warmup;
+  let warm = { c with c_ops = c.c_ops } in
+  Stats.reset (Machine.stats machine);
+  on_measure ();
+  Machine.run_for machine ~cycles:(warmup + duration);
+  build_result ~name ~system ~ncores ~duration machine c warm
 
 module Make (V : Vm.Vm_intf.S) = struct
-  (* Core 0 doubles as the LRU sweeper. Eviction is deliberately spread
-     over several scheduler steps (one victim munmapped per step, then
-     remapped the next) so other cores genuinely race their faults
-     against the teardown — an access landing in the window segfaults
-     and is counted as [lost], exactly like a reader hitting a page a
-     real cache is expunging. *)
-  type state =
-    | Mapping
-    | Wait_mapped of int
-    | Serving
-    | Evict_unmap of int list
-    | Evict_remap of int * int list
-    | Resize_ro
-    | Resize_rw of int
-
-  let serve ?(name = "cacheserve") ?(warmup = 1_000_000) ?(slots = 128)
-      ?(keys = 0) ?(zipf_s = 1.1) ?(evict_every = 512) ?(resize_every = 8)
-      ?(seed = 1) ?file ?cache_ops ?(on_machine = ignore)
-      ?(on_measure = ignore) ~ncores ~duration make_vm =
-    if slots <= 0 then invalid_arg "Cache_serve.serve";
-    let keys = if keys <= 0 then 2 * slots else keys in
-    let machine = Machine.create (Params.default ~ncores ()) in
-    on_machine machine;
-    let vm = make_vm machine in
+  (* Every core is a thread of [vm]: the process index is ignored, and
+     nothing crashes, exits or compacts. *)
+  let threads vm ?file ?cache_ops () =
     let backing = Option.map (fun fd -> T.File fd) file in
-    let c = fresh_counters () in
-    let last_access = Array.make slots 0 in
-    let barrier = Barrier.create (Machine.core machine 0) ~parties:ncores in
-    let writeback_if_dirty core s =
-      match cache_ops with
-      | Some co when co.co_dirty vm ~page:s ->
-          Core.tick core core.Core.params.Params.disk_read;
-          co.co_clear_dirty vm core ~page:s;
-          c.c_writebacks <- c.c_writebacks + 1
-      | _ -> ()
-    in
-    let rounds = ref 0 in
-    (* The n coldest slots by recency, ties broken by slot index — what
-       an LRU cache under steady memory pressure expels each sweep. *)
-    let pick_victims () =
-      let idx = Array.init slots (fun s -> s) in
-      Array.sort
-        (fun a b ->
-          let c = compare last_access.(a) last_access.(b) in
-          if c <> 0 then c else compare a b)
-        idx;
-      Array.to_list (Array.sub idx 0 (max 1 (slots / 8)))
-    in
-    let hottest () =
-      let hot = ref 0 in
-      for s = 1 to slots - 1 do
-        if last_access.(s) > last_access.(!hot) then hot := s
-      done;
-      !hot
-    in
+    let skip _ ~page:_ = () in
+    {
+      base = 0;
+      load =
+        (fun _ core ~vpn ->
+          match V.read vm core ~vpn with
+          | T.Ok -> `Val 0
+          | T.Segfault -> `Absent
+          | T.Oom -> `Nomem);
+      store = (fun _ core ~vpn _ -> access (V.touch vm core ~vpn));
+      munmap =
+        (fun _ core ~vpn ~npages ->
+          V.munmap vm core ~vpn ~npages;
+          `Ok);
+      map =
+        (fun _ core ~vpn ~npages ->
+          V.mmap vm core ~vpn ~npages ?backing ();
+          `Ok);
+      mprotect =
+        (fun _ core ~vpn prot ->
+          V.mprotect vm core ~vpn ~npages:1 prot;
+          `Ok);
+      cache =
+        (match cache_ops with
+        | Some co -> hooks co vm
+        | None ->
+            {
+              evict = skip;
+              dirty = (fun ~page:_ -> false);
+              mark = skip;
+              clean = skip;
+            });
+      compact = ignore;
+      reap = (fun _ _ -> ());
+      destroy = (fun _ _ -> ());
+    }
+
+  let serve ?(name = "cacheserve") ?warmup ?slots ?keys ?zipf_s ?evict_every
+      ?resize_every ?seed ?file ?cache_ops ?on_machine ?on_measure ~ncores
+      ~duration make_vm =
     (* File-backed misses cost a disk read (80k cycles); keep callbacks
        short so cores stay inside the measured window even when a batch
        hits several cold slots. *)
-    let batch_ops = match backing with Some _ -> 2 | None -> 8 in
-    for cid = 0 to ncores - 1 do
-      let core = Machine.core machine cid in
-      let z = Zipf.create ~n:keys ~s:zipf_s ~seed:(seed + cid) in
-      let state = ref Mapping in
-      let e_ops = ref 0 in
-      Machine.set_workload machine cid (fun () ->
-          (match !state with
-          | Mapping ->
-              if cid = 0 then V.mmap vm core ~vpn:0 ~npages:slots ?backing ();
-              state := Wait_mapped (Barrier.arrive core barrier)
-          | Wait_mapped gen ->
-              if Barrier.passed core barrier gen then state := Serving
-              else Machine.wait_hint machine core
-          | Serving ->
-              for _ = 1 to batch_ops do
-                let k = Zipf.next z in
-                let s = k mod slots in
-                let roll = Random.State.int core.Core.rng 100 in
-                (if roll < 70 then
-                   match V.read vm core ~vpn:s with
-                   | T.Ok -> c.c_gets <- c.c_gets + 1
-                   | T.Segfault -> c.c_lost <- c.c_lost + 1
-                   | T.Oom -> failwith "cache_serve: out of frames"
-                 else
-                   match V.touch vm core ~vpn:s with
-                   | T.Ok ->
-                       (match cache_ops with
-                       | Some co -> co.co_mark_dirty vm core ~page:s
-                       | None -> ());
-                       if roll < 95 then c.c_sets <- c.c_sets + 1
-                       else c.c_dels <- c.c_dels + 1
-                   | T.Segfault -> c.c_lost <- c.c_lost + 1
-                   | T.Oom -> failwith "cache_serve: out of frames");
-                last_access.(s) <- Core.now core;
-                c.c_ops <- c.c_ops + 1
-              done;
-              if cid = 0 then begin
-                e_ops := !e_ops + batch_ops;
-                if !e_ops >= evict_every then begin
-                  e_ops := 0;
-                  incr rounds;
-                  match pick_victims () with
-                  | [] ->
-                      if !rounds mod resize_every = 0 then state := Resize_ro
-                  | v :: rest -> state := Evict_unmap (v :: rest)
-                end
-              end
-          | Evict_unmap (s :: rest) ->
-              writeback_if_dirty core s;
-              V.munmap vm core ~vpn:s ~npages:1;
-              (match cache_ops with
-              | Some co -> co.co_evict vm core ~page:s
-              | None -> ());
-              state := Evict_remap (s, rest)
-          | Evict_unmap [] -> state := Serving
-          | Evict_remap (s, rest) ->
-              V.mmap vm core ~vpn:s ~npages:1 ?backing ();
-              c.c_evictions <- c.c_evictions + 1;
-              state :=
-                (match rest with
-                | [] ->
-                    if !rounds mod resize_every = 0 then Resize_ro else Serving
-                | _ -> Evict_unmap rest)
-          | Resize_ro ->
-              let hot = hottest () in
-              V.mprotect vm core ~vpn:hot ~npages:1 T.Read_only;
-              state := Resize_rw hot
-          | Resize_rw hot ->
-              V.mprotect vm core ~vpn:hot ~npages:1 T.Read_write;
-              c.c_resizes <- c.c_resizes + 1;
-              state := Serving);
-          true)
-    done;
-    Machine.run_for machine ~cycles:warmup;
-    let base = snapshot c in
-    Stats.reset (Machine.stats machine);
-    on_measure ();
-    Machine.run_for machine ~cycles:(warmup + duration);
-    build_result ~name ~system:V.name ~ncores ~duration machine c base
+    serve_shape ?warmup ?slots ?keys ?zipf_s ?evict_every ?resize_every ?seed
+      ?on_machine ?on_measure ~name ~system:V.name
+      ~batch:(if file = None then 8 else 2)
+      ~map_first:true ~compact:false ~ncores ~duration (fun m ~slots:_ ->
+        threads (make_vm m) ?file ?cache_ops ())
 end
 
-(* ------------------------------------------------------------------ *)
-(* The multi-process shape: one forked process per core, via syscalls  *)
-
 module Procs = struct
-  type state =
-    | Serving
-    | Evict_unmap of int list
-    | Evict_remap of int * int list
-    | Resize_ro
-    | Resize_rw of int
-
-  let serve ?(name = "cacheserve-procs") ?(warmup = 1_000_000) ?(slots = 128)
-      ?(keys = 0) ?(zipf_s = 1.1) ?(evict_every = 512) ?(resize_every = 8)
-      ?(seed = 1) ?(on_machine = ignore) ?(on_measure = ignore) ~ncores
+  (* Every [4 * resize_every] sweeps, bulk memory pressure: the shape's
+     compaction truncates the file to zero and back, and the VFS hook
+     evicts every cached page while the processes keep their mapped
+     frames alive. *)
+  let serve ?(name = "cacheserve-procs") ?warmup ?slots ?keys ?zipf_s
+      ?evict_every ?resize_every ?seed ?on_machine ?on_measure ~ncores
       ~duration () =
-    if slots <= 0 then invalid_arg "Cache_serve.Procs.serve";
-    let keys = if keys <= 0 then 2 * slots else keys in
-    let base = 0x800 in
-    let machine = Machine.create (Params.default ~ncores ()) in
-    on_machine machine;
-    let kern = K.boot machine in
-    let c0 = Machine.core machine 0 in
-    let vfs = K.vfs kern in
-    let fd = Os.Vfs.create_file vfs ~name:"cache.mmap" ~pages:(base + slots) in
-    let init = K.init_process kern in
-    let pc = R.page_cache (K.vm init) in
-    (* Truncation drops every cached page beyond the new EOF. Keys in the
-       page cache are vpns, so the sweep starts at the region base. *)
-    Os.Vfs.set_resize_hook vfs (fun f ~old_pages ~new_pages ->
-        if f = fd && new_pages < old_pages then
-          for p = max new_pages base to old_pages - 1 do
-            R.evict_file_page (K.vm init) c0 ~file:fd ~page:p
-          done);
-    let expect what = function
-      | Ok v -> v
-      | Error e ->
-          failwith
-            (Printf.sprintf "cache_serve procs: %s: %s" what
-               (K.errno_to_string e))
-    in
-    let procs =
-      Array.init ncores (fun _ -> expect "fork" (K.sys_fork kern c0 init))
-    in
-    Array.iter
-      (fun p ->
-        expect "mmap"
-          (K.sys_mmap kern c0 p ~vpn:base ~npages:slots ~file:fd ()))
-      procs;
-    let c = fresh_counters () in
-    let last_access = Array.make slots 0 in
-    let rounds = ref 0 in
-    let pick_victims () =
-      let idx = Array.init slots (fun s -> s) in
-      Array.sort
-        (fun a b ->
-          let c = compare last_access.(a) last_access.(b) in
-          if c <> 0 then c else compare a b)
-        idx;
-      Array.to_list (Array.sub idx 0 (max 1 (slots / 8)))
-    in
-    let batch_ops = 2 in
-    for cid = 0 to ncores - 1 do
-      let core = Machine.core machine cid in
-      let z = Zipf.create ~n:keys ~s:zipf_s ~seed:(seed + cid) in
-      let state = ref Serving in
-      let e_ops = ref 0 in
-      let proc = procs.(cid) in
-      Machine.set_workload machine cid (fun () ->
-          (match !state with
-          | Serving ->
-              for _ = 1 to batch_ops do
-                let k = Zipf.next z in
-                let s = k mod slots in
-                let vpn = base + s in
-                let roll = Random.State.int core.Core.rng 100 in
-                (if roll < 70 then
-                   match K.load kern core proc ~vpn with
-                   | Some _ -> c.c_gets <- c.c_gets + 1
-                   | None -> c.c_lost <- c.c_lost + 1
-                 else
-                   match K.store kern core proc ~vpn (k lor (1 lsl 40)) with
-                   | T.Ok ->
-                       PC.set_dirty pc core ~file:fd ~page:vpn;
-                       if roll < 95 then c.c_sets <- c.c_sets + 1
-                       else c.c_dels <- c.c_dels + 1
-                   | T.Segfault -> c.c_lost <- c.c_lost + 1
-                   | T.Oom -> failwith "cache_serve procs: out of frames");
-                last_access.(s) <- Core.now core;
-                c.c_ops <- c.c_ops + 1
-              done;
-              if cid = 0 then begin
-                e_ops := !e_ops + batch_ops;
-                if !e_ops >= evict_every then begin
-                  e_ops := 0;
-                  incr rounds;
-                  (* Every few sweeps, bulk memory pressure: truncate the
-                     file to zero and back; the VFS hook evicts every
-                     cached page while the other processes keep their
-                     mapped frames alive. *)
-                  if !rounds mod (4 * resize_every) = 0 then begin
-                    ignore (Os.Vfs.resize_file vfs fd ~pages:0);
-                    ignore (Os.Vfs.resize_file vfs fd ~pages:(base + slots))
-                  end;
-                  match pick_victims () with
-                  | [] ->
-                      if !rounds mod resize_every = 0 then state := Resize_ro
-                  | v :: rest -> state := Evict_unmap (v :: rest)
-                end
-              end
-          | Evict_unmap (s :: rest) ->
-              let vpn = base + s in
-              if PC.dirty pc ~file:fd ~page:vpn then begin
-                Core.tick core core.Core.params.Params.disk_read;
-                PC.clear_dirty pc core ~file:fd ~page:vpn;
-                c.c_writebacks <- c.c_writebacks + 1
-              end;
-              ignore (K.sys_munmap kern core proc ~vpn ~npages:1);
-              R.evict_file_page (K.vm init) core ~file:fd ~page:vpn;
-              state := Evict_remap (s, rest)
-          | Evict_unmap [] -> state := Serving
-          | Evict_remap (s, rest) ->
-              ignore
-                (K.sys_mmap kern core proc ~vpn:(base + s) ~npages:1 ~file:fd
-                   ());
-              c.c_evictions <- c.c_evictions + 1;
-              state :=
-                (match rest with
-                | [] ->
-                    if !rounds mod resize_every = 0 then Resize_ro else Serving
-                | _ -> Evict_unmap rest)
-          | Resize_ro ->
-              let hot = ref 0 in
-              for s = 1 to slots - 1 do
-                if last_access.(s) > last_access.(!hot) then hot := s
-              done;
-              ignore
-                (K.sys_mprotect kern core proc ~vpn:(base + !hot) ~npages:1
-                   T.Read_only);
-              state := Resize_rw !hot
-          | Resize_rw hot ->
-              ignore
-                (K.sys_mprotect kern core proc ~vpn:(base + hot) ~npages:1
-                   T.Read_write);
-              c.c_resizes <- c.c_resizes + 1;
-              state := Serving);
-          true)
-    done;
-    Machine.run_for machine ~cycles:warmup;
-    let basec = snapshot c in
-    Stats.reset (Machine.stats machine);
-    on_measure ();
-    Machine.run_for machine ~cycles:(warmup + duration);
-    build_result ~name ~system:"RadixVM-procs" ~ncores ~duration machine c
-      basec
+    serve_shape ?warmup ?slots ?keys ?zipf_s ?evict_every ?resize_every ?seed
+      ?on_machine ?on_measure ~name ~system:"RadixVM-procs" ~batch:2
+      ~map_first:false ~compact:true ~ncores ~duration
+      (fun m ~slots -> processes m ~slots ~procs:ncores)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -422,157 +485,6 @@ module Session = struct
     if w land tag <> 0 then Some ((w lsr 32) land 0x3FFF_FFFF, w land 0xFFFF_FFFF)
     else None
 
-  type load_step = [ `Val of int | `Absent | `Nomem | `Abort | `Crashed ]
-  type acc_step = [ `Ok | `Seg | `Nomem | `Abort | `Crashed ]
-  type unit_step = [ `Ok | `Nomem | `Abort | `Crashed ]
-
-  (* The two process shapes (direct Radixvm forks / Os.Kernel syscalls)
-     behind one closure record, so the driver is written once. *)
-  type target = {
-    t_load : int -> Core.t -> vpn:int -> load_step;
-    t_store : int -> Core.t -> vpn:int -> int -> acc_step;
-    t_munmap : int -> Core.t -> vpn:int -> npages:int -> unit_step;
-    t_map : int -> Core.t -> vpn:int -> npages:int -> unit_step;
-    t_mprotect : int -> Core.t -> vpn:int -> T.prot -> unit_step;
-    t_evict : Core.t -> page:int -> unit;
-    t_dirty : page:int -> bool;
-    t_mark : Core.t -> page:int -> unit;
-    t_clean : Core.t -> page:int -> unit;
-    t_compact : Core.t -> unit;
-    t_reap : int -> Core.t -> unit;
-    t_destroy : int -> Core.t -> unit;
-  }
-
-  let of_unit = function
-    | Ok () -> `Ok
-    | Error T.Enomem -> `Nomem
-    | Error (T.Aborted _) -> `Abort
-
-  let of_acc = function
-    | Ok T.Ok -> `Ok
-    | Ok T.Segfault -> `Seg
-    | Ok T.Oom -> `Nomem
-    | Error T.Enomem -> `Nomem
-    | Error (T.Aborted _) -> `Abort
-
-  let of_load = function
-    | Ok (Some w) -> `Val w
-    | Ok None -> `Absent
-    | Error T.Enomem -> `Nomem
-    | Error (T.Aborted _) -> `Abort
-
-  let of_errno = function
-    | Ok () -> `Ok
-    | Error K.ENOMEM -> `Nomem
-    | Error _ -> `Abort
-
-  let mk_direct m ~rangelock ~slots ~procs =
-    let c0 = Machine.core m 0 in
-    let vfs = Os.Vfs.create () in
-    let fd = Os.Vfs.create_file vfs ~name:"cache.mmap" ~pages:slots in
-    let root = R.create_with ~rangelock m in
-    (match R.mmap_result root c0 ~vpn:0 ~npages:slots ~backing:(T.File fd) ()
-     with
-    | Ok () -> ()
-    | Error e ->
-        failwith
-          (Format.asprintf "cache_serve session: initial mmap: %a"
-             T.pp_vm_error e));
-    let vms = Array.init procs (fun i -> if i = 0 then root else R.fork root c0) in
-    let pc = R.page_cache root in
-    Os.Vfs.set_resize_hook vfs (fun f ~old_pages ~new_pages ->
-        if f = fd && new_pages < old_pages then
-          for p = new_pages to old_pages - 1 do
-            R.evict_file_page root c0 ~file:fd ~page:p
-          done);
-    ( 0,
-      {
-        t_load = (fun p core ~vpn -> of_load (R.load_result vms.(p) core ~vpn));
-        t_store =
-          (fun p core ~vpn w -> of_acc (R.store_result vms.(p) core ~vpn w));
-        t_munmap =
-          (fun p core ~vpn ~npages ->
-            of_unit (R.munmap_result vms.(p) core ~vpn ~npages));
-        t_map =
-          (fun p core ~vpn ~npages ->
-            of_unit
-              (R.mmap_result vms.(p) core ~vpn ~npages ~backing:(T.File fd) ()));
-        t_mprotect =
-          (fun p core ~vpn prot ->
-            of_unit (R.mprotect_result vms.(p) core ~vpn ~npages:1 prot));
-        t_evict = (fun core ~page -> R.evict_file_page root core ~file:fd ~page);
-        t_dirty = (fun ~page -> PC.dirty pc ~file:fd ~page);
-        t_mark = (fun core ~page -> PC.set_dirty pc core ~file:fd ~page);
-        t_clean = (fun core ~page -> PC.clear_dirty pc core ~file:fd ~page);
-        t_compact =
-          (fun _core ->
-            ignore (Os.Vfs.resize_file vfs fd ~pages:0);
-            ignore (Os.Vfs.resize_file vfs fd ~pages:slots));
-        t_reap = (fun p core -> R.reap vms.(p) core);
-        t_destroy = (fun p core -> R.destroy vms.(p) core);
-      } )
-
-  let mk_kernel m ~slots ~procs =
-    let c0 = Machine.core m 0 in
-    let kern = K.boot m in
-    let vfs = K.vfs kern in
-    let base = 0x800 in
-    let fd = Os.Vfs.create_file vfs ~name:"cache.mmap" ~pages:(base + slots) in
-    let init = K.init_process kern in
-    let expect what = function
-      | Ok v -> v
-      | Error e ->
-          failwith
-            (Printf.sprintf "cache_serve session: %s: %s" what
-               (K.errno_to_string e))
-    in
-    let ps = Array.init procs (fun _ -> expect "fork" (K.sys_fork kern c0 init)) in
-    Array.iter
-      (fun p ->
-        expect "mmap"
-          (K.sys_mmap kern c0 p ~vpn:base ~npages:slots ~file:fd ()))
-      ps;
-    let pc = R.page_cache (K.vm init) in
-    Os.Vfs.set_resize_hook vfs (fun f ~old_pages ~new_pages ->
-        if f = fd && new_pages < old_pages then
-          for p = max new_pages base to old_pages - 1 do
-            R.evict_file_page (K.vm init) c0 ~file:fd ~page:p
-          done);
-    ( base,
-      {
-        t_load =
-          (fun p core ~vpn ->
-            match K.load kern core ps.(p) ~vpn with
-            | Some w -> `Val w
-            | None -> `Absent);
-        t_store =
-          (fun p core ~vpn w ->
-            match K.store kern core ps.(p) ~vpn w with
-            | T.Ok -> `Ok
-            | T.Segfault -> `Seg
-            | T.Oom -> `Nomem);
-        t_munmap =
-          (fun p core ~vpn ~npages ->
-            of_errno (K.sys_munmap kern core ps.(p) ~vpn ~npages));
-        t_map =
-          (fun p core ~vpn ~npages ->
-            of_errno (K.sys_mmap kern core ps.(p) ~vpn ~npages ~file:fd ()));
-        t_mprotect =
-          (fun p core ~vpn prot ->
-            of_errno (K.sys_mprotect kern core ps.(p) ~vpn ~npages:1 prot));
-        t_evict =
-          (fun core ~page -> R.evict_file_page (K.vm init) core ~file:fd ~page);
-        t_dirty = (fun ~page -> PC.dirty pc ~file:fd ~page);
-        t_mark = (fun core ~page -> PC.set_dirty pc core ~file:fd ~page);
-        t_clean = (fun core ~page -> PC.clear_dirty pc core ~file:fd ~page);
-        t_compact =
-          (fun _core ->
-            ignore (Os.Vfs.resize_file vfs fd ~pages:0);
-            ignore (Os.Vfs.resize_file vfs fd ~pages:(base + slots)));
-        t_reap = (fun p core -> R.reap (K.vm ps.(p)) core);
-        t_destroy = (fun p core -> K.sys_exit kern core ps.(p) ~code:0);
-      } )
-
   let run ?(ncores = 4) ?(procs = 1) ?(via_kernel = false) ?(slots = 64)
       ?(keys = 0) ?(zipf_s = 1.1) ?(evict_every = 256) ?(resize_every = 4)
       ?(compact_every = 0) ?(rangelock = Locks.Range_lock.Radix_embedded)
@@ -583,10 +495,11 @@ module Session = struct
     let epoch = 10_000 in
     let m = Machine.create (Params.default ~ncores ~epoch_cycles:epoch ()) in
     on_machine m;
-    let base, t =
-      if via_kernel then mk_kernel m ~slots ~procs
-      else mk_direct m ~rangelock ~slots ~procs
+    let t =
+      if via_kernel then processes m ~slots ~procs
+      else forked m ~rangelock ~slots ~procs
     in
+    let base = t.base in
     arm ();
     let model = Cache_model.create ~slots in
     let z = Zipf.create ~n:keys ~s:zipf_s ~seed in
@@ -618,12 +531,21 @@ module Session = struct
         fmt
     in
     let crash p core =
-      t.t_reap p core;
+      t.reap p core;
       alive.(p) <- false;
       incr crashes
     in
     let protect p core f =
       try f () with Fault.Injected_crash _ -> crash p core; `Crashed
+    in
+    (* An injected abort was rolled back, so retrying is sound: the
+       sweep's, compaction's and heal's own VM steps retry a bounded
+       number of times, as the kernel's user accesses do. *)
+    let persist p core f =
+      let rec go n =
+        match protect p core f with `Abort when n > 0 -> go (n - 1) | r -> r
+      in
+      go K.access_retries
     in
     let pick start =
       let rec go j n =
@@ -638,34 +560,60 @@ module Session = struct
         if alive.(q) then f q
       done
     in
+    (* A VM step in every live process; false if any refused it. *)
+    let in_all core step =
+      let ok = ref true in
+      each_alive (fun q ->
+          match persist q core (fun () -> step q) with
+          | `Ok | `Crashed -> ()
+          | `Nomem | `Abort -> ok := false);
+      !ok
+    in
     (* A slot is tainted when faults left its content unknown (a crashed
        store, a failed post-eviction remap): the model stops predicting it
        until a successful set — or a tombstone — re-establishes it. *)
     let show = function Some v -> string_of_int v | None -> "miss" in
-    (* A segfaulting store may mean the slot is stuck read-only (a resize
-       that crashed between its two mprotects) or unmapped (a remap that
-       hit the frame budget): restore protection and mapping, retry once.
-       Content survives the remap — the page-cache entry is still resident
-       while any mapping holds the frame. *)
-    let heal p core vpn =
-      match protect p core (fun () -> t.t_mprotect p core ~vpn T.Read_write)
-      with
-      | `Crashed -> false
+    (* The one refusal policy: ENOMEM and injected aborts are counted and
+       change nothing; a crash leaves the slot's content unknown. *)
+    let refused op key s = function
+      | `Nomem ->
+          incr enomem;
+          line "%04d %s %d -> !nomem" !i op key
+      | `Abort ->
+          incr aborts;
+          line "%04d %s %d -> !abort" !i op key
+      | `Crashed ->
+          tainted.(s) <- true;
+          line "%04d %s %d -> !crash" !i op key
+    in
+    (* A faulting access may mean this process's mapping of the slot is
+       stuck read-only (a resize that crashed between its two mprotects)
+       or gone (a remap refused here while a set through a sibling
+       re-established the content): restore protection and mapping, then
+       retry the access once. Content survives the remap — the page-cache
+       entry is still resident while any mapping holds the frame. *)
+    let healed p core vpn access =
+      match persist p core (fun () -> t.mprotect p core ~vpn T.Read_write) with
+      | `Crashed -> `Crashed
       | _ -> (
-          match protect p core (fun () -> t.t_map p core ~vpn ~npages:1) with
-          | `Crashed -> false
-          | _ -> true)
+          match persist p core (fun () -> t.map p core ~vpn ~npages:1) with
+          | `Crashed -> `Crashed
+          | _ -> protect p core access)
+    in
+    let load_step p core s vpn =
+      let load () = t.load p core ~vpn in
+      match protect p core load with
+      | `Absent when not tainted.(s) -> healed p core vpn load
+      | r -> r
     in
     let store_step p core vpn w =
-      match protect p core (fun () -> t.t_store p core ~vpn w) with
-      | `Seg ->
-          if heal p core vpn then
-            protect p core (fun () -> t.t_store p core ~vpn w)
-          else `Crashed
+      let store () = t.store p core ~vpn w in
+      match protect p core store with
+      | `Seg -> healed p core vpn store
       | r -> r
     in
     let do_get p core key s vpn =
-      match protect p core (fun () -> t.t_load p core ~vpn) with
+      match load_step p core s vpn with
       | `Val w ->
           incr gets;
           if !crashes > 0 then served_after_crash := true;
@@ -689,21 +637,13 @@ module Session = struct
           incr gets;
           if tainted.(s) then line "%04d get %d -> cold" !i key
           else diverge "op %d: get %d faulted fatally" !i key
-      | `Nomem ->
-          incr enomem;
-          line "%04d get %d -> !nomem" !i key
-      | `Abort ->
-          incr aborts;
-          line "%04d get %d -> !abort" !i key
-      | `Crashed ->
-          tainted.(s) <- true;
-          line "%04d get %d -> !crash" !i key
+      | (`Nomem | `Abort | `Crashed) as r -> refused "get" key s r
     in
     let do_set p core key s vpn v =
       match store_step p core vpn (encode ~key ~value:v) with
       | `Ok ->
           Cache_model.set model ~key ~value:v;
-          t.t_mark core ~page:vpn;
+          t.cache.mark core ~page:vpn;
           tainted.(s) <- false;
           incr sets;
           if !crashes > 0 then served_after_crash := true;
@@ -714,18 +654,10 @@ module Session = struct
             line "%04d set %d -> !lost" !i key
           end
           else diverge "op %d: set %d segfaulted on a healthy slot" !i key
-      | `Nomem ->
-          incr enomem;
-          line "%04d set %d -> !nomem" !i key
-      | `Abort ->
-          incr aborts;
-          line "%04d set %d -> !abort" !i key
-      | `Crashed ->
-          tainted.(s) <- true;
-          line "%04d set %d -> !crash" !i key
+      | (`Nomem | `Abort | `Crashed) as r -> refused "set" key s r
     in
     let do_del p core key s vpn =
-      match protect p core (fun () -> t.t_load p core ~vpn) with
+      match load_step p core s vpn with
       | `Val w ->
           if tainted.(s) then begin
             (* resolve the unknown slot with a tombstone *)
@@ -749,20 +681,12 @@ module Session = struct
               match store_step p core vpn 0 with
               | `Ok ->
                   ignore (Cache_model.delete model ~key);
-                  t.t_mark core ~page:vpn;
+                  t.cache.mark core ~page:vpn;
                   incr dels;
                   if !crashes > 0 then served_after_crash := true;
                   line "%04d del %d -> hit" !i key
               | `Seg -> diverge "op %d: del %d segfaulted on a healthy slot" !i key
-              | `Nomem ->
-                  incr enomem;
-                  line "%04d del %d -> !nomem" !i key
-              | `Abort ->
-                  incr aborts;
-                  line "%04d del %d -> !abort" !i key
-              | `Crashed ->
-                  tainted.(s) <- true;
-                  line "%04d del %d -> !crash" !i key
+              | (`Nomem | `Abort | `Crashed) as r -> refused "del" key s r
             end
             else begin
               incr dels;
@@ -772,15 +696,7 @@ module Session = struct
       | `Absent ->
           if tainted.(s) then line "%04d del %d -> cold" !i key
           else diverge "op %d: del %d faulted fatally" !i key
-      | `Nomem ->
-          incr enomem;
-          line "%04d del %d -> !nomem" !i key
-      | `Abort ->
-          incr aborts;
-          line "%04d del %d -> !abort" !i key
-      | `Crashed ->
-          tainted.(s) <- true;
-          line "%04d del %d -> !crash" !i key
+      | (`Nomem | `Abort | `Crashed) as r -> refused "del" key s r
     in
     let do_evict core =
       let victims = Cache_model.coldest model ~n:(max 1 (slots / 8)) in
@@ -788,27 +704,16 @@ module Session = struct
         List.iter
           (fun s ->
             let vpn = base + s in
-            if t.t_dirty ~page:vpn then begin
+            if t.cache.dirty ~page:vpn then begin
               Core.tick core core.Core.params.Params.disk_read;
-              t.t_clean core ~page:vpn;
+              t.cache.clean core ~page:vpn;
               incr writebacks
             end;
-            let ok = ref true in
-            each_alive (fun q ->
-                match
-                  protect q core (fun () -> t.t_munmap q core ~vpn ~npages:1)
-                with
-                | `Ok | `Crashed -> ()
-                | `Nomem | `Abort -> ok := false);
-            t.t_evict core ~page:vpn;
-            each_alive (fun q ->
-                match
-                  protect q core (fun () -> t.t_map q core ~vpn ~npages:1)
-                with
-                | `Ok | `Crashed -> ()
-                | `Nomem | `Abort -> ok := false);
+            let unmapped = in_all core (fun q -> t.munmap q core ~vpn ~npages:1) in
+            t.cache.evict core ~page:vpn;
+            let remapped = in_all core (fun q -> t.map q core ~vpn ~npages:1) in
             Cache_model.evict_slot model s;
-            if not !ok then tainted.(s) <- true;
+            if not (unmapped && remapped) then tainted.(s) <- true;
             incr evictions)
           victims;
         line "%04d evict [%s]" !i
@@ -820,15 +725,10 @@ module Session = struct
       end
     in
     let do_compact core =
-      each_alive (fun q ->
-          ignore
-            (protect q core (fun () ->
-                 t.t_munmap q core ~vpn:base ~npages:slots)));
-      t.t_compact core;
+      ignore (in_all core (fun q -> t.munmap q core ~vpn:base ~npages:slots));
+      t.compact core;
       Machine.drain m ~cycles:(4 * epoch);
-      each_alive (fun q ->
-          ignore
-            (protect q core (fun () -> t.t_map q core ~vpn:base ~npages:slots)));
+      ignore (in_all core (fun q -> t.map q core ~vpn:base ~npages:slots));
       Cache_model.clear model;
       Array.fill tainted 0 slots false;
       incr compactions;
@@ -843,12 +743,12 @@ module Session = struct
           | None -> ()
           | Some p -> (
               match
-                protect p core (fun () -> t.t_mprotect p core ~vpn T.Read_only)
+                protect p core (fun () -> t.mprotect p core ~vpn T.Read_only)
               with
               | `Ok -> (
                   match
                     protect p core (fun () ->
-                        t.t_mprotect p core ~vpn T.Read_write)
+                        t.mprotect p core ~vpn T.Read_write)
                   with
                   | `Ok ->
                       incr resizes;
@@ -887,8 +787,8 @@ module Session = struct
        truncated so the page cache drops its base references — after the
        drain no frame is live. *)
     let c0 = Machine.core m 0 in
-    each_alive (fun p -> t.t_destroy p c0);
-    t.t_compact c0;
+    each_alive (fun p -> t.destroy p c0);
+    t.compact c0;
     Machine.drain m ~cycles:(8 * epoch);
     {
       ops_done = !done_ops;

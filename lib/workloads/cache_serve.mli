@@ -1,25 +1,30 @@
 (** The shared-memory cache serving workload ("mmap in anger").
 
-    The production pattern of mmap-backed caches like cache-fastmmap: many
-    serving cores — optionally many forked processes — map one shared
-    region over a page-cache-backed file, hash keys to page-granular
-    slots, and run a Zipf-skewed get/set/delete mix. An LRU sweep
-    periodically munmaps + remaps cold slots and drops them from the page
-    cache (real targeted shootdowns plus Refcache-deferred frame
+    The production pattern of mmap-backed caches like Cache::FastMmap:
+    many serving cores — optionally many forked processes — map one
+    shared region over a page-cache-backed file, hash keys to
+    page-granular slots, and run a Zipf-skewed get/set/delete mix. An LRU
+    sweep periodically munmaps + remaps cold slots and drops them from
+    the page cache (real targeted shootdowns plus Refcache-deferred frame
     reclamation under live traffic), with occasional slot-resize
     mprotects. Unlike the microbenchmarks, every VM operation here is on
     the workload's own hot path: the figure this produces is
     throughput-per-core of the *service*, not of mmap itself.
 
-    Three entry points share the machinery:
-    - {!Make.serve}: the concurrent throughput run, generic over the VM
-      system (RadixVM, Linux-like, Bonsai) — one multithreaded process.
-    - {!Procs.serve}: the concurrent throughput run as one forked process
-      per core through {!Os.Kernel} syscalls (RadixVM only).
-    - {!Session.run}: the sequential, model-checked correctness oracle —
-      every observable operation is cross-checked against {!Cache_model},
-      with multi-process fork, page-cache eviction, VFS truncate
-      compaction, ENOMEM tolerance, and crash-reap recovery. *)
+    Every entry point drives one process shape: per-process load, store,
+    munmap, map and mprotect over the region, the page-cache hooks,
+    whole-file compaction, crash reap and exit. Three constructors build
+    it — threads of one {!Vm.Vm_intf.S} address space, forked
+    {!Vm.Radixvm} address spaces, and {!Os.Kernel} processes — and two
+    loops drive it:
+    - one serving loop, for the concurrent throughput runs
+      {!Make.serve} (threads, any VM system) and {!Procs.serve} (one
+      kernel process per core);
+    - {!Session.run}, the sequential, model-checked correctness oracle
+      over forked address spaces or kernel processes: every observable
+      operation is cross-checked against {!Cache_model}, with page-cache
+      eviction, VFS truncate compaction, and one refusal policy for
+      ENOMEM, injected aborts and crashes. *)
 
 type result = {
   name : string;
@@ -53,6 +58,11 @@ type 'vm cache_ops = {
   co_dirty : 'vm -> page:int -> bool;
   co_clear_dirty : 'vm -> Ccsim.Core.t -> page:int -> unit;
 }
+
+val radixvm_cache_ops : file:int -> Vm.Radixvm.Default.t cache_ops
+(** RadixVM's page-cache hooks for the file [file]: what the file-backed
+    RadixVM rows pass to {!Make.serve}, and what the session's shapes
+    use. *)
 
 module Make (V : Vm.Vm_intf.S) : sig
   val serve :
@@ -100,9 +110,9 @@ module Procs : sig
   (** The multi-process shape: boot {!Os.Kernel}, [Kernel.sys_fork] one
       process per core from init, each mapping the cache file with
       [sys_mmap]; every serving operation and every sweep munmap/remap
-      goes through the syscall layer. Each sweep [resize_every] rounds
-      additionally truncates the file to zero and back ({!Os.Vfs}'s
-      resize hook drops every cached page) — bulk memory pressure. *)
+      goes through the syscall layer. Every [4 * resize_every] sweeps
+      the file is also truncated to zero and back ({!Os.Vfs}'s resize
+      hook drops every cached page) — bulk memory pressure. *)
 end
 
 module Session : sig
@@ -157,8 +167,10 @@ module Session : sig
       configuration — byte-identical across range-lock backends.
 
       Fault tolerant: ENOMEM and injected aborts are counted and leave
-      the model consistent; an injected crash reaps exactly the crashed
-      address space while siblings keep serving. [arm] runs after setup
-      (initial mmap + forks) and before the first operation — the place
-      to turn on a fault plan so setup itself stays clean. *)
+      the model consistent (the sweep's, compaction's and heal's own VM
+      steps retry an abort, which was rolled back); an injected crash
+      reaps exactly the crashed address space while siblings keep
+      serving. [arm] runs after setup (initial mmap + forks) and before
+      the first operation — the place to turn on a fault plan so setup
+      itself stays clean. *)
 end

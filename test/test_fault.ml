@@ -489,10 +489,11 @@ let test_crash_reap_survivors_clean () =
 
 module CS = Workloads.Cache_serve
 
-let run_faulted_session ~name ~ops ~arm_plan =
+let run_faulted_session ?(via_kernel = false) ?(compact_every = 0) ~name ~ops
+    ~arm_plan () =
   let plan = ref None and mref = ref None and chk = ref None in
   let o =
-    CS.Session.run ~ncores:4 ~procs:3 ~slots:64 ~ops
+    CS.Session.run ~ncores:4 ~procs:3 ~slots:64 ~ops ~via_kernel ~compact_every
       ~on_machine:(fun m ->
         mref := Some m;
         chk := Some (Check.attach m);
@@ -510,20 +511,68 @@ let run_faulted_session ~name ~ops ~arm_plan =
     (List.length (Check.rc_violations chk));
   Alcotest.(check int) (name ^ ": TLB mirror coherent") 0
     (List.length (Check.tlb_violations chk));
-  o
+  (o, Option.get !plan)
 
+let shapes = [ ("direct", false); ("kernel", true) ]
+
+(* The kernel shape must tell a refused load (frame exhaustion) from a
+   fatal fault: refusals leave the model untouched, so under the same
+   budget both shapes observe the same history. *)
 let test_cacheserve_frame_budget () =
-  let o =
-    run_faulted_session ~name:"budget" ~ops:4_000 ~arm_plan:(fun plan m ->
-        (* Pin the budget just above what setup already holds: eviction
-           sweeps free frames, so serving limps along instead of dying. *)
-        let budget = Physmem.live_frames (Machine.physmem m) + 8 in
-        Fault.set_frame_budget plan (Some budget))
+  let run (shape, via_kernel) =
+    let name = "budget/" ^ shape in
+    let o, _ =
+      run_faulted_session ~via_kernel ~name ~ops:4_000
+        ~arm_plan:(fun plan m ->
+          (* Pin the budget just above what setup already holds: eviction
+             sweeps free frames, so serving limps along instead of dying. *)
+          let budget = Physmem.live_frames (Machine.physmem m) + 8 in
+          Fault.set_frame_budget plan (Some budget))
+        ()
+    in
+    Alcotest.(check bool) (name ^ ": refusals observed") true
+      (o.CS.Session.enomem > 0);
+    Alcotest.(check bool) (name ^ ": serving continued") true
+      (o.CS.Session.hits > 0 && o.CS.Session.sets > 0);
+    o
   in
-  Alcotest.(check bool) "budget: refusals observed" true
-    (o.CS.Session.enomem > 0);
-  Alcotest.(check bool) "budget: serving continued" true
-    (o.CS.Session.hits > 0 && o.CS.Session.sets > 0)
+  match List.map run shapes with
+  | [ direct; kernel ] ->
+      Alcotest.(check string) "budget: kernel history matches direct"
+        direct.CS.Session.history kernel.CS.Session.history
+  | _ -> assert false
+
+(* Injected aborts roll their operation back: the sweep, compaction and
+   heal steps retry them, and serving stays model-clean in both shapes,
+   with and without whole-file compactions. Probabilities as in the crash
+   matrix: mprotect runs only on slot resizes and heals, so it aborts
+   often enough to leave slots stuck read-only. *)
+let test_cacheserve_abort_matrix () =
+  List.iter
+    (fun (shape, via_kernel) ->
+      List.iter
+        (fun (op, prob) ->
+          List.iter
+            (fun compact_every ->
+              let name =
+                Printf.sprintf "abort %s/%s/compact %d" op shape compact_every
+              in
+              let _, plan =
+                run_faulted_session ~via_kernel ~compact_every ~name
+                  ~ops:4_000
+                  ~arm_plan:(fun plan _m -> Fault.abort_ops plan ~op ~prob ())
+                  ()
+              in
+              Alcotest.(check bool) (name ^ ": aborts injected") true
+                (Fault.injected_aborts plan > 0))
+            [ 0; 1_000 ])
+        [
+          ("mmap", 0.05);
+          ("munmap", 0.05);
+          ("mprotect", 0.5);
+          ("pagefault", 0.05);
+        ])
+    shapes
 
 let cacheserve_crash_matrix =
   (* (op, point, prob): probabilities tuned to how often the session
@@ -541,9 +590,10 @@ let test_cacheserve_crash_matrix () =
   List.iter
     (fun (op, point, prob, want_served_after) ->
       let name = Printf.sprintf "%s@%s" op point in
-      let o =
-        run_faulted_session ~name ~ops:3_000 ~arm_plan:(fun plan _m ->
-            Fault.crash_ops plan ~op ~point ~prob ())
+      let o, _ =
+        run_faulted_session ~name ~ops:3_000
+          ~arm_plan:(fun plan _m -> Fault.crash_ops plan ~op ~point ~prob ())
+          ()
       in
       Alcotest.(check bool) (name ^ ": at least one crash reaped") true
         (o.CS.Session.crashes_reaped >= 1);
@@ -780,6 +830,8 @@ let () =
             test_cacheserve_frame_budget;
           tc "crash matrix stays model-clean" `Quick
             test_cacheserve_crash_matrix;
+          tc "abort matrix stays model-clean" `Quick
+            test_cacheserve_abort_matrix;
         ] );
       ( "crash-recovery",
         [
