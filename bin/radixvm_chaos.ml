@@ -38,14 +38,16 @@ let seed_arg =
 
 let max_sessions_arg =
   Arg.(
-    value & opt int 0
+    value
+    & opt (Cli.count ~min:0 "--max-sessions") 0
     & info [ "max-sessions" ]
         ~doc:"Hard cap on sessions regardless of remaining budget \
               (0 = no cap).")
 
 let shards_arg =
   Arg.(
-    value & opt int 1
+    value
+    & opt (Cli.count "--shards") 1
     & info [ "shards" ]
         ~doc:"Run each session as a sharded world of this many coupled \
               node sessions (Fuzz.run_world), one host domain per node \
@@ -88,16 +90,6 @@ let palette ~seed ~index =
     watchdog = Some watchdog_horizon;
     lock_timeouts;
   }
-
-let write_artifact path (o : Fuzz.outcome) =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Fuzz.program_to_string o.Fuzz.program);
-      output_string oc "\n# --- failing transcript ---\n";
-      String.split_on_char '\n' o.Fuzz.transcript
-      |> List.iter (fun l -> output_string oc ("# " ^ l ^ "\n")))
 
 (* One unit of chaos: a plain session, or — with --shards N — a world of
    N coupled node sessions. Reported through one shape either way. *)
@@ -171,7 +163,7 @@ let main seconds seed max_sessions shards out_dir verbose =
             Filename.concat out_dir
               (Printf.sprintf "chaos_repro_%d.txt" o.Fuzz.program.Fuzz.pr_seed)
           in
-          write_artifact artifact o;
+          Fuzz.write_artifact artifact o;
           Printf.printf
             "chaos: repro written to %s\n  replay: radixvm-fuzz --repro %s\n%!"
             artifact artifact
@@ -185,7 +177,7 @@ let main seconds seed max_sessions shards out_dir verbose =
           ("backend", Json.String (Locks.Range_lock.name cfg.Fuzz.rangelock));
           ("cores", Json.Int cfg.Fuzz.ncores);
           ("ops", Json.Int cfg.Fuzz.ops);
-          ("shards", Json.Int (max 1 shards));
+          ("shards", Json.Int shards);
           ("passed", Json.Bool passed);
           ("crashes", Json.Int crashes);
           ("livelocked", Json.Bool livelocked);

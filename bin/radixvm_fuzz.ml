@@ -13,44 +13,31 @@
 
 open Cmdliner
 
-(* Strictly positive counts: a negative --ops or --runs used to be
-   silently clamped, which made typos look like tiny successful runs.
-   Reject them at the CLI boundary instead. *)
-let pos_int_conv what =
-  let parse s =
-    match int_of_string_opt s with
-    | Some v when v >= 1 -> Ok v
-    | Some v ->
-        Error (`Msg (Printf.sprintf "%s must be at least 1, got %d" what v))
-    | None -> Error (`Msg (Printf.sprintf "invalid %s: %S" what s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Base seed; session $(i,i) uses seed + i.")
 
 let ops_arg =
   Arg.(
     value
-    & opt (pos_int_conv "--ops") 600
+    & opt (Cli.count "--ops") 600
     & info [ "ops" ] ~doc:"Operations per session (at least 1).")
 
 let cores_arg =
   Arg.(
     value
-    & opt (pos_int_conv "--cores") 4
+    & opt (Cli.count "--cores") 4
     & info [ "cores" ] ~doc:"Simulated cores per session (minimum 2; 1 is raised to 2).")
 
 let runs_arg =
   Arg.(
     value
-    & opt (pos_int_conv "--runs") 1
+    & opt (Cli.count "--runs") 1
     & info [ "runs" ] ~doc:"Number of sessions (consecutive seeds, at least 1).")
 
 let nodes_arg =
   Arg.(
     value
-    & opt (pos_int_conv "--nodes") 1
+    & opt (Cli.count "--nodes") 1
     & info [ "nodes" ]
         ~doc:
           "World width: run each seed as a world of this many coupled \
@@ -60,7 +47,7 @@ let nodes_arg =
 let shards_arg =
   Arg.(
     value
-    & opt (pos_int_conv "--shards") 1
+    & opt (Cli.count "--shards") 1
     & info [ "shards" ]
         ~doc:
           "Host domains executing each world's node sessions. Transcripts \
@@ -105,7 +92,7 @@ let crash_arg =
 let watchdog_arg =
   Arg.(
     value
-    & opt (some (pos_int_conv "--watchdog")) None
+    & opt (some (Cli.count "--watchdog")) None
     & info [ "watchdog" ]
         ~doc:
           "Livelock horizon in simulated cycles: fail any session where \
@@ -155,18 +142,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let write_artifact path (o : Fuzz.outcome) =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Fuzz.program_to_string o.Fuzz.program);
-      (* The parser stops at "end", so the failing transcript rides along
-         as a human-readable appendix. *)
-      output_string oc "\n# --- failing transcript ---\n";
-      String.split_on_char '\n' o.Fuzz.transcript
-      |> List.iter (fun l -> output_string oc ("# " ^ l ^ "\n")))
-
 let do_shrink ~artifact (o : Fuzz.outcome) =
   match Fuzz.shrink ~log:prerr_endline o.Fuzz.program with
   | Error msg ->
@@ -175,7 +150,7 @@ let do_shrink ~artifact (o : Fuzz.outcome) =
   | Ok minimal ->
       let min_path = artifact ^ ".min.txt" in
       let mo = Fuzz.run_program minimal in
-      write_artifact min_path mo;
+      Fuzz.write_artifact min_path mo;
       Printf.printf
         "shrink: minimized to %d ops, %d cores -> %s\n  replay: \
          radixvm-fuzz --repro %s\n"
@@ -184,7 +159,7 @@ let do_shrink ~artifact (o : Fuzz.outcome) =
       true
 
 let report_failure ~artifact ~shrink (o : Fuzz.outcome) =
-  write_artifact artifact o;
+  Fuzz.write_artifact artifact o;
   Printf.printf "repro: written to %s\n  replay: radixvm-fuzz --repro %s\n"
     artifact artifact;
   if shrink then ignore (do_shrink ~artifact o)

@@ -1064,6 +1064,18 @@ let program_of_string s =
       }
   with Parse_error msg -> Error msg
 
+(* The parser stops at "end", so the failing transcript rides along as a
+   human-readable appendix. *)
+let write_artifact path o =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc (program_to_string o.program);
+      output_string oc "\n# --- failing transcript ---\n";
+      String.split_on_char '\n' o.transcript
+      |> List.iter (fun l -> output_string oc ("# " ^ l ^ "\n")))
+
 (* --- the shrinker: delta-debug a failing program to a minimal
    reproducer. Every candidate is judged by actually replaying it
    ([run_program]), so the result is guaranteed to still fail; every

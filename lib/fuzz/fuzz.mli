@@ -207,6 +207,10 @@ val program_of_string : string -> (program, string) result
 (** Inverse of {!program_to_string} (modulo comments and blank lines).
     [Error] carries a message naming the offending line. *)
 
+val write_artifact : string -> outcome -> unit
+(** [write_artifact path o] writes [o]'s program as a repro file at
+    [path], with [o]'s transcript appended as comments. *)
+
 (** {1 Shrinking} *)
 
 val shrink :

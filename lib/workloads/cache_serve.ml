@@ -67,6 +67,11 @@ let hooks co vm =
     clean = co.co_clear_dirty vm;
   }
 
+(* No page cache: eviction is munmap + remap only, nothing is dirty. *)
+let no_hooks =
+  let skip _ ~page:_ = () in
+  { evict = skip; dirty = (fun ~page:_ -> false); mark = skip; clean = skip }
+
 (* Threads of one process, threads of a baseline, forked address spaces
    or kernel processes: the region at [base] as seen through process
    [p]'s accesses and VM calls (the int argument), plus the page cache,
@@ -387,7 +392,6 @@ module Make (V : Vm.Vm_intf.S) = struct
      nothing crashes, exits or compacts. *)
   let threads vm ?file ?cache_ops () =
     let backing = Option.map (fun fd -> T.File fd) file in
-    let skip _ ~page:_ = () in
     {
       base = 0;
       load =
@@ -410,15 +414,7 @@ module Make (V : Vm.Vm_intf.S) = struct
           V.mprotect vm core ~vpn ~npages:1 prot;
           `Ok);
       cache =
-        (match cache_ops with
-        | Some co -> hooks co vm
-        | None ->
-            {
-              evict = skip;
-              dirty = (fun ~page:_ -> false);
-              mark = skip;
-              clean = skip;
-            });
+        Option.fold cache_ops ~none:no_hooks ~some:(fun co -> hooks co vm);
       compact = ignore;
       reap = (fun _ _ -> ());
       destroy = (fun _ _ -> ());

@@ -11,20 +11,17 @@
     the workload's own hot path: the figure this produces is
     throughput-per-core of the *service*, not of mmap itself.
 
-    Every entry point drives one process shape: per-process load, store,
-    munmap, map and mprotect over the region, the page-cache hooks,
-    whole-file compaction, crash reap and exit. Three constructors build
-    it — threads of one {!Vm.Vm_intf.S} address space, forked
-    {!Vm.Radixvm} address spaces, and {!Os.Kernel} processes — and two
-    loops drive it:
-    - one serving loop, for the concurrent throughput runs
-      {!Make.serve} (threads, any VM system) and {!Procs.serve} (one
-      kernel process per core);
-    - {!Session.run}, the sequential, model-checked correctness oracle
-      over forked address spaces or kernel processes: every observable
-      operation is cross-checked against {!Cache_model}, with page-cache
-      eviction, VFS truncate compaction, and one refusal policy for
-      ENOMEM, injected aborts and crashes. *)
+    Every entry point drives one process shape — per-process load,
+    store, munmap, map and mprotect over the region, the page-cache
+    hooks, compaction, crash reap and exit — built from threads of one
+    {!Vm.Vm_intf.S} address space, forked {!Vm.Radixvm} address spaces,
+    or {!Os.Kernel} processes:
+    - {!Make.serve} and {!Procs.serve}: one concurrent serving loop, over
+      threads (any VM system) or one kernel process per core;
+    - {!Session.run}: the sequential, model-checked correctness oracle —
+      every observable operation is cross-checked against {!Cache_model},
+      with page-cache eviction, VFS truncate compaction, and one refusal
+      policy for ENOMEM, injected aborts and crashes. *)
 
 type result = {
   name : string;

@@ -31,6 +31,20 @@ type result = {
   line_stall : int;  (** cycles queued on busy cache lines *)
 }
 
+val measure :
+  warmup:int -> duration:int -> on_measure:(unit -> unit) ->
+  Ccsim.Machine.t -> int ref -> int
+(** [measure ~warmup ~duration ~on_measure machine writes] runs the
+    warmup window, resets the machine's Stats, calls [on_measure], runs
+    [duration] more cycles, and returns how much [writes] grew in that
+    measured window. *)
+
+val finish :
+  name:string -> ncores:int -> duration:int -> Ccsim.Machine.t -> int ->
+  result
+(** The result of a measured window of [duration] cycles with the given
+    page-write count, read from the machine's Stats. *)
+
 module Make (V : Vm.Vm_intf.S) : sig
   val local :
     ?warmup:int -> ?region_pages:int -> ?on_machine:(Ccsim.Machine.t -> unit) ->

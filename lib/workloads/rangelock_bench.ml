@@ -78,25 +78,8 @@ module Make (V : Vm.Vm_intf.S) = struct
               state := Mapping);
           true)
     done;
-    Machine.run_for machine ~cycles:warmup;
-    let writes0 = !writes in
-    Stats.reset (Machine.stats machine);
-    on_measure ();
-    Machine.run_for machine ~cycles:(warmup + duration);
-    let page_writes = !writes - writes0 in
-    let s = Machine.stats machine in
-    {
-      Microbench.name = "bigmap";
-      ncores;
-      page_writes;
-      cycles = duration;
-      writes_per_sec =
-        float_of_int page_writes /. Machine.seconds machine duration;
-      ipis = s.Stats.ipis;
-      shootdown_events = s.Stats.shootdown_events;
-      transfers = Stats.total_transfers s;
-      lock_wait = s.Stats.lock_wait_cycles;
-      shootdown_wait = s.Stats.shootdown_wait_cycles;
-      line_stall = s.Stats.line_stall_cycles;
-    }
+    let measured =
+      Microbench.measure ~warmup ~duration ~on_measure machine writes
+    in
+    Microbench.finish ~name:"bigmap" ~ncores ~duration machine measured
 end
