@@ -59,12 +59,15 @@ type hooks = {
   clean : Core.t -> page:int -> unit;
 }
 
+(* Eta-expanded, not partially applied: [mark] runs on every store of
+   the serving loop, and a partial application would go through the
+   generic (allocating) apply path on each call. *)
 let hooks co vm =
   {
-    evict = co.co_evict vm;
-    dirty = co.co_dirty vm;
-    mark = co.co_mark_dirty vm;
-    clean = co.co_clear_dirty vm;
+    evict = (fun core ~page -> co.co_evict vm core ~page);
+    dirty = (fun ~page -> co.co_dirty vm ~page);
+    mark = (fun core ~page -> co.co_mark_dirty vm core ~page);
+    clean = (fun core ~page -> co.co_clear_dirty vm core ~page);
   }
 
 (* No page cache: eviction is munmap + remap only, nothing is dirty. *)

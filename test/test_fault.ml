@@ -296,6 +296,17 @@ let test_kernel_enomem () =
   | Error K.ENOMEM -> ()
   | Ok () -> Alcotest.fail "populate under exhausted budget succeeded"
   | Error e -> Alcotest.failf "expected ENOMEM, got %s" (K.errno_to_string e));
+  (* A user load the budget refuses is not a fatal fault. *)
+  (match K.sys_mmap k c0 p ~vpn:K.heap_base ~npages:1 () with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "lazy mmap failed: %s" (K.errno_to_string e));
+  (match K.load_result k c0 p ~vpn:K.heap_base with
+  | Error K.ENOMEM -> ()
+  | Ok _ -> Alcotest.fail "load under exhausted budget did not report ENOMEM"
+  | Error e -> Alcotest.failf "expected ENOMEM, got %s" (K.errno_to_string e));
+  (match K.load_result k c0 p ~vpn:(K.heap_base + 1) with
+  | Ok None -> ()
+  | _ -> Alcotest.fail "load of an unmapped page is not a fatal fault");
   Fault.set_frame_budget plan None;
   match K.sys_mmap k c0 p ~vpn:K.heap_base ~npages:4 ~populate:true () with
   | Ok () -> ()
