@@ -106,12 +106,13 @@ val store : t -> Ccsim.Core.t -> process -> vpn:int -> int ->
     abort keeps firing past the bounded retry budget); never raises. *)
 
 val load : t -> Ccsim.Core.t -> process -> vpn:int -> int option
-(** [None] for a fatal fault {e or} frame exhaustion; never raises. *)
+(** [None] for a fatal fault {e or} frame exhaustion ({!load_result}
+    tells them apart); never raises. *)
 
 val load_result : t -> Ccsim.Core.t -> process -> vpn:int -> int option result
-(** {!load} with the two told apart: [Ok None] is a fatal fault, [ENOMEM]
-    frame exhaustion, [EFAULT] an injected abort that outlived the retry
-    budget. *)
+(** {!load} with the refusals told apart: [Ok None] is a fatal fault,
+    [ENOMEM] frame exhaustion, [EFAULT] an injected abort that outlived
+    the retry budget. *)
 
 val access_retries : int
 (** How many times a user access retries an injected abort (each attempt

@@ -75,11 +75,11 @@ let no_hooks =
   let skip _ ~page:_ = () in
   { evict = skip; dirty = (fun ~page:_ -> false); mark = skip; clean = skip }
 
-(* Threads of one process, threads of a baseline, forked address spaces
-   or kernel processes: the region at [base] as seen through process
-   [p]'s accesses and VM calls (the int argument), plus the page cache,
-   whole-file compaction, crash reap and exit. Slot [s] is page
-   [base + s] in every process. *)
+(* The region at [base] as process [p] (the int argument) sees it — its
+   user accesses and VM calls — plus the page-cache hooks, whole-file
+   compaction, crash reap and exit. Slot [s] is page [base + s] in every
+   process. Built for threads of one address space ([Make.threads]),
+   forked RadixVM spaces ([forked]) or kernel processes ([processes]). *)
 type shape = {
   base : int;
   load : int -> Core.t -> vpn:int -> load_step;
@@ -97,13 +97,13 @@ let access = function T.Ok -> `Ok | T.Segfault -> `Seg | T.Oom -> `Nomem
 let value = function Some w -> `Val w | None -> `Absent
 let ok () = `Ok
 
-let of_vm ok = function
-  | Ok v -> ok v
+let of_vm f = function
+  | Ok v -> f v
   | Error T.Enomem -> `Nomem
   | Error (T.Aborted _) -> `Abort
 
-let of_errno ok = function
-  | Ok v -> ok v
+let of_errno f = function
+  | Ok v -> f v
   | Error K.ENOMEM -> `Nomem
   | Error _ -> `Abort
 
