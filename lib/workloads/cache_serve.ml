@@ -130,12 +130,7 @@ let forked m ~rangelock ~slots ~procs =
   let c0 = Machine.core m 0 in
   let root = R.create_with ~rangelock m in
   let fd, compact = cache_file (Os.Vfs.create ()) ~base:0 ~slots root c0 in
-  (match R.mmap_result root c0 ~vpn:0 ~npages:slots ~backing:(T.File fd) ()
-   with
-  | Ok () -> ()
-  | Error e ->
-      failwith
-        (Format.asprintf "cache_serve: initial mmap: %a" T.pp_vm_error e));
+  R.mmap root c0 ~vpn:0 ~npages:slots ~backing:(T.File fd) ();
   let vms = Array.init procs (fun i -> if i = 0 then root else R.fork root c0) in
   {
     base = 0;
@@ -404,18 +399,12 @@ module Make (V : Vm.Vm_intf.S) = struct
           | T.Segfault -> `Absent
           | T.Oom -> `Nomem);
       store = (fun _ core ~vpn _ -> access (V.touch vm core ~vpn));
-      munmap =
-        (fun _ core ~vpn ~npages ->
-          V.munmap vm core ~vpn ~npages;
-          `Ok);
+      munmap = (fun _ core ~vpn ~npages -> ok (V.munmap vm core ~vpn ~npages));
       map =
         (fun _ core ~vpn ~npages ->
-          V.mmap vm core ~vpn ~npages ?backing ();
-          `Ok);
+          ok (V.mmap vm core ~vpn ~npages ?backing ()));
       mprotect =
-        (fun _ core ~vpn prot ->
-          V.mprotect vm core ~vpn ~npages:1 prot;
-          `Ok);
+        (fun _ core ~vpn prot -> ok (V.mprotect vm core ~vpn ~npages:1 prot));
       cache =
         Option.fold cache_ops ~none:no_hooks ~some:(fun co -> hooks co vm);
       compact = ignore;
@@ -537,9 +526,8 @@ module Session = struct
     let protect p core f =
       try f () with Fault.Injected_crash _ -> crash p core; `Crashed
     in
-    (* An injected abort was rolled back, so retrying is sound: the
-       sweep's, compaction's and heal's own VM steps retry a bounded
-       number of times, as the kernel's user accesses do. *)
+    (* The sweep's, compaction's and heal's own VM steps retry an abort
+       (it was rolled back) as often as the kernel's user accesses do. *)
     let persist p core f =
       let rec go n =
         match protect p core f with `Abort when n > 0 -> go (n - 1) | r -> r
@@ -589,15 +577,16 @@ module Session = struct
        stuck read-only (a resize that crashed between its two mprotects)
        or gone (a remap refused here while a set through a sibling
        re-established the content): restore protection and mapping, then
-       retry the access once. Content survives the remap — the page-cache
-       entry is still resident while any mapping holds the frame. *)
+       retry the access once; a remap the process still refuses refuses
+       the access. Content survives the remap — the page-cache entry is
+       still resident while any mapping holds the frame. *)
     let healed p core vpn access =
       match persist p core (fun () -> t.mprotect p core ~vpn T.Read_write) with
       | `Crashed -> `Crashed
       | _ -> (
           match persist p core (fun () -> t.map p core ~vpn ~npages:1) with
-          | `Crashed -> `Crashed
-          | _ -> protect p core access)
+          | `Ok -> protect p core access
+          | (`Nomem | `Abort | `Crashed) as r -> r)
     in
     let load_step p core s vpn =
       let load () = t.load p core ~vpn in
@@ -708,7 +697,9 @@ module Session = struct
               t.cache.clean core ~page:vpn;
               incr writebacks
             end;
-            let unmapped = in_all core (fun q -> t.munmap q core ~vpn ~npages:1) in
+            let unmapped =
+              in_all core (fun q -> t.munmap q core ~vpn ~npages:1)
+            in
             t.cache.evict core ~page:vpn;
             let remapped = in_all core (fun q -> t.map q core ~vpn ~npages:1) in
             Cache_model.evict_slot model s;
@@ -723,15 +714,24 @@ module Session = struct
         Machine.drain m ~cycles:(4 * epoch)
       end
     in
+    (* Truncation needs every live process to let go of the region first:
+       if one refuses, nothing is truncated — every mapping still shows
+       the page cache's frames, so the model stays exact — and the region
+       is mapped back wherever it was unmapped. *)
     let do_compact core =
-      ignore (in_all core (fun q -> t.munmap q core ~vpn:base ~npages:slots));
-      t.compact core;
-      Machine.drain m ~cycles:(4 * epoch);
-      ignore (in_all core (fun q -> t.map q core ~vpn:base ~npages:slots));
-      Cache_model.clear model;
-      Array.fill tainted 0 slots false;
-      incr compactions;
-      line "%04d compact" !i
+      let unmapped =
+        in_all core (fun q -> t.munmap q core ~vpn:base ~npages:slots)
+      in
+      if unmapped then begin
+        t.compact core;
+        Machine.drain m ~cycles:(4 * epoch);
+        Cache_model.clear model;
+        Array.fill tainted 0 slots false;
+        incr compactions;
+        line "%04d compact" !i
+      end
+      else line "%04d compact -> !refused" !i;
+      ignore (in_all core (fun q -> t.map q core ~vpn:base ~npages:slots))
     in
     let do_resize core =
       match Cache_model.hottest model with

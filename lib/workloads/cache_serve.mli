@@ -164,10 +164,11 @@ module Session : sig
       configuration — byte-identical across range-lock backends.
 
       Fault tolerant: ENOMEM and injected aborts are counted and leave
-      the model consistent (the sweep's, compaction's and heal's own VM
-      steps retry an abort, which was rolled back); an injected crash
-      reaps exactly the crashed address space while siblings keep
-      serving. [arm] runs after setup (initial mmap + forks) and before
+      the model consistent — the sweep's, compaction's and heal's own VM
+      steps retry an abort (it was rolled back), an operation whose heal
+      is still refused is refused, and a compaction some process refuses
+      truncates nothing; an injected crash reaps exactly the crashed
+      address space while siblings keep serving. [arm] runs after setup (initial mmap + forks) and before
       the first operation — the place to turn on a fault plan so setup
       itself stays clean. *)
 end

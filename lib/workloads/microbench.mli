@@ -34,16 +34,13 @@ type result = {
 val measure :
   warmup:int -> duration:int -> on_measure:(unit -> unit) ->
   Ccsim.Machine.t -> int ref -> int
-(** [measure ~warmup ~duration ~on_measure machine writes] runs the
-    warmup window, resets the machine's Stats, calls [on_measure], runs
-    [duration] more cycles, and returns how much [writes] grew in that
-    measured window. *)
+(** Run [warmup] cycles, reset the Stats, call [on_measure], run
+    [duration] more; returns how much [writes] grew in that window. *)
 
 val finish :
   name:string -> ncores:int -> duration:int -> Ccsim.Machine.t -> int ->
   result
-(** The result of a measured window of [duration] cycles with the given
-    page-write count, read from the machine's Stats. *)
+(** The result of a [duration]-cycle window with this many page writes. *)
 
 module Make (V : Vm.Vm_intf.S) : sig
   val local :

@@ -555,34 +555,48 @@ let test_cacheserve_frame_budget () =
 
 (* Injected aborts roll their operation back: the sweep, compaction and
    heal steps retry them, and serving stays model-clean in both shapes,
-   with and without whole-file compactions. Probabilities as in the crash
-   matrix: mprotect runs only on slot resizes and heals, so it aborts
-   often enough to leave slots stuck read-only. *)
+   with and without whole-file compactions. At 0.05 the retries absorb
+   every sweep abort, so the history is the fault-free one. Probabilities
+   as in the crash matrix: mprotect runs only on slot resizes and heals,
+   so it aborts often enough to leave slots stuck read-only. At 0.8 and
+   0.9 the retries run out: remaps stay refused (loads heal, or are
+   refused with their heal; a slot whose unmap and remap were both
+   refused is tainted), and so do compactions. *)
 let test_cacheserve_abort_matrix () =
   List.iter
     (fun (shape, via_kernel) ->
       List.iter
-        (fun (op, prob) ->
+        (fun compact_every ->
+          let run name arm_plan =
+            run_faulted_session ~via_kernel ~compact_every ~ops:4_000
+              ~name:(Printf.sprintf "%s/%s/compact %d" name shape compact_every)
+              ~arm_plan ()
+          in
+          let clean, _ = run "fault-free" (fun _ _ -> ()) in
           List.iter
-            (fun compact_every ->
+            (fun (ops, prob, transparent) ->
               let name =
-                Printf.sprintf "abort %s/%s/compact %d" op shape compact_every
+                Printf.sprintf "abort %s@%g" (String.concat "+" ops) prob
               in
-              let _, plan =
-                run_faulted_session ~via_kernel ~compact_every ~name
-                  ~ops:4_000
-                  ~arm_plan:(fun plan _m -> Fault.abort_ops plan ~op ~prob ())
-                  ()
+              let o, plan =
+                run name (fun plan _m ->
+                    List.iter (fun op -> Fault.abort_ops plan ~op ~prob ()) ops)
               in
               Alcotest.(check bool) (name ^ ": aborts injected") true
-                (Fault.injected_aborts plan > 0))
-            [ 0; 1_000 ])
-        [
-          ("mmap", 0.05);
-          ("munmap", 0.05);
-          ("mprotect", 0.5);
-          ("pagefault", 0.05);
-        ])
+                (Fault.injected_aborts plan > 0);
+              if transparent then
+                Alcotest.(check string) (name ^ ": fault-free history")
+                  clean.CS.Session.history o.CS.Session.history)
+            [
+              ([ "mmap" ], 0.05, true);
+              ([ "mmap" ], 0.9, false);
+              ([ "munmap" ], 0.05, true);
+              ([ "munmap" ], 0.9, false);
+              ([ "mprotect" ], 0.5, false);
+              ([ "pagefault" ], 0.05, false);
+              ([ "mmap"; "munmap"; "mprotect"; "pagefault" ], 0.8, false);
+            ])
+        [ 0; 1_000 ])
     shapes
 
 let cacheserve_crash_matrix =
