@@ -168,7 +168,7 @@ module Session : sig
       steps retry an abort (it was rolled back), an operation whose heal
       is still refused is refused, and a compaction some process refuses
       truncates nothing; an injected crash reaps exactly the crashed
-      address space while siblings keep serving. [arm] runs after setup (initial mmap + forks) and before
-      the first operation — the place to turn on a fault plan so setup
-      itself stays clean. *)
+      address space while siblings keep serving. [arm] runs after setup
+      (initial mmap + forks) and before the first operation — the place
+      to turn on a fault plan so setup itself stays clean. *)
 end
