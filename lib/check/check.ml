@@ -566,7 +566,12 @@ let census t =
 
 (* Lock-order cycles: Tarjan's SCC over the edge set; every SCC with at
    least two locks contains a cycle, which we recover with a DFS restricted
-   to that SCC so the report can show each edge's acquisition context. *)
+   to that SCC so the report can show each edge's acquisition context.
+   The DFS shares one visited set across the whole search: every vertex of
+   the SCC reaches the start, so the first vertex entered with an edge back
+   to it closes a cycle, and each vertex is entered once. (A per-path
+   visited set enumerates simple paths, exponentially many in a large
+   SCC.) *)
 let cycles t =
   let adj = Int_table.create ~size_hint:64 [] in
   Int_table.iter
@@ -623,7 +628,8 @@ let cycles t =
     (fun scc ->
       let inside = List.fold_left (fun s v -> IS.add v s) IS.empty scc in
       let start = List.hd scc in
-      let rec walk v path visited =
+      let visited = ref (IS.singleton start) in
+      let rec walk v path =
         let outs = Int_table.find_default adj v [] in
         let outs = List.filter (fun e -> IS.mem e.e_to inside) outs in
         let closing = List.find_opt (fun e -> e.e_to = start) outs in
@@ -637,11 +643,14 @@ let cycles t =
                 match acc with
                 | Some _ -> acc
                 | None ->
-                    if IS.mem e.e_to visited then None
-                    else walk e.e_to (e :: path) (IS.add e.e_to visited))
+                    if IS.mem e.e_to !visited then None
+                    else begin
+                      visited := IS.add e.e_to !visited;
+                      walk e.e_to (e :: path)
+                    end)
               None outs
       in
-      walk start [] (IS.singleton start))
+      walk start [])
     !sccs
 
 (* Label-level race filtering, the same convention as bench's checked

@@ -114,6 +114,67 @@ let test_lock_order_cycle_fires () =
   | cs -> Alcotest.failf "expected one cycle, got %d" (List.length cs));
   Alcotest.(check bool) "verdict fails" false (Check.ok chk)
 
+(* Cycle recovery stays linear in the lock-order graph. Each ring of
+   gadgets s -> d -> {c, trap}, c -> next s is one SCC; each trap is a
+   chain of diamonds from d whose only exit returns to d, so it holds
+   2^layers simple paths. A search that remembers only its current path
+   enumerates them whenever adjacency order (which follows the
+   process-global lock ids) sends it into a trap before c; four rings make
+   that all but certain. *)
+let test_lock_order_cycles_linear () =
+  let m = machine () in
+  let chk = Check.attach m in
+  let c0 = Machine.core m 0 in
+  (* Published at birth: a lock's first acquisition records no edge. *)
+  let fresh () =
+    let l = Lock.create ~label:"fixture:ring" c0 in
+    Lock.acquire c0 l;
+    Lock.release c0 l;
+    l
+  in
+  let edge a b =
+    Lock.acquire c0 a;
+    Lock.acquire c0 b;
+    Lock.release c0 b;
+    Lock.release c0 a
+  in
+  let rings = 4 and gadgets = 6 and layers = 24 in
+  for _ = 1 to rings do
+    let s = Array.init gadgets (fun _ -> fresh ()) in
+    for i = 0 to gadgets - 1 do
+      let d = fresh () and c = fresh () in
+      edge s.(i) d;
+      edge d c;
+      edge c s.((i + 1) mod gadgets);
+      let top = ref d in
+      for _ = 1 to layers do
+        let l = fresh () and r = fresh () and b = fresh () in
+        edge !top l;
+        edge !top r;
+        edge l b;
+        edge r b;
+        top := b
+      done;
+      edge !top d
+    done
+  done;
+  let cycles = Check.cycles chk in
+  Alcotest.(check int) "one cycle per ring" rings (List.length cycles);
+  List.iter
+    (fun (cyc : Check.cycle) ->
+      let rec closed first = function
+        | (a : Check.lock_edge) :: (b :: _ as rest) ->
+            a.Check.e_to = b.Check.e_from && closed first rest
+        | [ last ] -> last.Check.e_to = first
+        | [] -> false
+      in
+      match cyc with
+      | [] -> Alcotest.fail "empty cycle"
+      | e :: _ ->
+          Alcotest.(check bool) "edges chain and close" true
+            (closed e.Check.e_from cyc))
+    cycles
+
 (* Both cores acquire in the same order: a partial order, no cycle. *)
 let test_lock_order_silent_when_consistent () =
   let m = machine () in
@@ -445,6 +506,7 @@ let () =
           tc "locked counter silent" `Quick test_race_silent_under_lock;
           tc "wide hold: one dropped lock races" `Quick test_wide_hold_race;
           tc "AB/BA cycle detected" `Quick test_lock_order_cycle_fires;
+          tc "cycle recovery linear" `Quick test_lock_order_cycles_linear;
           tc "consistent order silent" `Quick
             test_lock_order_silent_when_consistent;
           tc "stale TLB detected" `Quick test_stale_tlb_fires;
