@@ -1275,7 +1275,7 @@ let cacheserve ctx =
                 ~holds:(fun o ->
                   o.Workloads.Cache_serve.Session.divergences = [])
                 (fun ~on_machine ~on_measure:_ ->
-                  Workloads.Cache_serve.Session.run ~ncores:4 ~procs:3
+                  Workloads.Cache_serve.Session.run ~procs:3
                     ~slots:session_slots ~ops:session_ops ~rangelock
                     ~via_kernel ~compact_every:(session_ops / 2) ~on_machine
                     ())

@@ -13,3 +13,17 @@ let count ?(min = 1) what =
     | None -> Error (`Msg (Printf.sprintf "invalid %s: %S" what s))
   in
   Cmdliner.Arg.conv (parse, Format.pp_print_int)
+
+(* A time budget: finite and non-negative. A negative or NaN budget used
+   to run one session and pass, recording NaN as a null budget. *)
+let seconds what =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when Float.is_finite v && v >= 0.0 -> Ok v
+    | Some _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "%s must be a finite number >= 0, got %s" what s))
+    | None -> Error (`Msg (Printf.sprintf "invalid %s: %S" what s))
+  in
+  Cmdliner.Arg.conv (parse, Format.pp_print_float)

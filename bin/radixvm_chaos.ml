@@ -3,11 +3,11 @@
    Runs fuzz sessions back to back until a host time budget is spent,
    each under a randomly drawn fault palette — frame budgets, IPI delays
    and stalls, mid-operation aborts, mid-critical-section crashes (with
-   verified recovery), spurious lock timeouts — cycling through all three
-   range-lock backends, with the dynamic checkers attached and the
-   livelock watchdog armed. Per-session palettes derive from --seed, so a
-   given (seed, session-index) pair is exactly reproducible even though
-   the number of sessions depends on the host's speed.
+   verified recovery) — cycling through all three range-lock backends,
+   with the dynamic checkers attached and the livelock watchdog armed.
+   Per-session palettes derive from --seed, so a given (seed,
+   session-index) pair is exactly reproducible even though the number of
+   sessions depends on the host's speed.
 
    Results land in BENCH_chaos.json (validated by bench/validate.exe).
    A failing session writes a replayable repro artifact and the run exits
@@ -25,7 +25,8 @@ let watchdog_horizon = 100_000_000
 
 let seconds_arg =
   Arg.(
-    value & opt float 30.0
+    value
+    & opt (Cli.seconds "--seconds") 30.0
     & info [ "seconds" ]
         ~doc:"Wall-clock budget: keep starting sessions until this much \
               host time has elapsed (at least one session always runs).")
@@ -72,12 +73,6 @@ let palette ~seed ~index =
   let backend = List.nth backends (index mod List.length backends) in
   let ncores = 2 + Random.State.int rng 5 in
   let ops = 200 + Random.State.int rng 601 in
-  let lock_timeouts =
-    (* No-ops unless a timed-acquire path exists for the label, but kept
-       in the palette (and in any repro artifact) so such paths are
-       exercised the day they appear. *)
-    if Random.State.int rng 4 = 0 then [ ("radix:slot", 0.01) ] else []
-  in
   {
     Fuzz.seed = seed + index;
     ops;
@@ -88,7 +83,6 @@ let palette ~seed ~index =
     rangelock = backend;
     crash = true;
     watchdog = Some watchdog_horizon;
-    lock_timeouts;
   }
 
 (* One unit of chaos: a plain session, or — with --shards N — a world of

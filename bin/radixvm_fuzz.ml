@@ -58,7 +58,7 @@ let shards_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Harness.Pool.default_jobs ())
+    & opt (Cli.count "--jobs") (Harness.Pool.default_jobs ())
     & info [ "jobs" ]
         ~doc:
           "Worker domains. Sessions are independent and results are \
@@ -188,7 +188,7 @@ let world_main ~seed ~ops ~cores ~runs ~nodes ~shards ~jobs ~check ~verbose
     List.init runs (fun i ->
         let cfg =
           { Fuzz.seed = seed + i; ops; ncores = cores; check; verbose;
-            broken; rangelock; crash; watchdog; lock_timeouts = [] }
+            broken; rangelock; crash; watchdog }
         in
         Harness.Pool.job
           ~name:(Printf.sprintf "fuzz-world-%d" cfg.Fuzz.seed)
@@ -227,7 +227,7 @@ let main seed ops cores runs nodes shards jobs check verbose broken crash
         List.init runs (fun i ->
             let cfg =
               { Fuzz.seed = seed + i; ops; ncores = cores; check; verbose;
-                broken; rangelock; crash; watchdog; lock_timeouts = [] }
+                broken; rangelock; crash; watchdog }
             in
             Harness.Pool.job
               ~name:(Printf.sprintf "fuzz-%d" cfg.Fuzz.seed)

@@ -95,7 +95,6 @@ let fold f t init =
   !acc
 
 let elements t = List.rev (fold (fun i acc -> i :: acc) t [])
-let copy t = { words = Array.copy t.words; n = t.n }
 
 let choose t =
   let exception Found of int in

@@ -23,7 +23,6 @@ val cardinal : t -> int
 val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list
-val copy : t -> t
 val choose : t -> int option
 (** [choose t] is the smallest member, if any. *)
 

@@ -7,7 +7,6 @@ let make ?(label = "cell") (core : Core.t) v =
   in
   { v; line }
 
-let make_on line v = { v; line }
 let line t = t.line
 
 let read core t =

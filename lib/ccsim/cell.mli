@@ -2,8 +2,8 @@
 
     A cell is an OCaml mutable value bound to a simulated cache {!Line}:
     reading or writing it through this interface charges the acting core
-    according to the coherence cost model. Several cells may share one line
-    to model false sharing (e.g. eight 8-byte slots per 64-byte line).
+    according to the coherence cost model. Each cell has a line of its
+    own.
 
     [peek]/[poke] bypass the cost model; they are for tests and for
     initialization that is not part of a measured run. *)
@@ -13,9 +13,6 @@ type 'a t
 val make : ?label:string -> Core.t -> 'a -> 'a t
 (** [make core v] is a cell on a fresh private line homed on [core]'s
     socket. [label] names the line in checker reports. *)
-
-val make_on : Line.t -> 'a -> 'a t
-(** A cell placed on an existing line (false sharing). *)
 
 val line : 'a t -> Line.t
 val read : Core.t -> 'a t -> 'a

@@ -10,7 +10,6 @@ type t = {
   rng : Random.State.t;
   mutable budget : int option;
   ipi : ipi_response Int_table.t;  (* core -> response; absent = Prompt *)
-  mutable lock_rules : (string * float) list;  (* label -> probability *)
   mutable abort_rules : abort_rule list;
   mutable crash_rules : abort_rule list;
   mutable suppress : int;  (* re-entrant suppression depth *)
@@ -18,7 +17,6 @@ type t = {
   mutable n_oom : int;
   mutable n_aborts : int;
   mutable n_crashes : int;
-  mutable n_lock_timeouts : int;
   mutable n_ipi_delays : int;
   mutable n_ipi_abandoned : int;
 }
@@ -29,7 +27,6 @@ let create ?(seed = 0) () =
     rng = Random.State.make [| 0xfa_017; seed |];
     budget = None;
     ipi = Int_table.create ~size_hint:8 Prompt;
-    lock_rules = [];
     abort_rules = [];
     crash_rules = [];
     suppress = 0;
@@ -37,7 +34,6 @@ let create ?(seed = 0) () =
     n_oom = 0;
     n_aborts = 0;
     n_crashes = 0;
-    n_lock_timeouts = 0;
     n_ipi_delays = 0;
     n_ipi_abandoned = 0;
   }
@@ -60,16 +56,11 @@ let delay_ipi t ~core ~cycles =
   Int_table.set t.ipi core (Delayed cycles)
 
 let stall_ipi t ~core = Int_table.set t.ipi core Stalled
-let clear_ipi t ~core = Int_table.remove t.ipi core
 let ipi_response t ~core = Int_table.find_default t.ipi core Prompt
 let ipi_faults_active t = Int_table.length t.ipi > 0
 
 let check_prob ~fn p =
   if not (p >= 0.0 && p <= 1.0) then invalid_arg ("Fault." ^ fn)
-
-let timeout_locks t ~label ~prob =
-  check_prob ~fn:"timeout_locks" prob;
-  t.lock_rules <- (label, prob) :: List.remove_assoc label t.lock_rules
 
 let abort_ops t ~op ?point ~prob () =
   check_prob ~fn:"abort_ops" prob;
@@ -109,17 +100,6 @@ let abort_now t ~op ~point =
       t.crash_rules
   end
 
-let forced_lock_timeout t ~label =
-  t.suppress = 0
-  && (match List.assoc_opt label t.lock_rules with
-     | None -> false
-     | Some p ->
-         Random.State.float t.rng 1.0 < p
-         && begin
-              t.n_lock_timeouts <- t.n_lock_timeouts + 1;
-              true
-            end)
-
 let with_suppressed fo f =
   match fo with
   | None -> f ()
@@ -136,26 +116,8 @@ let note_oom t = t.n_oom <- t.n_oom + 1
 let injected_oom t = t.n_oom
 let injected_aborts t = t.n_aborts
 let injected_crashes t = t.n_crashes
-let injected_lock_timeouts t = t.n_lock_timeouts
 let note_ipi_delay t = t.n_ipi_delays <- t.n_ipi_delays + 1
 let ipi_delays t = t.n_ipi_delays
 let note_ipi_abandoned t = t.n_ipi_abandoned <- t.n_ipi_abandoned + 1
 let ipi_abandoned t = t.n_ipi_abandoned
 
-let pp ppf t =
-  let budget =
-    match t.budget with Some n -> string_of_int n | None -> "none"
-  in
-  (* Configured plan on the left of the bar, one counter per injector on
-     the right — same order both sides so the summary reads as a ledger:
-     every injector (oom, aborts, crashes, lock timeouts, ipi
-     delays/abandoned) reports exactly once. *)
-  Format.fprintf ppf
-    "fault<seed=%d budget=%s aborts=%d crashes=%d locks=%d ipi=%d | oom=%d \
-     abort=%d crash=%d lk-timeout=%d ipi-delay=%d ipi-abandoned=%d>"
-    t.fseed budget
-    (List.length t.abort_rules)
-    (List.length t.crash_rules)
-    (List.length t.lock_rules)
-    (Int_table.length t.ipi) t.n_oom t.n_aborts t.n_crashes t.n_lock_timeouts
-    t.n_ipi_delays t.n_ipi_abandoned

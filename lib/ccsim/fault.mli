@@ -3,10 +3,10 @@
     A fault plan is attached to a {!Machine} ({!Machine.set_fault}) and is
     consulted from the hot paths it perturbs: {!Physmem.alloc} (finite
     frame budget), {!Ipi.multicast} (delayed or stalled acknowledgments),
-    {!Lock.try_acquire} (forced timeouts on labeled locks), and the VM
-    operations' injection points (mid-critical-section aborts). With no
-    plan attached ([None] everywhere) every query short-circuits on an
-    option match — the fault machinery costs nothing when absent.
+    and the VM operations' injection points (mid-critical-section aborts
+    and crashes). With no plan attached ([None] everywhere) every query
+    short-circuits on an option match — the fault machinery costs nothing
+    when absent.
 
     All randomized decisions come from one private [Random.State] seeded
     at {!create}: the same seed against the same (deterministic) simulated
@@ -58,19 +58,12 @@ val delay_ipi : t -> core:int -> cycles:int -> unit
 val stall_ipi : t -> core:int -> unit
 (** Make [core] never acknowledge IPIs. *)
 
-val clear_ipi : t -> core:int -> unit
-(** Restore prompt acknowledgment for [core]. *)
-
 val ipi_response : t -> core:int -> ipi_response
 
 val ipi_faults_active : t -> bool
 (** Any core configured to delay or stall? {!Ipi.multicast} engages its
     timeout/retry machinery only when this is true, so fault-free runs
     keep the exact legacy timing. *)
-
-val timeout_locks : t -> label:string -> prob:float -> unit
-(** Make [Lock.try_acquire ~timeout] on locks labeled [label] fail
-    spuriously with probability [prob] per attempt. *)
 
 val abort_ops : t -> op:string -> ?point:string -> prob:float -> unit -> unit
 (** Make VM operation [op] ("mmap", "munmap", "mprotect", "pagefault")
@@ -90,11 +83,6 @@ val abort_now : t -> op:string -> point:string -> unit
     {!Injected_abort} if one fires), then every matching {!crash_ops}
     entry (raises {!Injected_crash}). No-op while suppressed. *)
 
-val forced_lock_timeout : t -> label:string -> bool
-(** Draw against the {!timeout_locks} entry for [label]; [true] means the
-    attempt must be reported as timed out. No-op ([false]) while
-    suppressed. *)
-
 (** {1 Suppression}
 
     Teardown paths (process exit, address-space destroy, rollback of a
@@ -104,7 +92,7 @@ val forced_lock_timeout : t -> label:string -> bool
     releases frames. *)
 
 val with_suppressed : t option -> (unit -> 'a) -> 'a
-(** Run the thunk with abort and lock-timeout injection disabled (re-entrant;
+(** Run the thunk with abort and crash injection disabled (re-entrant;
     exception-safe). [None] just runs the thunk. *)
 
 val suppressed : t -> bool
@@ -129,8 +117,6 @@ val injected_aborts : t -> int
 val injected_crashes : t -> int
 (** Crash rules fired (processes killed mid-critical-section). *)
 
-val injected_lock_timeouts : t -> int
-
 val note_ipi_delay : t -> unit
 val ipi_delays : t -> int
 (** IPI acknowledgments perturbed (delayed or stalled). *)
@@ -138,6 +124,3 @@ val ipi_delays : t -> int
 val note_ipi_abandoned : t -> unit
 val ipi_abandoned : t -> int
 (** Shootdown targets given up on after the retry budget. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary of the configured plan and its counters. *)

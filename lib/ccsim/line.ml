@@ -25,7 +25,6 @@ let id t = t.id
 let label t = t.label
 let holder t = if t.owner >= 0 then Some t.owner else None
 let sharers t = Bitset.elements t.sharers
-let free_at t = t.free_at
 
 let holds_for_read t core_id =
   (* Core ids are always < ncores = the sharer set's capacity. *)
@@ -104,4 +103,3 @@ let read core t = read_k Obs.Plain core t
 let write core t = write_k Obs.Plain core t
 let read_atomic core t = read_k Obs.Atomic core t
 let write_atomic core t = write_k Obs.Atomic core t
-let write_sync core t = write_k Obs.Sync core t

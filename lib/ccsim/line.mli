@@ -33,10 +33,6 @@ val write_atomic : Core.t -> t -> unit
 (** Like {!write} but tagged [Atomic] (cmpxchg, fetch-add, lock-free list
     push). Identical cost to {!write}. *)
 
-val write_sync : Core.t -> t -> unit
-(** Like {!write} but tagged [Sync]: internal traffic of a synchronization
-    primitive (e.g. a failed [try_acquire]). Identical cost to {!write}. *)
-
 val id : t -> int
 (** Stable identity used to correlate instrumentation events. *)
 
@@ -47,6 +43,3 @@ val holder : t -> int option
 
 val sharers : t -> int list
 (** Cores holding the line in shared state (for tests). *)
-
-val free_at : t -> int
-(** Time the line next becomes available (for tests). *)

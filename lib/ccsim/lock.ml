@@ -17,7 +17,6 @@ let create_on ?label line =
   { id = Obs.fresh_lock_id (); label; line; free_time = 0 }
 
 let id t = t.id
-let label t = t.label
 
 (* The line write inside a lock operation is the primitive's own traffic:
    suppress its [Write] event and emit one [Acquire]/[Release] (carrying the
@@ -65,52 +64,5 @@ let release (core : Core.t) t =
          label = t.label;
          rd = false;
        })
-
-let try_acquire ?(timeout = 0) (core : Core.t) t =
-  if timeout < 0 then invalid_arg "Lock.try_acquire: timeout";
-  let stats = core.Core.stats in
-  stats.Stats.lock_acquires <- stats.Stats.lock_acquires + 1;
-  quiet_write core t;
-  let now = Core.now core in
-  (* A failed timed attempt spins its whole budget before giving up;
-     the legacy [timeout = 0] attempt is an instantaneous test-and-set. *)
-  let fail ~spin =
-    stats.Stats.lock_contended <- stats.Stats.lock_contended + 1;
-    Core.tick core spin;
-    emit core
-      (Obs.Write
-         {
-           core = core.Core.id;
-           line = Line.id t.line;
-           label = t.label;
-           kind = Obs.Sync;
-         });
-    false
-  in
-  let forced =
-    match core.Core.fault with
-    | Some f -> Fault.forced_lock_timeout f ~label:t.label
-    | None -> false
-  in
-  if forced then fail ~spin:timeout
-  else if t.free_time > now + timeout then fail ~spin:timeout
-  else begin
-    if t.free_time > now then begin
-      stats.Stats.lock_contended <- stats.Stats.lock_contended + 1;
-      stats.Stats.lock_wait_cycles <-
-        stats.Stats.lock_wait_cycles + (t.free_time - now);
-      core.Core.clock <- t.free_time
-    end;
-    emit core
-      (Obs.Acquire
-         {
-           core = core.Core.id;
-           lock = t.id;
-           line = Line.id t.line;
-           label = t.label;
-           rd = false;
-         });
-    true
-  end
 
 let free_time t = t.free_time

@@ -21,20 +21,8 @@ val create_on : ?label:string -> Line.t -> t
 val id : t -> int
 (** Stable identity used to correlate instrumentation events. *)
 
-val label : t -> string
-
 val acquire : Core.t -> t -> unit
 val release : Core.t -> t -> unit
-
-val try_acquire : ?timeout:int -> Core.t -> t -> bool
-(** [try_acquire c t] acquires if the lock is free at [c]'s current time;
-    otherwise charges the failed attempt and returns [false].
-
-    With [~timeout] (cycles, default 0) the attempt also succeeds if the
-    lock frees within the budget — the caller waits until the release —
-    and a failed attempt spins the whole budget. An attached fault plan
-    ({!Fault.timeout_locks}) can force a timed attempt on a matching
-    label to fail spuriously even when the lock is free. *)
 
 val free_time : t -> int
 (** Time of the last release (for tests). *)

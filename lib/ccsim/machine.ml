@@ -243,8 +243,6 @@ let set_uplink t ~node fn =
   t.node <- node;
   t.uplink <- Some fn
 
-let uplinked t = Option.is_some t.uplink
-
 let uplink_send t ~dst ~sent payload =
   match t.uplink with
   | None -> invalid_arg "Machine.uplink_send: no uplink installed"

@@ -44,8 +44,8 @@ val cores : t -> Core.t array
 val set_fault : t -> Fault.t option -> unit
 (** Attach a fault-injection plan (or detach with [None]): the plan is
     propagated to every core and to physical memory, and from there
-    consulted by {!Physmem.alloc}, {!Ipi.multicast}, {!Lock.try_acquire},
-    and the VM layers' injection points. No plan attached (the default)
+    consulted by {!Physmem.alloc}, {!Ipi.multicast}, and the VM layers'
+    injection points. No plan attached (the default)
     means the fault machinery costs nothing. *)
 
 val fault : t -> Fault.t option
@@ -90,10 +90,6 @@ val node : t -> int
 val set_uplink : t -> node:int -> (xevent -> unit) -> unit
 (** Install the shard engine's outbox hook and this machine's node id.
     Reserved to {!Harness.Shard} (enforced by simlint [ds-cross-shard]). *)
-
-val uplinked : t -> bool
-(** An uplink is installed, i.e. this machine is a node of a sharded
-    world and {!uplink_send} may be used. *)
 
 val uplink_send : t -> dst:int -> sent:int -> xpayload -> unit
 (** Buffer one cross-shard event into the epoch batch. [sent] is the

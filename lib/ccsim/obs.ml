@@ -1,4 +1,4 @@
-type kind = Plain | Atomic | Sync
+type kind = Plain | Atomic
 
 type event =
   | Read of { core : int; line : int; label : string; kind : kind }
@@ -63,38 +63,3 @@ let fresh_lock_id () = Atomic.fetch_and_add lock_ids 1
    vpn 101" is only meaningful relative to an address space. *)
 let asids = Atomic.make 0
 let fresh_asid () = Atomic.fetch_and_add asids 1
-
-let pp_kind ppf = function
-  | Plain -> Format.pp_print_string ppf "plain"
-  | Atomic -> Format.pp_print_string ppf "atomic"
-  | Sync -> Format.pp_print_string ppf "sync"
-
-let pp_event ppf = function
-  | Read { core; line; label; kind } ->
-      Format.fprintf ppf "read  core%d line%d(%s) %a" core line label pp_kind
-        kind
-  | Write { core; line; label; kind } ->
-      Format.fprintf ppf "write core%d line%d(%s) %a" core line label pp_kind
-        kind
-  | Acquire { core; lock; line; label; rd } ->
-      Format.fprintf ppf "%s core%d lock%d(%s) line%d"
-        (if rd then "racq " else "acq  ")
-        core lock label line
-  | Release { core; lock; line; label; rd } ->
-      Format.fprintf ppf "%s core%d lock%d(%s) line%d"
-        (if rd then "rrel " else "rel  ")
-        core lock label line
-  | Tlb_fill { core; asid; vpn } ->
-      Format.fprintf ppf "tlb+  core%d as%d vpn%d" core asid vpn
-  | Tlb_drop { core; asid; vpn } ->
-      Format.fprintf ppf "tlb-  core%d as%d vpn%d" core asid vpn
-  | Unmap_done { core; asid; lo; hi } ->
-      Format.fprintf ppf "unmap core%d as%d [%d,%d)" core asid lo hi
-  | Rc_make { core; oid; init; label } ->
-      Format.fprintf ppf "rcnew core%d obj%d(%s)=%d" core oid label init
-  | Rc_inc { core; oid; label } ->
-      Format.fprintf ppf "rcinc core%d obj%d(%s)" core oid label
-  | Rc_dec { core; oid; label } ->
-      Format.fprintf ppf "rcdec core%d obj%d(%s)" core oid label
-  | Rc_free { core; oid; label } ->
-      Format.fprintf ppf "rcfree core%d obj%d(%s)" core oid label

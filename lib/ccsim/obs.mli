@@ -20,10 +20,8 @@
     - [Plain] — an ordinary load/store; racing plain accesses are bugs.
     - [Atomic] — a modeled hardware atomic (cmpxchg, fetch-add, a
       lock-free free-list push). Pays full coherence cost but cannot
-      race by itself.
-    - [Sync] — internal traffic of a synchronization primitive (a failed
-      [try_acquire]'s line write). Counts as cache-line movement only. *)
-type kind = Plain | Atomic | Sync
+      race by itself. *)
+type kind = Plain | Atomic
 
 type event =
   | Read of { core : int; line : int; label : string; kind : kind }
@@ -71,5 +69,3 @@ val fresh_lock_id : unit -> int
 
 val fresh_asid : unit -> int
 (** A process-unique address-space id for TLB events; one per MMU. *)
-
-val pp_event : Format.formatter -> event -> unit

@@ -106,9 +106,6 @@ let free t (core : Core.t) frame =
   t.stats.Stats.frames_freed <- t.stats.Stats.frames_freed + 1;
   t.live <- t.live - 1
 
-let is_live t frame =
-  frame >= 0 && frame < t.next && Bytes.get t.allocated frame = '\001'
-
 let set_content t frame v =
   if frame < 0 || frame >= t.next then
     invalid_arg "Physmem.set_content: unknown frame";
@@ -118,4 +115,3 @@ let get_content t frame =
   if frame >= 0 && frame < t.next then t.content.(frame) else 0
 
 let live_frames t = t.live
-let total_frames t = t.next

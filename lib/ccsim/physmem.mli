@@ -39,14 +39,8 @@ val free : t -> Core.t -> int -> unit
     @raise Double_free if the frame is not currently allocated.
     @raise Invalid_argument if the frame was never allocated at all. *)
 
-val is_live : t -> int -> bool
-(** Is the frame currently allocated? (Uncharged; for tests.) *)
-
 val live_frames : t -> int
 (** Frames currently allocated (for leak tests and memory accounting). *)
-
-val total_frames : t -> int
-(** Frames ever created. *)
 
 val set_content : t -> int -> int -> unit
 (** [set_content t frame v] records a one-word summary of the frame's

@@ -216,7 +216,7 @@ let note_access t ~line ~label ~core ~write kind =
   note_census r ~core ~write;
   match kind with
   | Obs.Plain -> note_plain t r ~line ~core ~write
-  | Obs.Atomic | Obs.Sync -> ()
+  | Obs.Atomic -> ()
 
 let note_acquire t ~core ~lock ~line ~label ~rd =
   t.accesses <- t.accesses + 1;

@@ -24,7 +24,6 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     csub : C.t;
     buckets : bucket array;
     mutable resident : int;
-    mutable dirty_count : int;
   }
 
   let nbuckets = 256
@@ -41,7 +40,6 @@ module Make (C : Refcnt.Counter_intf.S) = struct
               entries = Hashtbl.create 8;
             });
       resident = 0;
-      dirty_count = 0;
     }
 
   let bucket_of t ~file ~page =
@@ -76,10 +74,6 @@ module Make (C : Refcnt.Counter_intf.S) = struct
                 (* The cache's base reference; freeing returns the frame
                    and forgets the entry. *)
                 C.make t.csub core ~init:1 ~on_free:(fun c ->
-                    (match Hashtbl.find_opt b.entries (file, page) with
-                    | Some stale when stale.dirty ->
-                        t.dirty_count <- t.dirty_count - 1
-                    | _ -> ());
                     Hashtbl.remove b.entries (file, page);
                     t.resident <- t.resident - 1;
                     Physmem.free (Machine.physmem t.machine) c pfn);
@@ -113,20 +107,16 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     let b = bucket_of t ~file ~page in
     Lock.acquire core b.lock;
     (match Hashtbl.find_opt b.entries (file, page) with
-    | Some e when not e.dirty ->
-        e.dirty <- true;
-        t.dirty_count <- t.dirty_count + 1
-    | _ -> ());
+    | Some e -> e.dirty <- true
+    | None -> ());
     Lock.release core b.lock
 
   let clear_dirty t (core : Core.t) ~file ~page =
     let b = bucket_of t ~file ~page in
     Lock.acquire core b.lock;
     (match Hashtbl.find_opt b.entries (file, page) with
-    | Some e when e.dirty ->
-        e.dirty <- false;
-        t.dirty_count <- t.dirty_count - 1
-    | _ -> ());
+    | Some e -> e.dirty <- false
+    | None -> ());
     Lock.release core b.lock
 
   let dirty t ~file ~page =
@@ -134,9 +124,5 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     | Some e -> e.dirty
     | None -> false
 
-  let resident t ~file ~page =
-    Hashtbl.mem (bucket_of t ~file ~page).entries (file, page)
-
   let cached_pages t = t.resident
-  let dirty_pages t = t.dirty_count
 end

@@ -45,14 +45,8 @@ module Make (C : Refcnt.Counter_intf.S) : sig
   val dirty : t -> file:int -> page:int -> bool
   (** Inspection (eviction policy / tests): is the resident page dirty? *)
 
-  val resident : t -> file:int -> page:int -> bool
-  (** Inspection (tests): is the page currently cached? *)
-
   val cached_pages : t -> int
   (** Resident cache entries (for tests). *)
-
-  val dirty_pages : t -> int
-  (** Resident entries currently marked dirty. *)
 end
 
 val file_content : file:int -> page:int -> int

@@ -47,7 +47,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
       tlb_cores = Bitset.create core.Core.params.Params.ncores;
     }
 
-  let create_with ?(mmu = Page_table.Per_core) ?bits ?levels ?collapse
+  let create_with ?(mmu = Page_table.Per_core)
       ?(rangelock = Locks.Range_lock.Radix_embedded) ?partition ?share_state
       machine =
     let rc, csub, cache =
@@ -64,9 +64,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
       rc;
       csub;
       cache;
-      tree =
-        Radix.create ?bits ?levels ?collapse ~backend:rangelock ?partition
-          machine rc core0;
+      tree = Radix.create ~backend:rangelock ?partition machine rc core0;
       mmu = Mmu.create machine mmu;
       ever_active = Bitset.create (Machine.ncores machine);
       rangelock;
@@ -235,7 +233,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     Core.tick core core.Core.params.Params.op_cost;
     let lo = vpn and hi = vpn + npages in
     let lk = Radix.lock_range t.tree core ~lo ~hi in
-    let repair = ref (fun () -> Radix.unlock_range ~dead:true t.tree core lk) in
+    let repair = ref (fun () -> Radix.unlock_range t.tree core lk) in
     match
       abort_point core ~op:"mmap" ~point:"locked";
       let removed = Radix.clear_range t.tree core lk in
@@ -250,7 +248,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
              Radix.clear_range t.tree core lk
            in
            reinstate t core lk removed;
-           Radix.unlock_range ~dead:true t.tree core lk);
+           Radix.unlock_range t.tree core lk);
       (try
          abort_point core ~op:"mmap" ~point:"cleared";
          Radix.fill_range t.tree core lk (fresh_meta core ~prot ~backing);
@@ -280,7 +278,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     Core.tick core core.Core.params.Params.op_cost;
     let lo = vpn and hi = vpn + npages in
     let lk = Radix.lock_range t.tree core ~lo ~hi in
-    let repair = ref (fun () -> Radix.unlock_range ~dead:true t.tree core lk) in
+    let repair = ref (fun () -> Radix.unlock_range t.tree core lk) in
     match
       abort_point core ~op:"munmap" ~point:"locked";
       let removed = Radix.clear_range t.tree core lk in
@@ -288,7 +286,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
       (repair :=
          fun () ->
            reinstate t core lk removed;
-           Radix.unlock_range ~dead:true t.tree core lk);
+           Radix.unlock_range t.tree core lk);
       (try abort_point core ~op:"munmap" ~point:"cleared"
        with e when (not (is_crash e)) && not (rollback_broken core) ->
          reinstate t core lk removed;
@@ -340,7 +338,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     let lk = Radix.lock_range t.tree core ~lo ~hi in
     (* The only injection point fires before the first mutation, so a
        crash here leaves nothing to back out: repair just frees the lock. *)
-    let repair () = Radix.unlock_range ~dead:true t.tree core lk in
+    let repair () = Radix.unlock_range t.tree core lk in
     match
       (* The only abort point is before the first mutation: a permission
          rewrite cannot be partially rolled back page by page, so the
@@ -379,7 +377,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     let lk = Radix.lock_range t.tree core ~lo ~hi in
     (* The one injection point fires before any mutation (the fill loop
        that follows cannot fault), so repair is unlock-only. *)
-    let repair () = Radix.unlock_range ~dead:true t.tree core lk in
+    let repair () = Radix.unlock_range t.tree core lk in
     match
       abort_point core ~op:"mmap" ~point:"locked";
       let removed = Radix.clear_range t.tree core lk in
@@ -455,7 +453,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     let lk = Radix.lock_range t.tree core ~lo:vpn ~hi:(vpn + 1) in
     (* Pre-mutation injection point only: a crash here holds the page's
        lock but has touched nothing, so repair is unlock-only. *)
-    let repair () = Radix.unlock_range ~dead:true t.tree core lk in
+    let repair () = Radix.unlock_range t.tree core lk in
     match
       (* Pre-mutation abort point; [Physmem.alloc] inside [attach_frame]
          and [break_cow] can additionally raise [Out_of_frames], in both
@@ -556,8 +554,8 @@ module Make (C : Refcnt.Counter_intf.S) = struct
        down, returning the frame references the copy loop took. *)
     let repair () =
       List.iter (fun m -> m.cow <- false) !demoted;
-      Radix.unlock_range ~dead:true child.tree core child_lk;
-      Radix.unlock_range ~dead:true t.tree core lk;
+      Radix.unlock_range child.tree core child_lk;
+      Radix.unlock_range t.tree core lk;
       destroy child core
     in
     match
@@ -676,7 +674,6 @@ module Make (C : Refcnt.Counter_intf.S) = struct
 
   let fork_result t core = trap (fun () -> fork t core)
   let touch_result t core ~vpn = trap (fun () -> touch t core ~vpn)
-  let read_result t core ~vpn = trap (fun () -> read t core ~vpn)
 
   let store_result t core ~vpn value =
     trap (fun () -> store t core ~vpn value)

@@ -34,17 +34,14 @@ module Make (C : Refcnt.Counter_intf.S) : sig
 
   val create_with :
     ?mmu:Page_table.kind ->
-    ?bits:int ->
-    ?levels:int ->
-    ?collapse:bool ->
     ?rangelock:Locks.Range_lock.kind ->
     ?partition:int ->
     ?share_state:t ->
     Ccsim.Machine.t ->
     t
   (** [create_with machine] with [mmu] defaulting to [Per_core] (the
-      paper's configuration; [Shared] gives the Figure 9 ablation),
-      radix geometry as in {!Radix.create}. [rangelock] picks the
+      paper's configuration; [Shared] gives the Figure 9 ablation), and
+      the default radix geometry of {!Radix.create}. [rangelock] picks the
       range-lock backend (default [Radix_embedded]; see
       {!Locks.Range_lock}) and [partition] enables the embedded backend's
       huge-fold partitioning, both as in {!Radix.create}; forked children
@@ -75,10 +72,10 @@ module Make (C : Refcnt.Counter_intf.S) : sig
       operation does not unwind — it leaves the tree mid-mutation with its
       range locks held and stashes a repair closure here. [reap t core]
       runs that repair (backing out the half-done mutation, force-releasing
-      the dead process's range locks — {!Radix.unlock_range}[ ~dead:true] —
-      and, for a crashed fork, destroying the half-built child), then
-      destroys the address space, reclaiming every frame through the
-      refcounting layer. Siblings sharing state are untouched. [core] must
+      the dead process's range locks and, for a crashed fork, destroying
+      the half-built child), then destroys the address space, reclaiming
+      every frame through the refcounting layer. Siblings sharing state
+      are untouched. [core] must
       be the core the process crashed on: lock releases must come from the
       acquiring core for the lock model's timestamps and the checker's
       per-core held-lock accounting to balance. Safe to call without a
@@ -143,10 +140,6 @@ module Make (C : Refcnt.Counter_intf.S) : sig
       reference the copy had taken released. *)
 
   val touch_result :
-    t -> Ccsim.Core.t -> vpn:int ->
-    (Vm_types.access_result, Vm_types.vm_error) Stdlib.result
-
-  val read_result :
     t -> Ccsim.Core.t -> vpn:int ->
     (Vm_types.access_result, Vm_types.vm_error) Stdlib.result
 

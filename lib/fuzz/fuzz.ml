@@ -17,14 +17,12 @@ type config = {
          default so the golden transcript's rng sequence is untouched *)
   watchdog : int option;
       (* livelock horizon in simulated cycles (requires [check]) *)
-  lock_timeouts : (string * float) list;
-      (* spurious try_acquire-timeout rules, (line label, probability) *)
 }
 
 let default =
   { seed = 0; ops = 600; ncores = 4; check = true; verbose = false;
     broken = false; rangelock = Locks.Range_lock.Radix_embedded;
-    crash = false; watchdog = None; lock_timeouts = [] }
+    crash = false; watchdog = None }
 
 (* --- the reified session: an explicit, replayable program --- *)
 
@@ -51,7 +49,6 @@ type plan_spec = {
   ps_stalled : int list;
   ps_aborts : rule_spec list;
   ps_crashes : rule_spec list;
-  ps_timeouts : (string * float) list;
 }
 
 type program = {
@@ -139,7 +136,6 @@ let session ?(inject = fun (_ : int) -> []) src =
           rangelock = prog.pr_rangelock;
           crash = prog.pr_plan.ps_crashes <> [];
           watchdog = prog.pr_watchdog;
-          lock_timeouts = prog.pr_plan.ps_timeouts;
         }
   in
   let buf = Buffer.create 4096 in
@@ -228,7 +224,6 @@ let session ?(inject = fun (_ : int) -> []) src =
           ps_stalled = List.rev !stalled;
           ps_aborts = aborts;
           ps_crashes = crashes;
-          ps_timeouts = cfg.lock_timeouts;
         }
   in
   Fault.set_frame_budget plan spec.ps_budget;
@@ -242,9 +237,6 @@ let session ?(inject = fun (_ : int) -> []) src =
   List.iter
     (fun r -> Fault.crash_ops plan ~op:r.rs_op ?point:r.rs_point ~prob:r.rs_prob ())
     spec.ps_crashes;
-  List.iter
-    (fun (label, prob) -> Fault.timeout_locks plan ~label ~prob)
-    spec.ps_timeouts;
   if cfg.broken then Fault.set_break_rollback plan true;
   Machine.set_fault machine (Some plan);
   (match (checker, cfg.watchdog) with
@@ -272,7 +264,7 @@ let session ?(inject = fun (_ : int) -> []) src =
       (match r.rs_point with None -> "" | Some pt -> "@" ^ pt)
       r.rs_prob
   in
-  out "plan: delayed=[%s] stalled=[%s] aborts=[%s]%s%s"
+  out "plan: delayed=[%s] stalled=[%s] aborts=[%s]%s"
     (String.concat ","
        (List.map (fun (c, _) -> string_of_int c) spec.ps_delayed))
     (String.concat "," (List.map string_of_int spec.ps_stalled))
@@ -280,14 +272,7 @@ let session ?(inject = fun (_ : int) -> []) src =
     (if spec.ps_crashes = [] then ""
      else
        Printf.sprintf " crashes=[%s]"
-         (String.concat " " (List.map rule_str spec.ps_crashes)))
-    (if spec.ps_timeouts = [] then ""
-     else
-       Printf.sprintf " timeouts=[%s]"
-         (String.concat " "
-            (List.map
-               (fun (l, p) -> Printf.sprintf "%s:%.3f" l p)
-               spec.ps_timeouts)));
+         (String.concat " " (List.map rule_str spec.ps_crashes)));
   (* --- processes --- *)
   let next_id = ref 0 in
   let new_proc ?id vm pages =
@@ -548,6 +533,25 @@ let session ?(inject = fun (_ : int) -> []) src =
     | Exit { c; victim } -> do_exit (core_of c) victim
     | Spawn { id } -> do_spawn id
   in
+  (* Every live process's tree against its invariants; [prefix] tells the
+     periodic, post-reap and final sweeps apart. *)
+  let check_invariants prefix =
+    List.iter
+      (fun q ->
+        try R.check_invariants q.vm
+        with T.Invariant_violation { subsystem; detail } ->
+          failed "%sinvariant violation in %s (p%d): %s" prefix subsystem q.id
+            detail)
+      !procs
+  in
+  (* One failure line per non-empty checker finding list: its length and
+     its first finding. *)
+  let findings ?(prefix = "") what pp = function
+    | [] -> ()
+    | v :: _ as l ->
+        failed "%s%d %s, first: %s" prefix (List.length l) what
+          (Format.asprintf "%a" pp v)
+  in
   (* A crashed operation does not unwind the VM's critical section: the
      process is dead mid-mutation with range locks held. The kernel-side
      recovery ([R.reap] on the crashed core) backs out the half-done
@@ -571,28 +575,12 @@ let session ?(inject = fun (_ : int) -> []) src =
                 R.reap p.vm (core_of cid);
                 (match checker with
                 | None -> ()
-                | Some ck -> (
-                    match Check.leaked_locks ck with
-                    | [] -> ()
-                    | v :: _ as l ->
-                        failed "reap of p%d left %d leaked locks, first: %s"
-                          pid (List.length l)
-                          (Format.asprintf "%a" Check.pp_leaked_lock v)));
-                List.iter
-                  (fun q ->
-                    try R.check_invariants q.vm
-                    with T.Invariant_violation { subsystem; detail } ->
-                      failed "post-reap invariant violation in %s (p%d): %s"
-                        subsystem q.id detail)
-                  !procs))
-  in
-  let check_all_invariants () =
-    List.iter
-      (fun q ->
-        try R.check_invariants q.vm
-        with T.Invariant_violation { subsystem; detail } ->
-          failed "invariant violation in %s (p%d): %s" subsystem q.id detail)
-      !procs
+                | Some ck ->
+                    findings
+                      ~prefix:(Printf.sprintf "reap of p%d left " pid)
+                      "leaked locks" Check.pp_leaked_lock
+                      (Check.leaked_locks ck));
+                check_invariants "post-reap "))
   in
   (* --- the stream --- *)
   let ops_acc = ref [] in
@@ -652,7 +640,7 @@ let session ?(inject = fun (_ : int) -> []) src =
             run_op sp)
           (inject (!counted / 97))
       end;
-      if !counted mod 128 = 0 then check_all_invariants ()
+      if !counted mod 128 = 0 then check_invariants ""
     end;
     (* A crash that killed the last process leaves nothing to fuzz:
        spawn a fresh one and record it so replay recreates it at exactly
@@ -696,13 +684,7 @@ let session ?(inject = fun (_ : int) -> []) src =
   (match checker with Some ck -> Check.disarm_watchdog ck | None -> ());
   (* --- teardown: everything must come back --- *)
   if (not !livelocked) && not !abandoned then begin
-    List.iter
-      (fun q ->
-        try R.check_invariants q.vm
-        with T.Invariant_violation { subsystem; detail } ->
-          failed "final invariant violation in %s (p%d): %s" subsystem q.id
-            detail)
-      !procs;
+    check_invariants "final ";
     let core0 = Machine.core machine 0 in
     List.iter (fun q -> R.destroy q.vm core0) !procs;
     procs := [];
@@ -714,38 +696,22 @@ let session ?(inject = fun (_ : int) -> []) src =
     | None -> ()
     | Some ck ->
         out "checker: %d line accesses observed" (Check.accesses ck);
-        let show pp v = Format.asprintf "%a" pp v in
-        (match Check.tlb_violations ck with
-        | [] -> ()
-        | v :: _ as l ->
-            failed "%d stale-TLB violations, first: %s" (List.length l)
-              (show Check.pp_tlb_violation v));
-        (match Check.rc_violations ck with
-        | [] -> ()
-        | v :: _ as l ->
-            failed "%d refcount violations, first: %s" (List.length l)
-              (show Check.pp_rc_violation v));
-        (match Check.leaked_locks ck with
-        | [] -> ()
-        | v :: _ as l ->
-            failed "%d leaked locks, first: %s" (List.length l)
-              (show Check.pp_leaked_lock v));
-        (match Check.cycles ck with
-        | [] -> ()
-        | c :: _ as l ->
-            failed "%d lock-order cycles, first: %s" (List.length l)
-              (show Check.pp_cycle c))
+        findings "stale-TLB violations" Check.pp_tlb_violation
+          (Check.tlb_violations ck);
+        findings "refcount violations" Check.pp_rc_violation
+          (Check.rc_violations ck);
+        findings "leaked locks" Check.pp_leaked_lock (Check.leaked_locks ck);
+        findings "lock-order cycles" Check.pp_cycle (Check.cycles ck)
   end;
   out "summary: ok=%d segv=%d enomem=%d aborted=%d oom=%d%s%s" !n_ok !n_segv
     !n_enomem !n_aborted !n_oomr
     (if spec.ps_crashes <> [] then Printf.sprintf " reaped=%d" !n_crashed
      else "")
     (if !n_skipped > 0 then Printf.sprintf " skipped=%d" !n_skipped else "");
-  out "injected: oom=%d aborts=%d lock_timeouts=%d ipi_delays=%d \
-       ipi_abandoned=%d shootdown_retries=%d%s"
+  out "injected: oom=%d aborts=%d ipi_delays=%d ipi_abandoned=%d \
+       shootdown_retries=%d%s"
     (Fault.injected_oom plan)
     (Fault.injected_aborts plan)
-    (Fault.injected_lock_timeouts plan)
     (Fault.ipi_delays plan) (Fault.ipi_abandoned plan)
     (Machine.stats machine).Stats.shootdown_retries
     (if spec.ps_crashes <> [] then
@@ -909,8 +875,6 @@ let rule_line kw r =
     (match r.rs_point with None -> "*" | Some pt -> pt)
     r.rs_prob
 
-let timeout_line (label, prob) = Printf.sprintf "timeout %s %h" label prob
-
 let program_to_string prog =
   let b = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
@@ -930,7 +894,6 @@ let program_to_string prog =
   List.iter (fun c -> line "stall %d" c) prog.pr_plan.ps_stalled;
   List.iter (fun r -> line "%s" (rule_line "abort" r)) prog.pr_plan.ps_aborts;
   List.iter (fun r -> line "%s" (rule_line "crash" r)) prog.pr_plan.ps_crashes;
-  List.iter (fun t -> line "%s" (timeout_line t)) prog.pr_plan.ps_timeouts;
   List.iter (fun op -> line "%s" (op_line op)) prog.pr_ops;
   line "end";
   Buffer.contents b
@@ -949,7 +912,6 @@ let program_of_string s =
   and stalled = ref []
   and aborts = ref []
   and crashes = ref []
-  and timeouts = ref []
   and ops = ref [] in
   let seen_end = ref false in
   let ln = ref 0 in
@@ -1035,8 +997,6 @@ let program_of_string s =
                 crashes :=
                   { rs_op = op; rs_point = point pt; rs_prob = prob pr }
                   :: !crashes
-            | [ "timeout"; label; pr ] ->
-                timeouts := (label, prob pr) :: !timeouts
             | "op" :: rest -> ops := parse_op rest :: !ops
             | _ -> fail ("unrecognized line: " ^ lineTxt)
           end
@@ -1058,7 +1018,6 @@ let program_of_string s =
             ps_stalled = List.rev !stalled;
             ps_aborts = List.rev !aborts;
             ps_crashes = List.rev !crashes;
-            ps_timeouts = List.rev !timeouts;
           };
         pr_ops = List.rev !ops;
       }
@@ -1105,7 +1064,8 @@ let shrink ?(log = fun (_ : string) -> ()) prog0 =
       end
       else false
     in
-    (* 1. Strip fault-plan entries the failure does not depend on. *)
+    (* 1. Strip fault-plan entries the failure does not depend on: the
+       budget, then each entry of the original plan's lists, in order. *)
     let strip_plan () =
       let with_plan p pl = { p with pr_plan = pl } in
       (match !current.pr_plan.ps_budget with
@@ -1114,59 +1074,22 @@ let shrink ?(log = fun (_ : string) -> ()) prog0 =
           let p = !current in
           ignore
             (try_keep (with_plan p { p.pr_plan with ps_budget = None })));
-      List.iter
-        (fun d ->
-          let p = !current in
-          if List.mem d p.pr_plan.ps_delayed then
-            ignore
-              (try_keep
-                 (with_plan p
-                    {
-                      p.pr_plan with
-                      ps_delayed =
-                        List.filter (fun x -> x <> d) p.pr_plan.ps_delayed;
-                    })))
-        prog0.pr_plan.ps_delayed;
-      List.iter
-        (fun c ->
-          let p = !current in
-          if List.mem c p.pr_plan.ps_stalled then
-            ignore
-              (try_keep
-                 (with_plan p
-                    {
-                      p.pr_plan with
-                      ps_stalled =
-                        List.filter (fun x -> x <> c) p.pr_plan.ps_stalled;
-                    })))
-        prog0.pr_plan.ps_stalled;
-      let strip_rules get set =
+      let strip get set =
         List.iter
-          (fun r ->
+          (fun x ->
             let p = !current in
-            if List.mem r (get p.pr_plan) then
+            if List.mem x (get p.pr_plan) then
               ignore
                 (try_keep
                    (with_plan p
                       (set p.pr_plan
-                         (List.filter (fun x -> x <> r) (get p.pr_plan))))))
+                         (List.filter (fun y -> y <> x) (get p.pr_plan))))))
           (get prog0.pr_plan)
       in
-      strip_rules (fun pl -> pl.ps_aborts) (fun pl rs -> { pl with ps_aborts = rs });
-      strip_rules (fun pl -> pl.ps_crashes) (fun pl rs -> { pl with ps_crashes = rs });
-      List.iter
-        (fun t ->
-          let p = !current in
-          if List.mem t p.pr_plan.ps_timeouts then
-            ignore
-              (try_keep
-                 (with_plan p
-                    {
-                      p.pr_plan with
-                      ps_timeouts =
-                        List.filter (fun x -> x <> t) p.pr_plan.ps_timeouts;
-                    })))
-        prog0.pr_plan.ps_timeouts
+      strip (fun pl -> pl.ps_delayed) (fun pl l -> { pl with ps_delayed = l });
+      strip (fun pl -> pl.ps_stalled) (fun pl l -> { pl with ps_stalled = l });
+      strip (fun pl -> pl.ps_aborts) (fun pl l -> { pl with ps_aborts = l });
+      strip (fun pl -> pl.ps_crashes) (fun pl l -> { pl with ps_crashes = l })
     in
     (* 2. Pin surviving probabilistic rules to a deterministic form:
        point-specific, probability 1.0. Once a rule is certain, the
@@ -1265,8 +1188,7 @@ let shrink ?(log = fun (_ : string) -> ()) prog0 =
         + List.length p.pr_plan.ps_delayed
         + List.length p.pr_plan.ps_stalled
         + List.length p.pr_plan.ps_aborts
-        + List.length p.pr_plan.ps_crashes
-        + List.length p.pr_plan.ps_timeouts)
+        + List.length p.pr_plan.ps_crashes)
         p.pr_ncores
     in
     log (Printf.sprintf "shrink: start: %s" (describe prog0));

@@ -60,11 +60,6 @@ type config = {
           is declared livelocked (FAIL, with a held-lock dump in the
           transcript) and abandoned. Requires [check]. [None] (default)
           disarms. *)
-  lock_timeouts : (string * float) list;
-      (** spurious lock-timeout rules, [(line label, probability)]:
-          timed acquires on locks with that label fail spuriously
-          ({!Ccsim.Fault.timeout_locks}). Part of the chaos palette;
-          empty by default. *)
 }
 
 val default : config
@@ -116,7 +111,6 @@ type plan_spec = {
   ps_stalled : int list;  (** cores that never ack IPIs *)
   ps_aborts : rule_spec list;
   ps_crashes : rule_spec list;
-  ps_timeouts : (string * float) list;  (** (line label, probability) *)
 }
 
 type program = {

@@ -26,42 +26,24 @@ let labels = function
   | List_based -> [ "rangelock:head"; "rangelock:node" ]
   | Global -> [ "rangelock:global" ]
 
-type backend_state = List_backend of List_lock.t | Global_backend of Lock.t
-
-type t = {
-  state : backend_state;
-  mutable n_reaped : int;  (* handles force-released on behalf of the dead *)
-}
-
+type t = List_backend of List_lock.t | Global_backend of Lock.t
 type handle = H_list of List_lock.handle | H_global
 
 let create_external machine core = function
   | Radix_embedded -> None
-  | List_based ->
-      Some { state = List_backend (List_lock.create machine core); n_reaped = 0 }
-  | Global ->
-      Some
-        {
-          state = Global_backend (Lock.create ~label:"rangelock:global" core);
-          n_reaped = 0;
-        }
+  | List_based -> Some (List_backend (List_lock.create machine core))
+  | Global -> Some (Global_backend (Lock.create ~label:"rangelock:global" core))
 
 let acquire core t ~lo ~hi =
-  match t.state with
+  match t with
   | List_backend l -> H_list (List_lock.acquire core l ~lo ~hi)
   | Global_backend g ->
       Lock.acquire core g;
       H_global
 
 let release core t h =
-  match (t.state, h) with
+  match (t, h) with
   | List_backend l, H_list n -> List_lock.release core l n
   | Global_backend g, H_global -> Lock.release core g
   | List_backend _, H_global | Global_backend _, H_list _ ->
       invalid_arg "Range_lock.release: handle from a different backend"
-
-let release_dead core t h =
-  t.n_reaped <- t.n_reaped + 1;
-  release core t h
-
-let reaped t = t.n_reaped

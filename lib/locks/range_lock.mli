@@ -51,14 +51,6 @@ val create_external : Ccsim.Machine.t -> Ccsim.Core.t -> kind -> t option
 
 val acquire : Ccsim.Core.t -> t -> lo:int -> hi:int -> handle
 val release : Ccsim.Core.t -> t -> handle -> unit
-
-val release_dead : Ccsim.Core.t -> t -> handle -> unit
-(** Release a handle on behalf of a process that died holding it (the
-    reap path, {!Radixvm.reap}): same semantics as {!release} — the range
-    becomes available, waiters proceed — but the backend counts it, so
-    chaos diagnostics can report how many locks recovery had to pry out
-    of dead hands. Must run on the dead process's own core so the
-    checker's per-core held-lock accounting balances. *)
-
-val reaped : t -> int
-(** Handles released through {!release_dead} over this backend's life. *)
+(** Release a held range — also on behalf of a process that died holding
+    it ({!Radixvm.reap}), which must run on the dead process's own core so
+    the checker's per-core held-lock accounting balances. *)

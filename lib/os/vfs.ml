@@ -30,7 +30,6 @@ let create_file t ~name ~pages =
 
 let open_file t name = Hashtbl.find_opt t.by_name name
 let size_pages t fd = Hashtbl.find_opt t.sizes fd
-let file_count t = Hashtbl.length t.sizes
 
 let set_resize_hook t hook = t.resize_hook <- Some hook
 

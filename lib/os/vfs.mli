@@ -25,5 +25,3 @@ val resize_file : t -> fd -> pages:int -> int option
 val set_resize_hook : t -> (fd -> old_pages:int -> new_pages:int -> unit) -> unit
 (** Install the single resize observer (later calls replace it). Called
     with the file and both sizes after the size table is updated. *)
-
-val file_count : t -> int

@@ -285,13 +285,11 @@ let lock_range t core ~lo ~hi =
       go (root t) lo hi;
       lk
 
-let unlock_range ?(dead = false) t core lk =
+let unlock_range t core lk =
   (* Spans are prepended as they are locked, so walking the list releases
      in reverse acquisition order; releasing each span back-to-front makes
      the whole sequence LIFO (and keeps the checker's held-lock stack pops
-     at the top instead of scanning). [dead] marks a reap-path release —
-     the owner died holding the range ({!Radixvm.reap}); external backends
-     count those separately. *)
+     at the top instead of scanning). *)
   List.iter
     (fun (node, i0, i1) ->
       for i = i1 downto i0 do
@@ -303,9 +301,7 @@ let unlock_range ?(dead = false) t core lk =
   | None -> ()
   | Some h ->
       (match t.backend with
-      | External rl ->
-          if dead then Locks.Range_lock.release_dead core rl h
-          else Locks.Range_lock.release core rl h
+      | External rl -> Locks.Range_lock.release core rl h
       | Embedded _ -> assert false);
       lk.ext <- None);
   lk.spans <- [];

@@ -72,11 +72,9 @@ val lock_range : 'v t -> Ccsim.Core.t -> lo:int -> hi:int -> 'v locked
 (** Lock [lo, hi) (VPNs, [lo < hi]), left to right. Unexpanded subranges
     are locked at interior-slot granularity. *)
 
-val unlock_range : ?dead:bool -> 'v t -> Ccsim.Core.t -> 'v locked -> unit
-(** Release a held range. [~dead:true] marks a reap-path release — the
-    owning process died holding the range and {!Radixvm.reap} is freeing
-    it on the dead core's behalf; external backends count such releases
-    ({!Locks.Range_lock.reaped}). Default [false]. *)
+val unlock_range : 'v t -> Ccsim.Core.t -> 'v locked -> unit
+(** Release a held range — also when the owning process died holding it
+    and {!Radixvm.reap} frees it on the dead core's behalf. *)
 
 val fill_range : 'v t -> Ccsim.Core.t -> 'v locked -> 'v -> unit
 (** Set every page in the locked range to the (shared, folded) value.

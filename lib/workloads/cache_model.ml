@@ -24,7 +24,6 @@ let create ~slots =
     resident = 0;
   }
 
-let slots t = t.slots
 let slot_of_key t key = key mod t.slots
 let resident t = t.resident
 

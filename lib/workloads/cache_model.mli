@@ -11,7 +11,6 @@ type t
 val create : slots:int -> t
 (** @raise Invalid_argument if [slots <= 0]. *)
 
-val slots : t -> int
 val slot_of_key : t -> int -> int
 
 val get : t -> key:int -> int option

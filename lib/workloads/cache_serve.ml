@@ -5,8 +5,6 @@ module PC = Vm.Page_cache.Make (Refcnt.Refcache_counter)
 module K = Os.Kernel
 
 type result = {
-  name : string;
-  system : string;
   ncores : int;
   ops : int;
   gets : int;
@@ -211,13 +209,11 @@ type counters = {
   mutable c_resizes : int;
 }
 
-let build_result ~name ~system ~ncores ~duration machine c warm =
+let build_result ~ncores ~duration machine c warm =
   let s = Machine.stats machine in
   let ops = c.c_ops - warm.c_ops in
   let per_sec = float_of_int ops /. Machine.seconds machine duration in
   {
-    name;
-    system;
     ncores;
     ops;
     gets = c.c_gets - warm.c_gets;
@@ -252,16 +248,19 @@ type state =
   | Resize_ro
   | Resize_rw of int
 
+(* Sweeps per slot-resize round trip. *)
+let resize_every = 8
+
 (* Core [c] serves through process [c] of the shape. What differs between
    callers is data: [batch] operations per scheduler step, [map_first]
    (core 0 maps the region behind a barrier before anyone serves), and
-   [compact] (the shape's compaction every [4 * resize_every] sweeps). *)
-let serve_shape ?(warmup = 1_000_000) ?(slots = 128) ?(keys = 0)
-    ?(zipf_s = 1.1) ?(evict_every = 512) ?(resize_every = 8) ?(seed = 1)
-    ?(on_machine = ignore) ?(on_measure = ignore) ~name ~system ~batch
+   [compact] (the shape's compaction every [4 * resize_every] sweeps).
+   Keys are Zipf(1.1) over [2 * slots] ranks, so distinct keys collide in
+   slots as in a real direct-mapped page cache. *)
+let serve_shape ?(warmup = 1_000_000) ?(slots = 128) ?(evict_every = 512)
+    ?(seed = 1) ?(on_machine = ignore) ?(on_measure = ignore) ~batch
     ~map_first ~compact ~ncores ~duration shape_on =
   if slots <= 0 then invalid_arg "Cache_serve.serve";
-  let keys = if keys <= 0 then 2 * slots else keys in
   let machine = Machine.create (Params.default ~ncores ()) in
   on_machine machine;
   let sh = shape_on machine ~slots in
@@ -305,7 +304,7 @@ let serve_shape ?(warmup = 1_000_000) ?(slots = 128) ?(keys = 0)
   let out_of_frames () = failwith "cache_serve: out of frames" in
   for cid = 0 to ncores - 1 do
     let core = Machine.core machine cid in
-    let z = Zipf.create ~n:keys ~s:zipf_s ~seed:(seed + cid) in
+    let z = Zipf.create ~n:(2 * slots) ~s:1.1 ~seed:(seed + cid) in
     let state = ref start in
     let e_ops = ref 0 in
     Machine.set_workload machine cid (fun () ->
@@ -383,7 +382,7 @@ let serve_shape ?(warmup = 1_000_000) ?(slots = 128) ?(keys = 0)
   Stats.reset (Machine.stats machine);
   on_measure ();
   Machine.run_for machine ~cycles:(warmup + duration);
-  build_result ~name ~system ~ncores ~duration machine c warm
+  build_result ~ncores ~duration machine c warm
 
 module Make (V : Vm.Vm_intf.S) = struct
   (* Every core is a thread of [vm]: the process index is ignored, and
@@ -412,14 +411,12 @@ module Make (V : Vm.Vm_intf.S) = struct
       destroy = (fun _ _ -> ());
     }
 
-  let serve ?(name = "cacheserve") ?warmup ?slots ?keys ?zipf_s ?evict_every
-      ?resize_every ?seed ?file ?cache_ops ?on_machine ?on_measure ~ncores
-      ~duration make_vm =
+  let serve ?warmup ?slots ?evict_every ?seed ?file ?cache_ops ?on_machine
+      ?on_measure ~ncores ~duration make_vm =
     (* File-backed misses cost a disk read (80k cycles); keep callbacks
        short so cores stay inside the measured window even when a batch
        hits several cold slots. *)
-    serve_shape ?warmup ?slots ?keys ?zipf_s ?evict_every ?resize_every ?seed
-      ?on_machine ?on_measure ~name ~system:V.name
+    serve_shape ?warmup ?slots ?evict_every ?seed ?on_machine ?on_measure
       ~batch:(if file = None then 8 else 2)
       ~map_first:true ~compact:false ~ncores ~duration (fun m ~slots:_ ->
         threads (make_vm m) ?file ?cache_ops ())
@@ -430,11 +427,8 @@ module Procs = struct
      compaction truncates the file to zero and back, and the VFS hook
      evicts every cached page while the processes keep their mapped
      frames alive. *)
-  let serve ?(name = "cacheserve-procs") ?warmup ?slots ?keys ?zipf_s
-      ?evict_every ?resize_every ?seed ?on_machine ?on_measure ~ncores
-      ~duration () =
-    serve_shape ?warmup ?slots ?keys ?zipf_s ?evict_every ?resize_every ?seed
-      ?on_machine ?on_measure ~name ~system:"RadixVM-procs" ~batch:2
+  let serve ?warmup ?slots ?on_machine ?on_measure ~ncores ~duration () =
+    serve_shape ?warmup ?slots ?on_machine ?on_measure ~batch:2
       ~map_first:false ~compact:true ~ncores ~duration
       (fun m ~slots -> processes m ~slots ~procs:ncores)
 end
@@ -473,13 +467,11 @@ module Session = struct
     if w land tag <> 0 then Some ((w lsr 32) land 0x3FFF_FFFF, w land 0xFFFF_FFFF)
     else None
 
-  let run ?(ncores = 4) ?(procs = 1) ?(via_kernel = false) ?(slots = 64)
-      ?(keys = 0) ?(zipf_s = 1.1) ?(evict_every = 256) ?(resize_every = 4)
-      ?(compact_every = 0) ?(rangelock = Locks.Range_lock.Radix_embedded)
-      ?(seed = 42) ?(ops = 2_000) ?(on_machine = ignore) ?(arm = ignore) () =
-    if slots <= 0 || procs <= 0 || ncores <= 0 then
-      invalid_arg "Cache_serve.Session.run";
-    let keys = if keys <= 0 then 2 * slots else keys in
+  let run ?(procs = 1) ?(via_kernel = false) ?(slots = 64) ?(compact_every = 0)
+      ?(rangelock = Locks.Range_lock.Radix_embedded) ?(seed = 42) ?(ops = 2_000)
+      ?(on_machine = ignore) ?(arm = ignore) () =
+    if slots <= 0 || procs <= 0 then invalid_arg "Cache_serve.Session.run";
+    let ncores = 4 and evict_every = 256 and resize_every = 4 in
     let epoch = 10_000 in
     let m = Machine.create (Params.default ~ncores ~epoch_cycles:epoch ()) in
     on_machine m;
@@ -490,7 +482,7 @@ module Session = struct
     let base = t.base in
     arm ();
     let model = Cache_model.create ~slots in
-    let z = Zipf.create ~n:keys ~s:zipf_s ~seed in
+    let z = Zipf.create ~n:(2 * slots) ~s:1.1 ~seed in
     let rng = Random.State.make [| 0xCAC4E; seed |] in
     let alive = Array.make procs true in
     let tainted = Array.make slots false in
@@ -774,11 +766,10 @@ module Session = struct
           incr done_ops;
           if compact_every > 0 && (!i + 1) mod compact_every = 0 then
             do_compact core
-          else if evict_every > 0 && (!i + 1) mod evict_every = 0 then begin
+          else if (!i + 1) mod evict_every = 0 then begin
             do_evict core;
             incr rounds;
-            if resize_every > 0 && !rounds mod resize_every = 0 then
-              do_resize core
+            if !rounds mod resize_every = 0 then do_resize core
           end);
       incr i
     done;

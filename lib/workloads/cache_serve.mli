@@ -24,8 +24,6 @@
       policy for ENOMEM, injected aborts and crashes. *)
 
 type result = {
-  name : string;
-  system : string;
   ncores : int;
   ops : int;  (* operations completed in the measured window *)
   gets : int;
@@ -63,13 +61,9 @@ val radixvm_cache_ops : file:int -> Vm.Radixvm.Default.t cache_ops
 
 module Make (V : Vm.Vm_intf.S) : sig
   val serve :
-    ?name:string ->
     ?warmup:int ->
     ?slots:int ->
-    ?keys:int ->
-    ?zipf_s:float ->
     ?evict_every:int ->
-    ?resize_every:int ->
     ?seed:int ->
     ?file:int ->
     ?cache_ops:V.t cache_ops ->
@@ -82,22 +76,16 @@ module Make (V : Vm.Vm_intf.S) : sig
   (** One shared address space, every core serving. [file] backs the
       region with that fd (shared through the page cache on RadixVM);
       absent, the region is anonymous. Core 0 runs the LRU sweep every
-      [evict_every] of its own operations and a slot-resize mprotect
-      every [resize_every] sweeps. [keys] defaults to [2 * slots] (so
-      distinct keys collide in slots, as in a real direct-mapped page
+      [evict_every] (default 512) of its own operations and a slot-resize
+      mprotect every 8 sweeps. Keys are Zipf(1.1) over [2 * slots] ranks
+      (so distinct keys collide in slots, as in a real direct-mapped page
       cache). *)
 end
 
 module Procs : sig
   val serve :
-    ?name:string ->
     ?warmup:int ->
     ?slots:int ->
-    ?keys:int ->
-    ?zipf_s:float ->
-    ?evict_every:int ->
-    ?resize_every:int ->
-    ?seed:int ->
     ?on_machine:(Ccsim.Machine.t -> unit) ->
     ?on_measure:(unit -> unit) ->
     ncores:int ->
@@ -107,9 +95,10 @@ module Procs : sig
   (** The multi-process shape: boot {!Os.Kernel}, [Kernel.sys_fork] one
       process per core from init, each mapping the cache file with
       [sys_mmap]; every serving operation and every sweep munmap/remap
-      goes through the syscall layer. Every [4 * resize_every] sweeps
-      the file is also truncated to zero and back ({!Os.Vfs}'s resize
-      hook drops every cached page) — bulk memory pressure. *)
+      goes through the syscall layer. The sweep runs as in {!Make.serve}
+      at its defaults, and every 32 sweeps the file is also truncated to
+      zero and back ({!Os.Vfs}'s resize hook drops every cached page) —
+      bulk memory pressure. *)
 end
 
 module Session : sig
@@ -133,14 +122,9 @@ module Session : sig
   }
 
   val run :
-    ?ncores:int ->
     ?procs:int ->
     ?via_kernel:bool ->
     ?slots:int ->
-    ?keys:int ->
-    ?zipf_s:float ->
-    ?evict_every:int ->
-    ?resize_every:int ->
     ?compact_every:int ->
     ?rangelock:Locks.Range_lock.kind ->
     ?seed:int ->
@@ -153,14 +137,15 @@ module Session : sig
       operations across [procs] forked address spaces (direct
       {!Vm.Radixvm} forks by default; [via_kernel] boots {!Os.Kernel} and
       uses [sys_fork]/[sys_mmap]/user access instead), rotating the
-      driving core, and cross-checks every get/set/delete against
-      {!Cache_model}. Every [evict_every] operations the model's coldest
-      slots are written back if dirty, munmapped from every live address
-      space, dropped from the page cache, remapped, and drained — so the
-      next access is a genuine reload and its emptiness is exactly
-      predicted by the model. [compact_every > 0] adds whole-file
-      truncate-to-zero compactions through the VFS resize hook. A
-      divergence-free run's [history] is a pure function of the
+      driving core over 4 cores, and cross-checks every get/set/delete
+      against {!Cache_model}. Keys are Zipf(1.1) over [2 * slots] ranks.
+      Every 256 operations the model's coldest slots are written back if
+      dirty, munmapped from every live address space, dropped from the
+      page cache, remapped, and drained — so the next access is a genuine
+      reload and its emptiness is exactly predicted by the model; every
+      fourth such sweep resizes the hottest slot. [compact_every > 0] adds
+      whole-file truncate-to-zero compactions through the VFS resize hook.
+      A divergence-free run's [history] is a pure function of the
       configuration — byte-identical across range-lock backends.
 
       Fault tolerant: ENOMEM and injected aborts are counted and leave

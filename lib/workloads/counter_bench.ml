@@ -11,10 +11,10 @@ type result = {
 module Make (C : Refcnt.Counter_intf.S) = struct
   module R = Vm.Radixvm.Make (C)
 
-  let run ?(warmup = 1_000_000) ?(on_machine = ignore) ?(on_measure = ignore)
-      ~ncores ~duration () =
+  let warmup = 1_000_000
+
+  let run ~ncores ~duration () =
     let machine = Machine.create (Params.default ~ncores ()) in
-    on_machine machine;
     let vm = R.create machine in
     let core0 = Machine.core machine 0 in
     (* The one shared physical page; the benchmark holds a base reference
@@ -41,7 +41,6 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     Machine.run_for machine ~cycles:(start + warmup);
     let iters0 = !iters in
     Stats.reset (Machine.stats machine);
-    on_measure ();
     Machine.run_for machine ~cycles:(start + warmup + duration);
     {
       scheme = C.name;

@@ -15,13 +15,7 @@ type result = {
 }
 
 module Make (_ : Refcnt.Counter_intf.S) : sig
-  val run :
-    ?warmup:int -> ?on_machine:(Ccsim.Machine.t -> unit) ->
-    ?on_measure:(unit -> unit) ->
-    ncores:int -> duration:int -> unit -> result
-  (** Fresh machine, [warmup] cycles (default 1M) discarded, then
-      [duration] cycles measured. [on_machine] runs on the fresh machine
-      before the VM is built (used to attach a [Check]); [on_measure]
-      runs right after the warmup-boundary stats reset (used for
-      [Check.reset_window]). *)
+  val run : ncores:int -> duration:int -> unit -> result
+  (** Fresh machine, 1M warmup cycles discarded, then [duration] cycles
+      measured. *)
 end

@@ -36,8 +36,9 @@ module Make (V : Vm.Vm_intf.S) = struct
   let hash_word_cost = 25
   let merge_entry_cost = 8
 
-  let run ?(total_words = 200_000) ?(bytes_per_entry = 16) ~unit_pages
-      ~ncores make_vm =
+  let bytes_per_entry = 16
+
+  let run ?(total_words = 200_000) ~unit_pages ~ncores make_vm =
     let machine = Machine.create (Params.default ~ncores ()) in
     let vm = make_vm machine in
     let alloc = Alloc.create vm ~unit_pages ~ncores in

@@ -29,7 +29,6 @@ type report = {
 module Make (V : Vm.Vm_intf.S) : sig
   val run :
     ?total_words:int ->
-    ?bytes_per_entry:int ->
     unit_pages:int ->
     ncores:int ->
     (Ccsim.Machine.t -> V.t) ->

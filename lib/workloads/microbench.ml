@@ -51,8 +51,8 @@ module Make (V : Vm.Vm_intf.S) = struct
      neighbouring slots (allocators place per-thread pools far apart). *)
   let local_spacing = 4096
 
-  let local ?(warmup = 4_000_000) ?(region_pages = 1) ?(on_machine = ignore)
-      ?(on_measure = ignore) ~ncores ~duration make_vm =
+  let local ?(warmup = 4_000_000) ?(on_machine = ignore) ?(on_measure = ignore)
+      ~ncores ~duration make_vm =
     let machine = make_machine ncores in
     on_machine machine;
     let vm = make_vm machine in
@@ -61,15 +61,13 @@ module Make (V : Vm.Vm_intf.S) = struct
       let core = Machine.core machine c in
       let vpn = c * local_spacing in
       Machine.set_workload machine c (fun () ->
-          V.mmap vm core ~vpn ~npages:region_pages ();
-          for p = vpn to vpn + region_pages - 1 do
-            (match V.touch vm core ~vpn:p with
-            | Vm.Vm_types.Ok -> ()
-            | Vm.Vm_types.Segfault -> failwith "local: unexpected segfault"
-            | Vm.Vm_types.Oom -> failwith "local: out of frames");
-            incr writes
-          done;
-          V.munmap vm core ~vpn ~npages:region_pages;
+          V.mmap vm core ~vpn ~npages:1 ();
+          (match V.touch vm core ~vpn with
+          | Vm.Vm_types.Ok -> ()
+          | Vm.Vm_types.Segfault -> failwith "local: unexpected segfault"
+          | Vm.Vm_types.Oom -> failwith "local: out of frames");
+          incr writes;
+          V.munmap vm core ~vpn ~npages:1;
           true)
     done;
     let measured = measure ~warmup ~duration ~on_measure machine writes in
@@ -79,9 +77,9 @@ module Make (V : Vm.Vm_intf.S) = struct
      of the address space; it maps a slot, writes it, and sends it to the
      next core, which writes it again, unmaps it, and returns the slot to
      its owner through an ack channel. *)
-  type pipe_msg = { owner : int; slot : int; vpn : int; pages : int }
+  type pipe_msg = { owner : int; slot : int; vpn : int }
 
-  let pipeline ?(warmup = 4_000_000) ?(region_pages = 1) ?(on_machine = ignore)
+  let pipeline ?(warmup = 4_000_000) ?(on_machine = ignore)
       ?(on_measure = ignore) ~ncores ~duration make_vm =
     if ncores < 2 then invalid_arg "Microbench.pipeline: needs >= 2 cores";
     let machine = make_machine ncores in
@@ -101,14 +99,12 @@ module Make (V : Vm.Vm_intf.S) = struct
       let base = c * local_spacing in
       let free_slots = ref (List.init nbuf (fun i -> i)) in
       let next = (c + 1) mod ncores in
-      let touch_range vpn =
-        for p = vpn to vpn + region_pages - 1 do
-          (match V.touch vm core ~vpn:p with
-          | Vm.Vm_types.Ok -> ()
-          | Vm.Vm_types.Segfault -> failwith "pipeline: unexpected segfault"
-          | Vm.Vm_types.Oom -> failwith "pipeline: out of frames");
-          incr writes
-        done
+      let write vpn =
+        (match V.touch vm core ~vpn with
+        | Vm.Vm_types.Ok -> ()
+        | Vm.Vm_types.Segfault -> failwith "pipeline: unexpected segfault"
+        | Vm.Vm_types.Oom -> failwith "pipeline: out of frames");
+        incr writes
       in
       Machine.set_workload machine c (fun () ->
           (* Reclaim slots the downstream core has finished with. *)
@@ -123,18 +119,17 @@ module Make (V : Vm.Vm_intf.S) = struct
           (* Prefer consuming (bounds queue depth), then producing. *)
           (match Channel.recv core data_ch.(c) with
           | Some msg ->
-              touch_range msg.vpn;
-              V.munmap vm core ~vpn:msg.vpn ~npages:msg.pages;
+              write msg.vpn;
+              V.munmap vm core ~vpn:msg.vpn ~npages:1;
               Channel.send core ack_ch.(msg.owner) msg.slot
           | None -> (
               match !free_slots with
               | slot :: rest ->
                   free_slots := rest;
                   let vpn = base + (slot * slot_spacing) in
-                  V.mmap vm core ~vpn ~npages:region_pages ();
-                  touch_range vpn;
-                  Channel.send core data_ch.(next)
-                    { owner = c; slot; vpn; pages = region_pages }
+                  V.mmap vm core ~vpn ~npages:1 ();
+                  write vpn;
+                  Channel.send core data_ch.(next) { owner = c; slot; vpn }
               | [] -> Machine.wait_hint machine core));
           true)
     done;
@@ -151,13 +146,15 @@ module Make (V : Vm.Vm_intf.S) = struct
     | Unmapping
     | Waiting_next of int
 
-  let global ?(warmup = 4_000_000) ?(slice_pages = 64) ?(on_machine = ignore)
-      ?(on_measure = ignore) ~ncores ~duration make_vm =
+  let global ?(warmup = 4_000_000) ?(on_machine = ignore) ?(on_measure = ignore)
+      ~ncores ~duration make_vm =
     let machine = make_machine ncores in
     on_machine machine;
     let vm = make_vm machine in
     let writes = ref 0 in
     let region_base = 0 in
+    (* 256 KB per core: the paper's 20 MB region at 80 cores. *)
+    let slice_pages = 64 in
     let total_pages = ncores * slice_pages in
     let barrier = Barrier.create (Machine.core machine 0) ~parties:ncores in
     (* Small chunks keep scheduler steps fine-grained: a step must be much

@@ -9,8 +9,8 @@
       producer/consumer pattern (each munmap needs exactly one remote
       shootdown under targeted tracking).
     - {b global}: each core mmaps a slice of one large shared region
-      (256 KB/core by default, giving the paper's 20 MB region at 80
-      cores), all cores write every page of the whole region in shuffled
+      (256 KB/core, giving the paper's 20 MB region at 80 cores), all
+      cores write every page of the whole region in shuffled
       order, then each core munmaps its slice — the
       shared-data-structure pattern.
 
@@ -44,7 +44,7 @@ val finish :
 
 module Make (V : Vm.Vm_intf.S) : sig
   val local :
-    ?warmup:int -> ?region_pages:int -> ?on_machine:(Ccsim.Machine.t -> unit) ->
+    ?warmup:int -> ?on_machine:(Ccsim.Machine.t -> unit) ->
     ?on_measure:(unit -> unit) ->
     ncores:int -> duration:int ->
     (Ccsim.Machine.t -> V.t) -> result
@@ -60,13 +60,13 @@ module Make (V : Vm.Vm_intf.S) : sig
       steady-state window as the cost model's counters). *)
 
   val pipeline :
-    ?warmup:int -> ?region_pages:int -> ?on_machine:(Ccsim.Machine.t -> unit) ->
+    ?warmup:int -> ?on_machine:(Ccsim.Machine.t -> unit) ->
     ?on_measure:(unit -> unit) ->
     ncores:int -> duration:int ->
     (Ccsim.Machine.t -> V.t) -> result
 
   val global :
-    ?warmup:int -> ?slice_pages:int -> ?on_machine:(Ccsim.Machine.t -> unit) ->
+    ?warmup:int -> ?on_machine:(Ccsim.Machine.t -> unit) ->
     ?on_measure:(unit -> unit) ->
     ncores:int -> duration:int ->
     (Ccsim.Machine.t -> V.t) -> result

@@ -2,7 +2,7 @@ open Ccsim
 
 (* The range-lock crossover workload: a fault storm on one huge mapping.
 
-   Core 0 maps a [region_pages] region with a single mmap — at the
+   Core 0 maps a [region_pages] (512) region with a single mmap — at the
    default radix geometry (9 bits) 512 aligned pages collapse into one
    folded interior slot. Every core then fault-writes its own disjoint
    stripe of the region, and once all stripes are faulted core 0 unmaps
@@ -32,8 +32,10 @@ module Make (V : Vm.Vm_intf.S) = struct
     | Wait_faulted of int
     | Unmapping
 
-  let bigmap ?(warmup = 4_000_000) ?(region_pages = 512) ?(on_machine = ignore)
-      ?(on_measure = ignore) ~ncores ~duration make_vm =
+  let region_pages = 512
+
+  let bigmap ?(warmup = 4_000_000) ?(on_machine = ignore) ?(on_measure = ignore)
+      ~ncores ~duration make_vm =
     if region_pages < ncores then
       invalid_arg "Rangelock_bench.bigmap: fewer pages than cores";
     let machine = Machine.create (Params.default ~ncores ()) in

@@ -14,7 +14,6 @@
 module Make (V : Vm.Vm_intf.S) : sig
   val bigmap :
     ?warmup:int ->
-    ?region_pages:int ->
     ?on_machine:(Ccsim.Machine.t -> unit) ->
     ?on_measure:(unit -> unit) ->
     ncores:int ->
@@ -22,8 +21,8 @@ module Make (V : Vm.Vm_intf.S) : sig
     (Ccsim.Machine.t -> V.t) ->
     Microbench.result
   (** [bigmap ~ncores ~duration make_vm] runs rounds of map / barrier /
-      fault-stripes / barrier / unmap over a [region_pages] region
-      (default 512 — exactly one folded interior slot at the default
-      9-bit radix geometry) and reports total page writes per second of
-      simulated time. Optional arguments as in {!Microbench.Make}. *)
+      fault-stripes / barrier / unmap over a 512-page region (exactly one
+      folded interior slot at the default 9-bit radix geometry) and
+      reports total page writes per second of simulated time. Optional
+      arguments as in {!Microbench.Make}. *)
 end

@@ -34,8 +34,6 @@ let create ~n ~s ~seed =
   cdf.(n - 1) <- 1.0;
   { n; cdf; state = mix (Int64.of_int seed) }
 
-let n t = t.n
-
 let uniform t =
   t.state <- Int64.add t.state gamma;
   let bits = Int64.shift_right_logical (mix t.state) 11 in
@@ -50,4 +48,3 @@ let sample_u t u =
   !lo
 
 let next t = sample_u t (uniform t)
-let cdf t i = t.cdf.(i)

@@ -13,8 +13,6 @@ val create : n:int -> s:float -> seed:int -> t
 (** [n] ranks with skew [s] (s = 0 is uniform; larger is more skewed).
     @raise Invalid_argument if [n <= 0]. *)
 
-val n : t -> int
-
 val next : t -> int
 (** The next rank: [sample_u t (uniform t)]. *)
 
@@ -23,9 +21,5 @@ val uniform : t -> float
     tests can feed the exact same draws to a reference implementation. *)
 
 val sample_u : t -> float -> int
-(** Pure inverse-CDF lookup: the smallest rank [i] with [u < cdf i].
-    Does not advance the state. *)
-
-val cdf : t -> int -> float
-(** The cumulative weight of ranks [0..i] (for the test reference;
-    [cdf (n-1) = 1.0] exactly). *)
+(** Pure inverse-CDF lookup: the smallest rank [i] whose cumulative
+    weight (ranks [0..i]) exceeds [u]. Does not advance the state. *)

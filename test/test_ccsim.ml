@@ -269,17 +269,6 @@ let test_lock_serializes () =
     "contention counted" true
     ((Machine.stats m).Stats.lock_contended >= 1)
 
-let test_try_acquire () =
-  let m = machine () in
-  let a = Machine.core m 0 and b = Machine.core m 1 in
-  let lock = Lock.create a in
-  Lock.acquire a lock;
-  Core.tick a 10_000;
-  Lock.release a lock;
-  Alcotest.(check bool) "b try fails while busy" false (Lock.try_acquire b lock);
-  Core.tick b 20_000;
-  Alcotest.(check bool) "b try succeeds later" true (Lock.try_acquire b lock)
-
 let test_rwlock_readers_concurrent () =
   let m = machine () in
   let a = Machine.core m 0 and b = Machine.core m 1 in
@@ -807,7 +796,6 @@ let () =
       ( "lock",
         [
           tc "serializes" `Quick test_lock_serializes;
-          tc "try acquire" `Quick test_try_acquire;
           tc "rwlock readers" `Quick test_rwlock_readers_concurrent;
           tc "rwlock writer" `Quick test_rwlock_writer_blocks_readers;
         ] );

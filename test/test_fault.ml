@@ -1,9 +1,8 @@
 (* Tests for the fault-injection layer: each injected fault kind at its
-   source (frame budget, forced lock timeouts, perturbed IPI
-   acknowledgment, mid-operation aborts), graceful degradation through the
-   VM stack and the kernel's errno surface, the known-bad rollback escape
-   hatch (the leak checkers must catch it), and the fuzzer's determinism
-   and oracle. *)
+   source (frame budget, perturbed IPI acknowledgment, mid-operation
+   aborts), graceful degradation through the VM stack and the kernel's
+   errno surface, the known-bad rollback escape hatch (the leak checkers
+   must catch it), and the fuzzer's determinism and oracle. *)
 
 open Ccsim
 module T = Vm.Vm_types
@@ -68,32 +67,6 @@ let test_double_free_detected () =
   match Physmem.free pm c0 424242 with
   | () -> Alcotest.fail "free of never-allocated frame not detected"
   | exception Invalid_argument _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Forced lock timeouts                                                *)
-
-let test_forced_lock_timeout () =
-  let m = machine () in
-  let plan = plan_on m in
-  let c0 = Machine.core m 0 in
-  Fault.timeout_locks plan ~label:"victim" ~prob:1.0;
-  let l = Lock.create ~label:"victim" c0 in
-  let other = Lock.create ~label:"bystander" c0 in
-  (* The lock is free, but every timed attempt is forced to fail. *)
-  Alcotest.(check bool)
-    "timed attempt forced out" false
-    (Lock.try_acquire ~timeout:1_000 c0 l);
-  Alcotest.(check bool) "counted" true (Fault.injected_lock_timeouts plan >= 1);
-  Alcotest.(check bool)
-    "other labels unaffected" true
-    (Lock.try_acquire ~timeout:1_000 c0 other);
-  Lock.release c0 other;
-  (* Teardown paths run suppressed and must not be refused. *)
-  Fault.with_suppressed (Some plan) (fun () ->
-      Alcotest.(check bool)
-        "suppressed attempt succeeds" true
-        (Lock.try_acquire ~timeout:1_000 c0 l);
-      Lock.release c0 l)
 
 (* ------------------------------------------------------------------ *)
 (* IPI delay / stall under shootdowns                                  *)
@@ -410,21 +383,25 @@ let run_crash_victim op vm c0 =
       | Error _ -> ())
   | _ -> assert false
 
-(* For every (operation, injection point): kill the process there with no
-   unwinding, let [reap] repair the half-done mutation, and require a
-   sibling process sharing the same Refcache / frame counters / page
-   cache to stay fully operational — then a full teardown with zero
-   leaked frames, locks, refcache entries, or stale TLB lines. *)
+(* For every range-lock backend and (operation, injection point): kill the
+   process there with no unwinding, let [reap] repair the half-done
+   mutation, and require a sibling process sharing the same Refcache /
+   frame counters / page cache to stay fully operational — then a full
+   teardown with zero leaked frames, locks, refcache entries, or stale TLB
+   lines. *)
 let test_crash_reap_survivors_clean () =
   List.iter
-    (fun (op, points) ->
+    (fun ((rangelock, op), points) ->
       List.iter
         (fun point ->
-          let name = Printf.sprintf "%s@%s" op point in
+          let name =
+            Printf.sprintf "%s/%s@%s" (Locks.Range_lock.name rangelock) op
+              point
+          in
           let m = machine () in
           let chk = Check.attach m in
           let plan = plan_on m in
-          let vm = R.create m in
+          let vm = R.create_with ~rangelock m in
           let c0 = Machine.core m 0 and c1 = Machine.core m 1 in
           (match R.mmap_result vm c0 ~vpn:10 ~npages:4 () with
           | Ok () -> ()
@@ -488,7 +465,9 @@ let test_crash_reap_survivors_clean () =
           Alcotest.(check int) (name ^ ": TLB mirror coherent") 0
             (List.length (Check.tlb_violations chk)))
         points)
-    crash_matrix
+    (List.concat_map
+       (fun k -> List.map (fun (op, points) -> ((k, op), points)) crash_matrix)
+       Locks.Range_lock.all)
 
 (* ------------------------------------------------------------------ *)
 (* Cache-serve session under faults                                    *)
@@ -504,7 +483,7 @@ let run_faulted_session ?(via_kernel = false) ?(compact_every = 0) ~name ~ops
     ~arm_plan () =
   let plan = ref None and mref = ref None and chk = ref None in
   let o =
-    CS.Session.run ~ncores:4 ~procs:3 ~slots:64 ~ops ~via_kernel ~compact_every
+    CS.Session.run ~procs:3 ~slots:64 ~ops ~via_kernel ~compact_every
       ~on_machine:(fun m ->
         mref := Some m;
         chk := Some (Check.attach m);
@@ -635,7 +614,6 @@ let test_with_suppressed_reentrant_exception_safe () =
   let plan = plan_on m in
   Fault.abort_ops plan ~op:"mmap" ~point:"locked" ~prob:1.0 ();
   Fault.crash_ops plan ~op:"mmap" ~point:"locked" ~prob:1.0 ();
-  Fault.timeout_locks plan ~label:"victim" ~prob:1.0;
   let fires () =
     match Fault.abort_now plan ~op:"mmap" ~point:"locked" with
     | () -> false
@@ -645,8 +623,6 @@ let test_with_suppressed_reentrant_exception_safe () =
   Fault.with_suppressed (Some plan) (fun () ->
       Alcotest.(check bool) "suppressed inside" true (Fault.suppressed plan);
       Alcotest.(check bool) "aborts and crashes held back" false (fires ());
-      Alcotest.(check bool) "lock timeouts held back" false
-        (Fault.forced_lock_timeout plan ~label:"victim");
       (* Re-entrancy: leaving a nested suppression must not re-arm the
          injectors while the outer one is still active. *)
       Fault.with_suppressed (Some plan) (fun () ->
@@ -828,7 +804,6 @@ let () =
           tc "frame budget" `Quick test_frame_budget;
           tc "double free" `Quick test_double_free_detected;
         ] );
-      ("locks", [ tc "forced timeout" `Quick test_forced_lock_timeout ]);
       ( "ipi",
         [
           tc "delay forces retry" `Quick test_ipi_delay_forces_retry;

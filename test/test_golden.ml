@@ -125,8 +125,7 @@ module CS = Workloads.Cache_serve
 let session_bytes ~via_kernel ~compact_every ~ops ~arm () =
   let mref = ref None and plan = ref None in
   let o =
-    CS.Session.run ~ncores:4 ~procs:3 ~slots:64 ~ops ~via_kernel
-      ~compact_every
+    CS.Session.run ~procs:3 ~slots:64 ~ops ~via_kernel ~compact_every
       ~on_machine:(fun m ->
         let p = Ccsim.Fault.create ~seed:11 () in
         Ccsim.Machine.set_fault m (Some p);

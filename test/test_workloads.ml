@@ -354,7 +354,7 @@ let run_session ?(via_kernel = false) ?(compact_every = 0) ?(ops = 10_000)
     kind =
   let chk = ref None in
   let o =
-    CS.Session.run ~ncores:4 ~procs:3 ~slots:64 ~ops ~rangelock:kind
+    CS.Session.run ~procs:3 ~slots:64 ~ops ~rangelock:kind
       ~via_kernel ~compact_every
       ~on_machine:(fun m -> chk := Some (Check.attach m))
       ()
