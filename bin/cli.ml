@@ -14,8 +14,8 @@ let count ?(min = 1) what =
   in
   Cmdliner.Arg.conv (parse, Format.pp_print_int)
 
-(* A time budget: finite and non-negative. A negative or NaN budget used
-   to run one session and pass, recording NaN as a null budget. *)
+(* A time budget, finite and non-negative: a negative or NaN budget would
+   still run one session and pass, and JSON has no NaN to record. *)
 let seconds what =
   let parse s =
     match float_of_string_opt s with

@@ -546,7 +546,7 @@ let session ?(inject = fun (_ : int) -> []) src =
   in
   (* One failure line per non-empty checker finding list: its length and
      its first finding. *)
-  let findings ?(prefix = "") what pp = function
+  let findings prefix what pp = function
     | [] -> ()
     | v :: _ as l ->
         failed "%s%d %s, first: %s" prefix (List.length l) what
@@ -576,8 +576,7 @@ let session ?(inject = fun (_ : int) -> []) src =
                 (match checker with
                 | None -> ()
                 | Some ck ->
-                    findings
-                      ~prefix:(Printf.sprintf "reap of p%d left " pid)
+                    findings (Printf.sprintf "reap of p%d left " pid)
                       "leaked locks" Check.pp_leaked_lock
                       (Check.leaked_locks ck));
                 check_invariants "post-reap "))
@@ -696,12 +695,12 @@ let session ?(inject = fun (_ : int) -> []) src =
     | None -> ()
     | Some ck ->
         out "checker: %d line accesses observed" (Check.accesses ck);
-        findings "stale-TLB violations" Check.pp_tlb_violation
+        findings "" "stale-TLB violations" Check.pp_tlb_violation
           (Check.tlb_violations ck);
-        findings "refcount violations" Check.pp_rc_violation
+        findings "" "refcount violations" Check.pp_rc_violation
           (Check.rc_violations ck);
-        findings "leaked locks" Check.pp_leaked_lock (Check.leaked_locks ck);
-        findings "lock-order cycles" Check.pp_cycle (Check.cycles ck)
+        findings "" "leaked locks" Check.pp_leaked_lock (Check.leaked_locks ck);
+        findings "" "lock-order cycles" Check.pp_cycle (Check.cycles ck)
   end;
   out "summary: ok=%d segv=%d enomem=%d aborted=%d oom=%d%s%s" !n_ok !n_segv
     !n_enomem !n_aborted !n_oomr
