@@ -122,6 +122,13 @@ let fuzz_world_bytes () =
    core's clock ride along. *)
 module CS = Workloads.Cache_serve
 
+let clocks m =
+  String.concat " "
+    (Array.to_list
+       (Array.map
+          (fun c -> string_of_int (Ccsim.Core.now c))
+          (Ccsim.Machine.cores m)))
+
 let session_bytes ~via_kernel ~compact_every ~ops ~arm () =
   let mref = ref None and plan = ref None in
   let o =
@@ -143,12 +150,7 @@ let session_bytes ~via_kernel ~compact_every ~ops ~arm () =
     o.evictions o.writebacks o.compactions o.resizes o.enomem o.aborts
     o.crashes_reaped o.served_after_crash
     (String.concat "\n" o.divergences)
-    Ccsim.Stats.pp (Ccsim.Machine.stats m)
-    (String.concat " "
-       (Array.to_list
-          (Array.map
-             (fun c -> string_of_int (Ccsim.Core.now c))
-             (Ccsim.Machine.cores m))))
+    Ccsim.Stats.pp (Ccsim.Machine.stats m) (clocks m)
 
 let session ?(via_kernel = false) ?(compact_every = 0) ?(ops = 10_000)
     ?(arm = fun _ _ -> ()) name =
@@ -176,6 +178,50 @@ let session_subjects =
         ("pagefault", "locked", 0.02);
       ]
 
+(* The benchmark's widths, which the quick sweeps stop short of (16 cores,
+   64 slots): the file-backed serving loop at 32 cores over 256 slots, so
+   Zipf draws over 512 ranks, and the local microbenchmark at 80 cores.
+   Each digest covers the result record, the final Stats and every core's
+   clock. *)
+module R = Vm.Radixvm.Default
+
+let serve_32_bytes () =
+  let module S = CS.Make (R) in
+  let mref = ref None in
+  let r =
+    S.serve ~warmup:1_000_000 ~slots:256 ~seed:1 ~file:3
+      ~cache_ops:(CS.radixvm_cache_ops ~file:3)
+      ~on_machine:(fun m -> mref := Some m)
+      ~ncores:32 ~duration:8_000_000 R.create
+  in
+  let m = Option.get !mref in
+  Format.asprintf
+    "ncores=%d ops=%d gets=%d sets=%d dels=%d lost=%d evictions=%d \
+     writebacks=%d resizes=%d ops_per_sec=%h ops_per_core=%h cycles=%d \
+     ipis=%d shootdown_events=%d lock_wait=%d shootdown_wait=%d \
+     line_stall=%d@.%a@.clocks %s@."
+    r.CS.ncores r.ops r.gets r.sets r.dels r.lost r.evictions r.writebacks
+    r.resizes r.ops_per_sec r.ops_per_core r.cycles r.ipis r.shootdown_events
+    r.lock_wait r.shootdown_wait r.line_stall Ccsim.Stats.pp
+    (Ccsim.Machine.stats m) (clocks m)
+
+let local_80_bytes () =
+  let module M = Workloads.Microbench.Make (R) in
+  let mref = ref None in
+  let r =
+    M.local ~warmup:1_000_000 ~on_machine:(fun m -> mref := Some m)
+      ~ncores:80 ~duration:4_000_000 R.create
+  in
+  let m = Option.get !mref in
+  Format.asprintf
+    "name=%s ncores=%d page_writes=%d cycles=%d writes_per_sec=%h ipis=%d \
+     shootdown_events=%d transfers=%d lock_wait=%d shootdown_wait=%d \
+     line_stall=%d@.%a@.clocks %s@."
+    r.Workloads.Microbench.name r.ncores r.page_writes r.cycles
+    r.writes_per_sec r.ipis r.shootdown_events r.transfers r.lock_wait
+    r.shootdown_wait r.line_stall Ccsim.Stats.pp (Ccsim.Machine.stats m)
+    (clocks m)
+
 let subjects =
   [
     ("BENCH_fig5.json", fun () -> artifact_bytes "fig5");
@@ -194,6 +240,7 @@ let subjects =
         "fig4"; "fig6"; "fig7"; "fig8"; "rangelock"; "ablations"; "pt-overhead";
       ]
   @ session_subjects
+  @ [ ("serve_32", serve_32_bytes); ("local_80", local_80_bytes) ]
 
 let read_goldens () =
   match List.find_opt Sys.file_exists golden_paths with
