@@ -11,7 +11,9 @@ type t = {
   params : Params.t;
   stats : Stats.t;
   obs : Obs.t;  (** the machine's instrumentation stream (shared) *)
-  mutable clock : int;  (** local time in cycles *)
+  mutable clock : int;
+      (** local time in cycles; never lowered (the scheduler relies on
+          it, see {!Machine}) *)
   mutable pending_intr : int;
       (** interrupt-handler cycles charged by IPIs received while this core
           was logically behind; folded into [clock] at its next step *)

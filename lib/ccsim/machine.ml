@@ -25,6 +25,15 @@ type t = {
   cores : Core.t array;
   physmem : Physmem.t;
   workloads : (unit -> bool) option array;
+  heap : int array;
+      (* heap.(0 .. nactive - 1): the active cores, a binary min-heap
+         ordered by (hkey, core id) *)
+  hpos : int array;  (* per core: its index in [heap], or -1 when idle *)
+  hkey : int array;
+      (* per active core: its effective clock when last keyed — a lower
+         bound on the live one, because clocks only move forward and
+         interrupts only add *)
+  mutable nactive : int;
   mutable maints : maint list;
   maint_min : int array;
       (* per core: earliest pending maintenance time over [maints], or
@@ -53,6 +62,10 @@ let create params =
           Core.create ~obs params stats ~id);
     physmem = Physmem.create params stats;
     workloads = Array.make params.Params.ncores None;
+    heap = Array.make params.Params.ncores 0;
+    hpos = Array.make params.Params.ncores (-1);
+    hkey = Array.make params.Params.ncores 0;
+    nactive = 0;
     maints = [];
     maint_min = Array.make params.Params.ncores max_int;
     ipi_free = 0;
@@ -74,7 +87,6 @@ let physmem t = t.physmem
 let ncores t = Array.length t.cores
 let core t i = t.cores.(i)
 let cores t = t.cores
-let set_workload t i step = t.workloads.(i) <- Some step
 
 let refresh_maint_min t i =
   let acc = ref max_int in
@@ -98,6 +110,95 @@ let add_maintenance t ~period fn =
 
 let eff_clock (c : Core.t) = c.Core.clock + c.Core.pending_intr
 
+(* ------------------------------------------------------------------ *)
+(* The active-core heap                                                *)
+
+(* Does core [a] order before core [b]: earlier key, then lower id? *)
+let before t a b =
+  let ka = Array.unsafe_get t.hkey a and kb = Array.unsafe_get t.hkey b in
+  ka < kb || (ka = kb && a < b)
+
+let place t i c =
+  Array.unsafe_set t.heap i c;
+  Array.unsafe_set t.hpos c i
+
+(* Fill the hole at [i] with core [c], moving [c] toward the root. *)
+let rec sift_up t i c =
+  let parent = (i - 1) / 2 in
+  if i > 0 && before t c (Array.unsafe_get t.heap parent) then begin
+    place t i (Array.unsafe_get t.heap parent);
+    sift_up t parent c
+  end
+  else place t i c
+
+(* Fill the hole at [i] with core [c], moving [c] toward the leaves. *)
+let rec sift_down t i c =
+  let l = (2 * i) + 1 in
+  if l >= t.nactive then place t i c
+  else
+    let r = l + 1 in
+    let child =
+      if
+        r < t.nactive
+        && before t (Array.unsafe_get t.heap r) (Array.unsafe_get t.heap l)
+      then r
+      else l
+    in
+    let m = Array.unsafe_get t.heap child in
+    if before t m c then begin
+      place t i m;
+      sift_down t child c
+    end
+    else place t i c
+
+let heap_add t c =
+  t.hkey.(c) <- eff_clock t.cores.(c);
+  t.nactive <- t.nactive + 1;
+  sift_up t (t.nactive - 1) c
+
+let heap_remove t c =
+  let i = t.hpos.(c) in
+  t.hpos.(c) <- -1;
+  t.nactive <- t.nactive - 1;
+  if i < t.nactive then begin
+    let last = t.heap.(t.nactive) in
+    if i > 0 && before t last t.heap.((i - 1) / 2) then sift_up t i last
+    else sift_down t i last
+  end
+
+(* Raise core [c]'s key to its live effective clock. *)
+let rekey t c =
+  let e = eff_clock t.cores.(c) and k = t.hkey.(c) in
+  if e < k then
+    failwith
+      (Printf.sprintf "Machine: core %d's clock moved backwards (%d < %d)" c e
+         k);
+  if e > k then begin
+    t.hkey.(c) <- e;
+    sift_down t t.hpos.(c) c
+  end
+
+(* The active core with the least (effective clock, id), or -1 when none
+   is active. Every stored key is a lower bound on its core's live
+   effective clock, so once the top's key is live no other active core
+   can order before it. *)
+let rec earliest t =
+  if t.nactive = 0 then -1
+  else
+    let c = t.heap.(0) in
+    if t.hkey.(c) = eff_clock t.cores.(c) then c
+    else begin
+      rekey t c;
+      earliest t
+    end
+
+let set_workload t i step =
+  (match t.workloads.(i) with None -> heap_add t i | Some _ -> ());
+  t.workloads.(i) <- Some step
+
+(* ------------------------------------------------------------------ *)
+(* Scheduling                                                          *)
+
 (* Fire every maintenance hook due on [core] given its current clock. *)
 let run_due_maint t (core : Core.t) =
   let i = core.Core.id in
@@ -112,71 +213,69 @@ let run_due_maint t (core : Core.t) =
     refresh_maint_min t i
   end
 
-(* One scheduling decision: the next thing to run is either the step of the
-   earliest active core, or an overdue maintenance event on an idle core
-   (idle cores may not run ahead of every active core). *)
-type pick = Step of int | Idle_maint of int * int | Nothing
+(* One scheduling decision, encoded so that a pick allocates nothing:
+   [c >= 0] steps active core [c]; [nothing] means no core is active;
+   [-2 - i] runs idle core [i]'s overdue maintenance. The choice is the
+   least (time, core id) over every core, where an active core's time is
+   its effective clock and an idle core's is its earliest pending
+   maintenance. Idle cores may not run ahead of every active core, so
+   with no active core the scheduler stops. *)
+let nothing = -1
 
-(* One ascending pass with the same strict-< update the original
-   two-pass scan used, so ties resolve to the identical (time, lowest
-   core id) choice. The historical [m <= max_active_clock] gate on idle
-   maintenance is implied: a candidate above every active clock can
-   never beat the earliest active core, so it only needs enforcing when
-   there is no active core at all — in which case the scheduler stops. *)
 let pick_next t =
+  let a = earliest t in
   let n = Array.length t.cores in
-  let best_time = ref max_int in
-  let best = ref Nothing in
-  let any_active = ref false in
-  for i = 0 to n - 1 do
-    match Array.unsafe_get t.workloads i with
-    | Some _ ->
-        any_active := true;
-        let c = Array.unsafe_get t.cores i in
-        let e = c.Core.clock + c.Core.pending_intr in
-        if e < !best_time then begin
-          best_time := e;
-          best := Step i
-        end
-    | None ->
+  if a < 0 || t.nactive = n then a
+  else begin
+    (* Some core is idle: scan the idle cores' maintenance times. *)
+    let best = ref a and best_time = ref t.hkey.(a) and idle = ref false in
+    for i = 0 to n - 1 do
+      if Array.unsafe_get t.hpos i < 0 then begin
         let m = Array.unsafe_get t.maint_min i in
-        if m < !best_time then begin
+        if m < !best_time || (m = !best_time && i < !best) then begin
+          best := i;
           best_time := m;
-          best := Idle_maint (i, m)
+          idle := true
         end
-  done;
-  if not !any_active then Nothing else !best
+      end
+    done;
+    if !idle then -2 - !best else a
+  end
 
-let run_pick t = function
-  | Nothing -> false
-  | Step i ->
-      let core = t.cores.(i) in
-      run_due_maint t core;
-      (match t.workloads.(i) with
-      | Some step -> if not (step ()) then t.workloads.(i) <- None
-      | None -> ());
-      true
-  | Idle_maint (i, time) ->
-      let core = t.cores.(i) in
-      core.Core.clock <- max core.Core.clock time;
-      run_due_maint t core;
-      true
+let run_pick t p =
+  if p >= 0 then begin
+    run_due_maint t t.cores.(p);
+    (match t.workloads.(p) with
+    | Some step ->
+        if step () then rekey t p
+        else begin
+          t.workloads.(p) <- None;
+          heap_remove t p
+        end
+    | None -> ());
+    true
+  end
+  else if p = nothing then false
+  else begin
+    let i = -2 - p in
+    let core = t.cores.(i) in
+    core.Core.clock <- max core.Core.clock t.maint_min.(i);
+    run_due_maint t core;
+    true
+  end
 
 let run t =
-  let continue = ref true in
-  while !continue do
-    continue := run_pick t (pick_next t)
+  while run_pick t (pick_next t) do
+    ()
   done
 
 let run_for t ~cycles =
-  (* Stop once the earliest active core passes the horizon (workloads stay
-     installed, so a later [run_for] with a larger horizon resumes). *)
+  (* Stop once the earliest active core reaches the horizon (workloads
+     stay installed, so a later [run_for] with a larger horizon resumes). *)
   let continue = ref true in
   while !continue do
-    match pick_next t with
-    | Step i when eff_clock t.cores.(i) >= cycles -> continue := false
-    | Nothing -> continue := false
-    | pick -> continue := run_pick t pick
+    let p = pick_next t in
+    continue := (p < 0 || t.hkey.(p) < cycles) && run_pick t p
   done
 
 let elapsed t =
@@ -214,29 +313,25 @@ let drain t ~cycles =
 let seconds t cycles = float_of_int cycles /. t.params.Params.clock_hz
 
 let wait_hint t (core : Core.t) =
-  let n = Array.length t.cores in
-  let earliest_other = ref max_int in
-  for i = 0 to n - 1 do
-    if i <> core.Core.id then
-      match Array.unsafe_get t.workloads i with
-      | Some _ ->
-          let c = Array.unsafe_get t.cores i in
-          let e = c.Core.clock + c.Core.pending_intr in
-          if e < !earliest_other then earliest_other := e
-      | None -> ()
-  done;
+  (* The earliest active core other than [core]: take [core] out of the
+     heap while looking. *)
+  let id = core.Core.id in
+  let active = t.hpos.(id) >= 0 in
+  if active then heap_remove t id;
+  let other = earliest t in
   (* Poll roughly every microsecond of simulated time: fine enough that
      cross-core events are observed promptly relative to phase lengths,
      coarse enough that waiting cores do not flood the scheduler with
      cycle-sized steps. *)
   let poll = core.Core.clock + (16 * t.params.Params.op_cost) in
-  if !earliest_other = max_int then core.Core.clock <- poll
-  else core.Core.clock <- max poll (!earliest_other + 1)
+  core.Core.clock <-
+    (if other < 0 then poll else max poll (t.hkey.(other) + 1));
+  if active then heap_add t id
 
 let ipi_free_at t = t.ipi_free
 let set_ipi_free_at t v = t.ipi_free <- v
 
-let idle t = Array.for_all Option.is_none t.workloads
+let idle t = t.nactive = 0
 let node t = t.node
 
 let set_uplink t ~node fn =

@@ -591,6 +591,112 @@ let test_drain_horizon_edges () =
   Alcotest.(check int) "staggered hook fired on core 1" 2 !fired;
   Alcotest.(check int) "time at the second target" 7_000 (Machine.elapsed m)
 
+(* The scheduler against its definition: every step runs on the active
+   core with the least (clock + pending_intr, id), and [wait_hint] lands
+   just past the earliest other active core, both computed by a scan
+   over the cores this test knows to be active. Step costs come from a
+   small set, so ties are common. Steps send IPIs that interrupt other
+   cores, retire,
+   and install workloads on idle cores; a maintenance hook charges time;
+   a [run_for] stops at a horizon, a [drain] follows, and [run] resumes
+   to completion. *)
+let scheduler_model =
+  QCheck.Test.make ~name:"scheduler steps the least (time, id) core"
+    ~count:200
+    QCheck.(pair (int_range 1 80) (int_bound 1_000_000))
+    (fun (ncores, seed) ->
+      let m = machine ~ncores () in
+      let rng = Random.State.make [| seed |] in
+      let costs = [| 0; 1; 2; 3; 40; 150 |] in
+      let cost () = costs.(Random.State.int rng (Array.length costs)) in
+      let eff (c : Core.t) = c.Core.clock + c.Core.pending_intr in
+      let active = Array.make ncores false in
+      (* [checked.(i)]: core [i]'s pick was already checked by the
+         maintenance hook that ran just before its step. *)
+      let checked = Array.make ncores false in
+      let draining = ref false in
+      let revivals = ref (2 * ncores) in
+      let least ~except =
+        let best = ref (-1) and best_time = ref max_int in
+        for i = 0 to ncores - 1 do
+          if active.(i) && i <> except then begin
+            let e = eff (Machine.core m i) in
+            if e < !best_time then begin
+              best := i;
+              best_time := e
+            end
+          end
+        done;
+        !best
+      in
+      let check_pick (core : Core.t) =
+        let want = least ~except:(-1) in
+        if want <> core.Core.id then
+          QCheck.Test.fail_reportf
+            "stepped core %d at %d, but core %d at %d orders before it"
+            core.Core.id (eff core) want
+            (eff (Machine.core m want))
+      in
+      let check_wait_hint (core : Core.t) =
+        let other = least ~except:core.Core.id in
+        let poll = core.Core.clock + (16 * (Machine.params m).Params.op_cost) in
+        let want =
+          if other < 0 then poll else max poll (eff (Machine.core m other) + 1)
+        in
+        Machine.wait_hint m core;
+        if core.Core.clock <> want then
+          QCheck.Test.fail_reportf "wait_hint on core %d landed at %d, not %d"
+            core.Core.id core.Core.clock want
+      in
+      let rec start i steps =
+        active.(i) <- true;
+        let core = Machine.core m i in
+        let left = ref steps in
+        Machine.set_workload m i (fun () ->
+            if checked.(i) then checked.(i) <- false else check_pick core;
+            Core.tick core (cost ());
+            (match Random.State.int rng 10 with
+            | 0 | 1 ->
+                (* Ipi.multicast charges each target's handler through
+                   Core.interrupt, and skips the sender. *)
+                Ipi.multicast m core ~targets:[ Random.State.int rng ncores ]
+            | 2 ->
+                let j = Random.State.int rng ncores in
+                if (not active.(j)) && !revivals > 0 then begin
+                  decr revivals;
+                  start j (1 + Random.State.int rng 8)
+                end
+            | 3 -> check_wait_hint core
+            | _ -> ());
+            decr left;
+            active.(i) <- !left > 0;
+            active.(i))
+      in
+      if Random.State.bool rng then
+        Machine.add_maintenance m
+          ~period:(50 + Random.State.int rng 500)
+          (fun core ->
+            let i = core.Core.id in
+            if active.(i) && (not !draining) && not checked.(i) then begin
+              check_pick core;
+              checked.(i) <- true
+            end;
+            Core.tick core (cost ()));
+      for i = 0 to ncores - 1 do
+        if Random.State.int rng 4 > 0 then start i (1 + Random.State.int rng 30)
+      done;
+      let horizon = Random.State.int rng 3_000 in
+      Machine.run_for m ~cycles:horizon;
+      let first = least ~except:(-1) in
+      if first >= 0 && eff (Machine.core m first) < horizon then
+        QCheck.Test.fail_reportf "run_for stopped with core %d before %d" first
+          horizon;
+      draining := true;
+      Machine.drain m ~cycles:(Random.State.int rng 2_000);
+      draining := false;
+      Machine.run m;
+      Machine.idle m && not (Array.exists Fun.id active))
+
 (* ------------------------------------------------------------------ *)
 (* IPIs                                                                *)
 
@@ -830,6 +936,7 @@ let () =
           tc "maintenance" `Quick test_maintenance_fires_per_core;
           tc "drain" `Quick test_drain_advances_maintenance;
           tc "drain edges" `Quick test_drain_horizon_edges;
+          QCheck_alcotest.to_alcotest scheduler_model;
         ] );
       ( "ipi",
         [
