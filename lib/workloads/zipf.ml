@@ -1,4 +1,12 @@
-type t = { n : int; cdf : float array; mutable state : int64 }
+type t = {
+  n : int;
+  cdf : float array;
+  guide : int array;
+      (* guide.(b): the smallest rank whose cdf exceeds b / m, where m,
+         the number of buckets, is the next power of two >= n *)
+  scale : float;  (* m *)
+  mutable state : int64;
+}
 
 (* splitmix64: a tiny, well-mixed generator with one word of explicit
    state. The weights are normalized in rank order and summed left to
@@ -32,19 +40,42 @@ let create ~n ~s ~seed =
   (* Guard against the partial sums topping out below 1.0: the last rank
      absorbs the rounding so every u in [0,1) maps to a valid rank. *)
   cdf.(n - 1) <- 1.0;
-  { n; cdf; state = mix (Int64.of_int seed) }
+  let m = ref 1 in
+  while !m < n do
+    m := 2 * !m
+  done;
+  let scale = float_of_int !m in
+  let rank = ref 0 in
+  let guide =
+    Array.init !m (fun b ->
+        let lo = float_of_int b /. scale in
+        while !rank < n - 1 && cdf.(!rank) <= lo do
+          incr rank
+        done;
+        !rank)
+  in
+  { n; cdf; guide; scale; state = mix (Int64.of_int seed) }
 
 let uniform t =
   t.state <- Int64.add t.state gamma;
   let bits = Int64.shift_right_logical (mix t.state) 11 in
   Int64.to_float bits *. 0x1p-53
 
+(* Indexed search (Chen & Asau): m is a power of two, so [u *. m] and
+   [b /. m] are exact, and bucket [b = floor (u *. m)] satisfies
+   [b /. m <= u]. Every rank below [guide.(b)] has a cdf of at most
+   [b /. m], so the forward scan from there stops on the same rank a
+   binary search over the whole table would return. Out-of-range [u]
+   is clamped to an end bucket, which keeps that start below the
+   answer. *)
 let sample_u t u =
-  let lo = ref 0 and hi = ref (t.n - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if u < t.cdf.(mid) then hi := mid else lo := mid + 1
+  let b = int_of_float (u *. t.scale) in
+  let last = Array.length t.guide - 1 in
+  let b = if b < 0 then 0 else if b > last then last else b in
+  let i = ref (Array.unsafe_get t.guide b) in
+  while !i < t.n - 1 && not (u < Array.unsafe_get t.cdf !i) do
+    incr i
   done;
-  !lo
+  !i
 
 let next t = sample_u t (uniform t)

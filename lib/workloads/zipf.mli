@@ -22,4 +22,7 @@ val uniform : t -> float
 
 val sample_u : t -> float -> int
 (** Pure inverse-CDF lookup: the smallest rank [i] whose cumulative
-    weight (ranks [0..i]) exceeds [u]. Does not advance the state. *)
+    weight (ranks [0..i]) exceeds [u], or [n - 1] if none does. An
+    indexed search: a guide table picks where a short forward scan
+    starts, with no search over the whole table. Does not advance the
+    state. *)

@@ -290,7 +290,7 @@ let zipf_reference_cdf n s =
 let zipf_matches_reference =
   QCheck.Test.make ~name:"zipf matches exact inverse-CDF reference" ~count:200
     QCheck.(
-      triple (int_range 1 40) (float_bound_inclusive 3.0) (int_bound 10_000))
+      triple (int_range 1 1024) (float_bound_inclusive 3.0) (int_bound 10_000))
     (fun (n, s, seed) ->
       let z = Workloads.Zipf.create ~n ~s ~seed in
       let cdf = zipf_reference_cdf n s in
@@ -301,13 +301,28 @@ let zipf_matches_reference =
         done;
         !i
       in
-      let ok = ref true in
-      for _ = 1 to 100 do
-        let u = Workloads.Zipf.uniform z in
-        let r = Workloads.Zipf.sample_u z u in
-        if r <> reference u || r < 0 || r >= n then ok := false
+      (* Beside random draws, the places an indexed search could go
+         wrong: zero, every bucket boundary b/m (m the next power of two
+         >= n) and every cdf value, each with its float neighbours, and
+         the largest double below 1. *)
+      let m = ref 1 in
+      while !m < n do
+        m := 2 * !m
       done;
-      !ok)
+      let around x = [ Float.pred x; x; Float.succ x ] in
+      let boundaries =
+        List.init !m (fun b -> float_of_int b /. float_of_int !m)
+      in
+      let fixed =
+        (0.0 :: Float.pred 1.0 :: List.concat_map around boundaries)
+        @ List.concat_map around (Array.to_list cdf)
+      in
+      let random = List.init 100 (fun _ -> Workloads.Zipf.uniform z) in
+      List.for_all
+        (fun u ->
+          let r = Workloads.Zipf.sample_u z u in
+          r = reference u && r >= 0 && r < n)
+        (List.filter (fun u -> u >= 0.0 && u < 1.0) fixed @ random))
 
 let zipf_next_in_range =
   QCheck.Test.make ~name:"zipf next never leaves [0, n)" ~count:200
