@@ -14,15 +14,11 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     mutable dirty : bool;
   }
 
-  type bucket = {
-    lock : Lock.t;
-    entries : (int * int, entry) Hashtbl.t;  (* (file, page) -> entry *)
-  }
-
   type t = {
     machine : Machine.t;
     csub : C.t;
-    buckets : bucket array;
+    locks : Lock.t array;  (* the bucket locks, each on its own line *)
+    entries : entry option Int_table.t;  (* [key ~file ~page] -> entry *)
     mutable resident : int;
   }
 
@@ -33,23 +29,29 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     {
       machine;
       csub;
-      buckets =
+      locks =
         Array.init nbuckets (fun _ ->
-            {
-              lock = Lock.create ~label:"pagecache:lock" core0;
-              entries = Hashtbl.create 8;
-            });
+            Lock.create ~label:"pagecache:lock" core0);
+      entries = Int_table.create None;
       resident = 0;
     }
 
-  let bucket_of t ~file ~page =
-    t.buckets.(((file * 0x9E3779B1) + page) land (nbuckets - 1))
+  (* (file, page) packed into one nonnegative int: 22 bits of file above
+     40 bits of page. *)
+  let key ~file ~page =
+    if file < 0 || file >= 1 lsl 22 || page < 0 || page >= 1 lsl 40 then
+      invalid_arg "Page_cache: (file, page) does not fit the packed key";
+    (file lsl 40) lor page
+
+  let lock_of t ~file ~page =
+    t.locks.(((file * 0x9E3779B1) + page) land (nbuckets - 1))
 
   let get t (core : Core.t) ~file ~page =
-    let b = bucket_of t ~file ~page in
-    Lock.acquire core b.lock;
+    let k = key ~file ~page in
+    let lock = lock_of t ~file ~page in
+    Lock.acquire core lock;
     match
-      match Hashtbl.find_opt b.entries (file, page) with
+      match Int_table.find_default t.entries k None with
       | Some e ->
           if not e.base then begin
             (* A prior eviction dropped the base reference but mappings
@@ -74,53 +76,50 @@ module Make (C : Refcnt.Counter_intf.S) = struct
                 (* The cache's base reference; freeing returns the frame
                    and forgets the entry. *)
                 C.make t.csub core ~init:1 ~on_free:(fun c ->
-                    Hashtbl.remove b.entries (file, page);
+                    Int_table.remove t.entries k;
                     t.resident <- t.resident - 1;
                     Physmem.free (Machine.physmem t.machine) c pfn);
             }
           in
-          Hashtbl.replace b.entries (file, page) e;
+          Int_table.set t.entries k (Some e);
           t.resident <- t.resident + 1;
           e
     with
     | entry ->
         C.inc t.csub core entry.handle;
-        Lock.release core b.lock;
+        Lock.release core lock;
         (entry.pfn, entry.handle)
     | exception e ->
         (* Frame exhaustion on a miss: nothing was inserted — release the
            bucket lock and let the fault path surface the failure. *)
-        Lock.release core b.lock;
+        Lock.release core lock;
         raise e
 
   let evict t (core : Core.t) ~file ~page =
-    let b = bucket_of t ~file ~page in
-    Lock.acquire core b.lock;
-    (match Hashtbl.find_opt b.entries (file, page) with
+    let k = key ~file ~page in
+    let lock = lock_of t ~file ~page in
+    Lock.acquire core lock;
+    (match Int_table.find_default t.entries k None with
     | Some e when e.base ->
         e.base <- false;
         C.dec t.csub core e.handle
     | _ -> ());
-    Lock.release core b.lock
+    Lock.release core lock
 
-  let set_dirty t (core : Core.t) ~file ~page =
-    let b = bucket_of t ~file ~page in
-    Lock.acquire core b.lock;
-    (match Hashtbl.find_opt b.entries (file, page) with
-    | Some e -> e.dirty <- true
+  let set_dirty_to t (core : Core.t) ~file ~page bit =
+    let k = key ~file ~page in
+    let lock = lock_of t ~file ~page in
+    Lock.acquire core lock;
+    (match Int_table.find_default t.entries k None with
+    | Some e -> e.dirty <- bit
     | None -> ());
-    Lock.release core b.lock
+    Lock.release core lock
 
-  let clear_dirty t (core : Core.t) ~file ~page =
-    let b = bucket_of t ~file ~page in
-    Lock.acquire core b.lock;
-    (match Hashtbl.find_opt b.entries (file, page) with
-    | Some e -> e.dirty <- false
-    | None -> ());
-    Lock.release core b.lock
+  let set_dirty t core ~file ~page = set_dirty_to t core ~file ~page true
+  let clear_dirty t core ~file ~page = set_dirty_to t core ~file ~page false
 
   let dirty t ~file ~page =
-    match Hashtbl.find_opt (bucket_of t ~file ~page).entries (file, page) with
+    match Int_table.find_default t.entries (key ~file ~page) None with
     | Some e -> e.dirty
     | None -> false
 

@@ -12,6 +12,11 @@
     lookups of different files do not contend. A miss "reads from disk"
     (a fixed latency) into a fresh frame.
 
+    Entries are keyed by [(file, page)] packed into one int, so [file]
+    must lie in \[0, 2{^22}) and [page] in \[0, 2{^40}). Every operation
+    raises [Invalid_argument] on a pair outside that range, before any
+    simulated work.
+
     Pages additionally carry a dirty bit for the cache-serving workload's
     writeback accounting: a store through a file mapping marks the page
     ({!Make.set_dirty}); an LRU sweep consults {!Make.dirty} to charge a

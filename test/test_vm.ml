@@ -515,6 +515,52 @@ let test_file_mappings_share_page_cache () =
   Alcotest.(check int) "evicted" 0 (Physmem.live_frames (Machine.physmem m));
   Alcotest.(check int) "cache empty" 0 (R.cached_file_pages vm)
 
+(* The cache packs (file, page) into one int: 22 bits of file above 40
+   bits of page. Every entry point refuses a pair outside that range
+   before doing any simulated work, and the extreme pairs inside it
+   stay distinct. *)
+let test_page_cache_key_bounds () =
+  let module PC = Vm.Page_cache.Make (Refcnt.Refcache_counter) in
+  let m = machine () in
+  let vm = R.create m in
+  let pc = R.page_cache vm in
+  let c = Machine.core m 0 in
+  let t0 = Core.now c in
+  let ops =
+    [
+      ("get", fun ~file ~page -> ignore (PC.get pc c ~file ~page));
+      ("evict", fun ~file ~page -> PC.evict pc c ~file ~page);
+      ("set_dirty", fun ~file ~page -> PC.set_dirty pc c ~file ~page);
+      ("clear_dirty", fun ~file ~page -> PC.clear_dirty pc c ~file ~page);
+      ("dirty", fun ~file ~page -> ignore (PC.dirty pc ~file ~page));
+    ]
+  in
+  List.iter
+    (fun (name, op) ->
+      List.iter
+        (fun (file, page) ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s file=%d page=%d" name file page)
+            (Invalid_argument
+               "Page_cache: (file, page) does not fit the packed key")
+            (fun () -> op ~file ~page))
+        [ (-1, 0); (1 lsl 22, 0); (0, -1); (0, 1 lsl 40) ])
+    ops;
+  Alcotest.(check int) "no simulated work" t0 (Core.now c);
+  let file = (1 lsl 22) - 1 and page = (1 lsl 40) - 1 in
+  ignore (PC.get pc c ~file ~page);
+  ignore (PC.get pc c ~file ~page:0);
+  ignore (PC.get pc c ~file:0 ~page);
+  PC.set_dirty pc c ~file ~page;
+  Alcotest.(check int) "three entries" 3 (PC.cached_pages pc);
+  Alcotest.(check (list bool))
+    "only the marked entry is dirty" [ true; false; false ]
+    [
+      PC.dirty pc ~file ~page;
+      PC.dirty pc ~file ~page:0;
+      PC.dirty pc ~file:0 ~page;
+    ]
+
 let test_discard_page_tables () =
   let m = machine () in
   let vm = R.create m in
@@ -999,6 +1045,7 @@ let () =
         [
           tc "file mappings share cache" `Quick test_file_mappings_share_page_cache;
           tc "discard page tables" `Quick test_discard_page_tables;
+          tc "packed key bounds" `Quick test_page_cache_key_bounds;
         ] );
       ( "page table",
         [
