@@ -27,10 +27,6 @@ let quiet_write core t =
   Line.write core t.line;
   Obs.quiet_decr obs
 
-let emit core ev =
-  let obs = (core : Core.t).Core.obs in
-  if Obs.active obs then Obs.emit obs ev
-
 let acquire (core : Core.t) t =
   let stats = core.Core.stats in
   stats.Stats.lock_acquires <- stats.Stats.lock_acquires + 1;
@@ -42,27 +38,31 @@ let acquire (core : Core.t) t =
       stats.Stats.lock_wait_cycles + (t.free_time - now);
     core.Core.clock <- t.free_time
   end;
-  emit core
-    (Obs.Acquire
-       {
-         core = core.Core.id;
-         lock = t.id;
-         line = Line.id t.line;
-         label = t.label;
-         rd = false;
-       })
+  let obs = core.Core.obs in
+  if Obs.active obs then
+    Obs.emit obs
+      (Obs.Acquire
+         {
+           core = core.Core.id;
+           lock = t.id;
+           line = Line.id t.line;
+           label = t.label;
+           rd = false;
+         })
 
 let release (core : Core.t) t =
   quiet_write core t;
   t.free_time <- Core.now core;
-  emit core
-    (Obs.Release
-       {
-         core = core.Core.id;
-         lock = t.id;
-         line = Line.id t.line;
-         label = t.label;
-         rd = false;
-       })
+  let obs = core.Core.obs in
+  if Obs.active obs then
+    Obs.emit obs
+      (Obs.Release
+         {
+           core = core.Core.id;
+           lock = t.id;
+           line = Line.id t.line;
+           label = t.label;
+           rd = false;
+         })
 
 let free_time t = t.free_time

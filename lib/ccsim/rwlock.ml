@@ -22,10 +22,6 @@ let quiet_write (core : Core.t) t =
   Line.write core t.line;
   Obs.quiet_decr obs
 
-let emit (core : Core.t) ev =
-  let obs = core.Core.obs in
-  if Obs.active obs then Obs.emit obs ev
-
 let charge_acquire (core : Core.t) t wait_until =
   let stats = core.Core.stats in
   stats.Stats.lock_acquires <- stats.Stats.lock_acquires + 1;
@@ -38,52 +34,47 @@ let charge_acquire (core : Core.t) t wait_until =
     core.Core.clock <- wait_until
   end
 
+(* Built only when a sink listens: with none, no event is allocated. *)
+let emit_acquire (core : Core.t) t ~rd =
+  let obs = core.Core.obs in
+  if Obs.active obs then
+    Obs.emit obs
+      (Obs.Acquire
+         {
+           core = core.Core.id;
+           lock = t.id;
+           line = Line.id t.line;
+           label = t.label;
+           rd;
+         })
+
+let emit_release (core : Core.t) t ~rd =
+  let obs = core.Core.obs in
+  if Obs.active obs then
+    Obs.emit obs
+      (Obs.Release
+         {
+           core = core.Core.id;
+           lock = t.id;
+           line = Line.id t.line;
+           label = t.label;
+           rd;
+         })
+
 let read_acquire (core : Core.t) t =
   charge_acquire core t t.writer_free;
-  emit core
-    (Obs.Acquire
-       {
-         core = core.Core.id;
-         lock = t.id;
-         line = Line.id t.line;
-         label = t.label;
-         rd = true;
-       })
+  emit_acquire core t ~rd:true
 
 let read_release (core : Core.t) t =
   quiet_write core t;
   t.readers_free <- max t.readers_free (Core.now core);
-  emit core
-    (Obs.Release
-       {
-         core = core.Core.id;
-         lock = t.id;
-         line = Line.id t.line;
-         label = t.label;
-         rd = true;
-       })
+  emit_release core t ~rd:true
 
 let write_acquire (core : Core.t) t =
   charge_acquire core t (max t.writer_free t.readers_free);
-  emit core
-    (Obs.Acquire
-       {
-         core = core.Core.id;
-         lock = t.id;
-         line = Line.id t.line;
-         label = t.label;
-         rd = false;
-       })
+  emit_acquire core t ~rd:false
 
 let write_release (core : Core.t) t =
   quiet_write core t;
   t.writer_free <- Core.now core;
-  emit core
-    (Obs.Release
-       {
-         core = core.Core.id;
-         lock = t.id;
-         line = Line.id t.line;
-         label = t.label;
-         rd = false;
-       })
+  emit_release core t ~rd:false

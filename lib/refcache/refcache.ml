@@ -65,10 +65,6 @@ let fresh_oid () = Atomic.fetch_and_add next_oid 1
    simulation is a pure function of its own configuration. *)
 let hash_obj t obj = obj.seq * 0x9E3779B1 land t.mask
 
-let emit (core : Core.t) ev =
-  let obs = core.Core.obs in
-  if Obs.active obs then Obs.emit obs ev
-
 let queue_for_review t (core : Core.t) obj =
   obj.dirty <- false;
   (match obj.weak with
@@ -136,11 +132,17 @@ let cached_delta t (core : Core.t) obj d =
   end
 
 let inc t (core : Core.t) obj =
-  emit core (Obs.Rc_inc { core = core.Core.id; oid = obj.oid; label = obj.label });
+  let obs = core.Core.obs in
+  if Obs.active obs then
+    Obs.emit obs
+      (Obs.Rc_inc { core = core.Core.id; oid = obj.oid; label = obj.label });
   cached_delta t core obj 1
 
 let dec t (core : Core.t) obj =
-  emit core (Obs.Rc_dec { core = core.Core.id; oid = obj.oid; label = obj.label });
+  let obs = core.Core.obs in
+  if Obs.active obs then
+    Obs.emit obs
+      (Obs.Rc_dec { core = core.Core.id; oid = obj.oid; label = obj.label });
   cached_delta t core obj (-1)
 
 (* Process this core's review queue (Figure 2, review). *)
@@ -182,9 +184,11 @@ let review t (core : Core.t) =
         if weak_cleared then begin
           obj.freed <- true;
           Lock.release core obj.lock;
-          emit core
-            (Obs.Rc_free
-               { core = core.Core.id; oid = obj.oid; label = obj.label });
+          let obs = core.Core.obs in
+          if Obs.active obs then
+            Obs.emit obs
+              (Obs.Rc_free
+                 { core = core.Core.id; oid = obj.oid; label = obj.label });
           obj.free core
         end
         else begin
@@ -270,8 +274,9 @@ let make_obj ?(label = "refcache:obj") t (core : Core.t) ~init ~free =
       weak = None;
     }
   in
-  emit core
-    (Obs.Rc_make { core = core.Core.id; oid; init; label });
+  let obs = core.Core.obs in
+  if Obs.active obs then
+    Obs.emit obs (Obs.Rc_make { core = core.Core.id; oid; init; label });
   if init = 0 then begin
     Lock.acquire core obj.lock;
     queue_for_review t core obj;

@@ -297,6 +297,30 @@ let test_rwlock_writer_blocks_readers () =
   Alcotest.(check bool) "reader waited" true (Core.now b >= 30_000);
   Rwlock.read_release b rw
 
+(* With no sink installed, lock transitions allocate nothing: each
+   event record is built only behind [Obs.active]. *)
+let test_lock_pairs_allocate_nothing () =
+  let m = machine ~ncores:1 () in
+  let c = Machine.core m 0 in
+  let l = Lock.create c and rw = Rwlock.create c in
+  let pairs () =
+    Lock.acquire c l;
+    Lock.release c l;
+    Rwlock.read_acquire c rw;
+    Rwlock.read_release c rw;
+    Rwlock.write_acquire c rw;
+    Rwlock.write_release c rw
+  in
+  (* The first round pulls both lines into the core's cache. *)
+  pairs ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    pairs ()
+  done;
+  Alcotest.(check (float 0.0))
+    "minor words for 10,000 rounds" 0.0
+    (Gc.minor_words () -. before)
+
 (* ------------------------------------------------------------------ *)
 (* TLB                                                                 *)
 
@@ -904,6 +928,8 @@ let () =
           tc "serializes" `Quick test_lock_serializes;
           tc "rwlock readers" `Quick test_rwlock_readers_concurrent;
           tc "rwlock writer" `Quick test_rwlock_writer_blocks_readers;
+          tc "no allocation without a sink" `Quick
+            test_lock_pairs_allocate_nothing;
         ] );
       ( "tlb",
         [

@@ -49,6 +49,26 @@ let test_free_after_zero () =
   Alcotest.(check int) "freed exactly once" 1 !freed;
   Alcotest.(check bool) "marked freed" true (Refcache.is_freed obj)
 
+(* With no sink installed, reference-count transitions allocate nothing:
+   each event record is built only behind [Obs.active]. The machine has
+   no checker, unlike the rest of this file. *)
+let test_inc_dec_allocate_nothing () =
+  let m = Machine.create (Params.default ~ncores:1 ~epoch_cycles:epoch ()) in
+  let rc = Refcache.create m in
+  let c = Machine.core m 0 in
+  let obj = Refcache.make_obj rc c ~init:1 ~free:(fun _ -> ()) in
+  (* The first pair claims a delta-cache slot and queues it for flush. *)
+  Refcache.inc rc c obj;
+  Refcache.dec rc c obj;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Refcache.inc rc c obj;
+    Refcache.dec rc c obj
+  done;
+  Alcotest.(check (float 0.0))
+    "minor words for 10,000 inc+dec pairs" 0.0
+    (Gc.minor_words () -. before)
+
 let test_not_freed_while_referenced () =
   let m = machine () in
   let rc = Refcache.create m in
@@ -377,6 +397,8 @@ let () =
           tc "dirty zero" `Quick test_dirty_zero_delays_but_frees;
           tc "oids disjoint across domains" `Quick
             test_oids_disjoint_across_domains;
+          tc "no allocation without a sink" `Quick
+            test_inc_dec_allocate_nothing;
         ] );
       ( "weakref",
         [
