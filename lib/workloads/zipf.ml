@@ -66,7 +66,7 @@ let uniform t =
    [b /. m <= u]. Every rank below [guide.(b)] has a cdf of at most
    [b /. m], so the forward scan from there stops on the same rank a
    binary search over the whole table would return. Out-of-range [u]
-   is clamped to an end bucket, which keeps that start below the
+   is clamped to an end bucket, which keeps the start at or below the
    answer. *)
 let sample_u t u =
   let b = int_of_float (u *. t.scale) in
