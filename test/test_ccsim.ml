@@ -620,10 +620,9 @@ let test_drain_horizon_edges () =
    just past the earliest other active core, both computed by a scan
    over the cores this test knows to be active. Step costs come from a
    small set, so ties are common. Steps send IPIs that interrupt other
-   cores, retire,
-   and install workloads on idle cores; a maintenance hook charges time;
-   a [run_for] stops at a horizon, a [drain] follows, and [run] resumes
-   to completion. *)
+   cores, retire, and install workloads on idle cores; a maintenance
+   hook charges time; a [run_for] stops at a horizon, a [drain] follows,
+   and [run] resumes to completion. *)
 let scheduler_model =
   QCheck.Test.make ~name:"scheduler steps the least (time, id) core"
     ~count:200

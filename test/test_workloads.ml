@@ -273,7 +273,7 @@ let test_counter_bench_scales_refcache () =
 
 (* An independent inverse-CDF reference: recompute the table with the
    same summation order (so the floats agree bit-for-bit) and replace
-   the binary search with a linear scan. *)
+   the indexed search with a linear scan from rank 0. *)
 let zipf_reference_cdf n s =
   let weights = Array.init n (fun i -> 1.0 /. (float_of_int (i + 1) ** s)) in
   let total = Array.fold_left ( +. ) 0.0 weights in
