@@ -133,38 +133,90 @@ let test_ipi_prompt_keeps_legacy_timing () =
 (* ------------------------------------------------------------------ *)
 (* Mid-operation aborts: rollback makes the operation a no-op          *)
 
+(* Every injection point each operation actually passes through. The
+   graceful-abort test below runs the non-fork pairs (fork has its own),
+   the crash-reap test further down all of them. *)
+let crash_matrix =
+  [
+    ("mmap", [ "locked"; "cleared"; "filled" ]);
+    ("munmap", [ "locked"; "cleared" ]);
+    ("mprotect", [ "locked" ]);
+    ("pagefault", [ "locked" ]);
+    ("fork", [ "locked"; "demoted"; "copy"; "copied" ]);
+  ]
+
+(* Run the operation that reaches [op]'s injection points, against the
+   setup both tests build ([10, 14) mapped, 11 stored): mmap maps over
+   that range, so rolling it back must reinstate the displaced pages. The
+   typed [_result] wrappers catch aborts and Enomem only — a crash must
+   propagate to the caller (the session driver playing kernel). *)
+let run_victim op vm c0 =
+  match op with
+  | "mmap" -> R.mmap_result vm c0 ~vpn:10 ~npages:4 ()
+  | "munmap" -> R.munmap_result vm c0 ~vpn:10 ~npages:4
+  | "mprotect" -> R.mprotect_result vm c0 ~vpn:10 ~npages:4 T.Read_only
+  | "pagefault" -> (
+      match R.touch_result vm c0 ~vpn:13 with
+      | Ok T.Ok -> Ok ()
+      | Ok a -> Alcotest.failf "pagefault victim: %a" T.pp_access_result a
+      | Error e -> Error e)
+  | "fork" -> (
+      match R.fork_result vm c0 with
+      | Ok child -> Ok (R.destroy child c0)
+      | Error e -> Error e)
+  | _ -> assert false
+
 let test_abort_rolls_back () =
-  let m = machine () in
-  let chk = Check.attach m in
-  let plan = plan_on m in
-  let vm = R.create m in
-  let c0 = Machine.core m 0 in
-  (match R.mmap_result vm c0 ~vpn:10 ~npages:4 () with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "setup mmap failed");
-  Alcotest.(check result_vm) "store" (Ok T.Ok) (R.store_result vm c0 ~vpn:11 7);
-  let frames_before = live m in
-  Fault.abort_ops plan ~op:"munmap" ~point:"cleared" ~prob:1.0 ();
-  (match R.munmap_result vm c0 ~vpn:10 ~npages:4 with
-  | Error (T.Aborted { op = "munmap"; point = "cleared" }) -> ()
-  | Error e -> Alcotest.failf "wrong error: %a" T.pp_vm_error e
-  | Ok () -> Alcotest.fail "abort at probability 1.0 did not fire");
-  (* The failed munmap must be a perfect no-op. *)
-  Alcotest.(check bool) "still mapped" true (R.mapped vm ~vpn:10);
-  Alcotest.(check (result (option int) vm_error_t))
-    "value survived"
-    (Ok (Some 7))
-    (R.load_result vm c0 ~vpn:11);
-  Alcotest.(check int) "no frames leaked or dropped" frames_before (live m);
-  R.check_invariants vm;
-  Alcotest.(check int) "range locks released" 0
-    (List.length (Check.leaked_locks chk));
-  (* With the plan detached the same operation goes through. *)
-  Machine.set_fault m None;
-  (match R.munmap_result vm c0 ~vpn:10 ~npages:4 with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "munmap after detach failed");
-  Alcotest.(check bool) "now unmapped" false (R.mapped vm ~vpn:10)
+  List.iter
+    (fun (op, point) ->
+      let name = op ^ "@" ^ point in
+      let m = machine () in
+      let chk = Check.attach m in
+      let plan = plan_on m in
+      let vm = R.create m in
+      let c0 = Machine.core m 0 in
+      (match R.mmap_result vm c0 ~vpn:10 ~npages:4 () with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail (name ^ ": setup mmap failed"));
+      Alcotest.(check result_vm) (name ^ ": store") (Ok T.Ok)
+        (R.store_result vm c0 ~vpn:11 7);
+      let frames_before = live m in
+      Fault.abort_ops plan ~op ~point ~prob:1.0 ();
+      (match run_victim op vm c0 with
+      | Error (T.Aborted { op = o; point = p }) ->
+          Alcotest.(check (pair string string)) (name ^ ": typed abort")
+            (op, point) (o, p)
+      | Error e -> Alcotest.failf "[%s] wrong error: %a" name T.pp_vm_error e
+      | Ok () -> Alcotest.failf "[%s] abort at probability 1.0 did not fire" name);
+      Machine.set_fault m None;
+      (* The failed operation must be a perfect no-op: the range still
+         mapped and writable, the value intact, no frame leaked or
+         dropped, the tree consistent and every range lock released. *)
+      for vpn = 10 to 13 do
+        Alcotest.(check bool) (Printf.sprintf "%s: %d still mapped" name vpn)
+          true (R.mapped vm ~vpn)
+      done;
+      Alcotest.(check (result (option int) vm_error_t))
+        (name ^ ": value survived")
+        (Ok (Some 7))
+        (R.load_result vm c0 ~vpn:11);
+      Alcotest.(check result_vm) (name ^ ": still writable") (Ok T.Ok)
+        (R.store_result vm c0 ~vpn:11 7);
+      Alcotest.(check int) (name ^ ": no frames leaked or dropped")
+        frames_before (live m);
+      R.check_invariants vm;
+      Alcotest.(check int) (name ^ ": range locks released") 0
+        (List.length (Check.leaked_locks chk));
+      (* With the plan detached the same operation goes through. *)
+      match run_victim op vm c0 with
+      | Ok () -> ()
+      | Error e ->
+          Alcotest.failf "[%s] retry after detach failed: %a" name
+            T.pp_vm_error e)
+    (List.concat_map
+       (fun (op, points) ->
+         if op = "fork" then [] else List.map (fun p -> (op, p)) points)
+       crash_matrix)
 
 (* fork has the longest failure path in the VM: by the time it aborts it
    may have demoted the parent's writable pages to COW, taken per-page
@@ -356,33 +408,6 @@ let test_invariant_violation_is_typed () =
 (* ------------------------------------------------------------------ *)
 (* Crash points: die mid-critical-section, reap, survivors stay clean  *)
 
-(* Every injection point each operation actually passes through (the
-   rollback tests above cover the same map for graceful aborts). *)
-let crash_matrix =
-  [
-    ("mmap", [ "locked"; "cleared"; "filled" ]);
-    ("munmap", [ "locked"; "cleared" ]);
-    ("mprotect", [ "locked" ]);
-    ("pagefault", [ "locked" ]);
-    ("fork", [ "locked"; "demoted"; "copy"; "copied" ]);
-  ]
-
-(* Run the operation that reaches [op]'s injection points. The typed
-   [_result] wrappers catch aborts and Enomem only — a crash must
-   propagate to the caller (the session driver playing kernel). *)
-let run_crash_victim op vm c0 =
-  match op with
-  | "mmap" -> ignore (R.mmap_result vm c0 ~vpn:30 ~npages:2 ())
-  | "munmap" -> ignore (R.munmap_result vm c0 ~vpn:10 ~npages:4)
-  | "mprotect" ->
-      ignore (R.mprotect_result vm c0 ~vpn:10 ~npages:4 T.Read_only)
-  | "pagefault" -> ignore (R.touch_result vm c0 ~vpn:13)
-  | "fork" -> (
-      match R.fork_result vm c0 with
-      | Ok child -> R.destroy child c0
-      | Error _ -> ())
-  | _ -> assert false
-
 (* For every range-lock backend and (operation, injection point): kill the
    process there with no unwinding, let [reap] repair the half-done
    mutation, and require a sibling process sharing the same Refcache /
@@ -420,11 +445,12 @@ let test_crash_reap_survivors_clean () =
                 Alcotest.failf "[%s] setup fork failed: %a" name T.pp_vm_error e
           in
           Fault.crash_ops plan ~op ~point ~prob:1.0 ();
-          (match run_crash_victim op vm c0 with
+          (match run_victim op vm c0 with
           | exception Fault.Injected_crash { op = o; point = p } ->
               Alcotest.(check string) (name ^ ": crash names the op") op o;
               Alcotest.(check string) (name ^ ": crash names the point") point p
-          | () -> Alcotest.failf "[%s] crash at probability 1.0 did not fire" name);
+          | Ok () | Error _ ->
+              Alcotest.failf "[%s] crash at probability 1.0 did not fire" name);
           Alcotest.(check int) (name ^ ": crash counted") 1
             (Fault.injected_crashes plan);
           Alcotest.(check bool) (name ^ ": repair stashed") true
