@@ -343,76 +343,45 @@ let fill_range t core lk v =
   in
   fill (root t) lo hi
 
-let clear_range t core lk =
-  let lo = lk.lk_lo and hi = lk.lk_hi in
-  let acc = ref [] in
-  let rec clear node lo hi =
+(* The walk behind [clear_range] and [update_range]: visit every mapped
+   slot of the locked range and replace each fully covered fold of [n]
+   pages from [lo] by [f lo n v]. A fold the range covers only in part is
+   expanded first, so the pages outside the range keep their mapping. *)
+let rewrite_range t core lk ~f =
+  let rec walk node lo hi =
     let span = t.pages_per_slot.(node.level) in
     let first = (lo - node.base) / span in
     let last = (hi - 1 - node.base) / span in
     for i = first to last do
       let slot_lo, slot_hi = slot_bounds t node i in
-      let full = lo <= slot_lo && slot_hi <= hi in
-      if node.level = 0 then (
-        match read_slot core node i with
-        | Empty -> ()
-        | Folded v ->
-            acc := (node.base + i, 1, v) :: !acc;
-            write_slot t core node i Empty
-        | Child _ -> assert false)
-      else
-        match read_slot core node i with
-        | Empty -> ()
-        | Child n ->
+      match read_slot core node i with
+      | Empty -> ()
+      | Child n ->
+          assert (node.level > 0);
+          let l, h = clamp lo hi slot_lo slot_hi in
+          walk n l h
+      | Folded v ->
+          (* A leaf slot is one page, always covered. *)
+          if lo <= slot_lo && slot_hi <= hi then
+            write_slot t core node i (f slot_lo span v)
+          else begin
+            let child = expand t core node i (Folded v) lk in
             let l, h = clamp lo hi slot_lo slot_hi in
-            clear n l h
-        | Folded v ->
-            if full then begin
-              acc := (slot_lo, span, v) :: !acc;
-              write_slot t core node i Empty
-            end
-            else begin
-              (* Partially unmapping a folded run: expand so the surviving
-                 part keeps its mapping. *)
-              let child = expand t core node i (Folded v) lk in
-              let l, h = clamp lo hi slot_lo slot_hi in
-              clear child l h
-            end
+            walk child l h
+          end
     done
   in
-  clear (root t) lo hi;
+  walk (root t) lk.lk_lo lk.lk_hi
+
+let clear_range t core lk =
+  let acc = ref [] in
+  rewrite_range t core lk ~f:(fun lo n v ->
+      acc := (lo, n, v) :: !acc;
+      Empty);
   List.rev !acc
 
 let update_range t core lk ~f =
-  let lo = lk.lk_lo and hi = lk.lk_hi in
-  let rec update node lo hi =
-    let span = t.pages_per_slot.(node.level) in
-    let first = (lo - node.base) / span in
-    let last = (hi - 1 - node.base) / span in
-    for i = first to last do
-      let slot_lo, slot_hi = slot_bounds t node i in
-      let full = lo <= slot_lo && slot_hi <= hi in
-      if node.level = 0 then (
-        match read_slot core node i with
-        | Empty -> ()
-        | Folded v -> write_slot t core node i (Folded (f v))
-        | Child _ -> assert false)
-      else
-        match read_slot core node i with
-        | Empty -> ()
-        | Child n ->
-            let l, h = clamp lo hi slot_lo slot_hi in
-            update n l h
-        | Folded v ->
-            if full then write_slot t core node i (Folded (f v))
-            else begin
-              let child = expand t core node i (Folded v) lk in
-              let l, h = clamp lo hi slot_lo slot_hi in
-              update child l h
-            end
-    done
-  in
-  update (root t) lo hi
+  rewrite_range t core lk ~f:(fun _ _ v -> Folded (f v))
 
 let get_page t core lk vpn =
   check_in_range lk ~lo:vpn ~hi:(vpn + 1) "Radix.get_page";
