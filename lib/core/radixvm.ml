@@ -87,11 +87,19 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     (match m.prot with Vm_types.Read_write -> true | Vm_types.Read_only -> false)
     && not m.cow
 
-  (* With grouped tables, any group member may fill its TLB from the group
-     table without faulting: widen per-core tracking to whole groups. *)
-  let widen_to_groups t targets =
-    match Mmu.kind t.mmu with
-    | Page_table.Per_core | Page_table.Shared -> ()
+  (* The one shootdown rule. Clear the translations for [lo, hi) of every
+     core that may cache one and interrupt the remote ones; the caller
+     holds the range lock. [targets] arrives as the union of the affected
+     pages' TLB core sets, and [any_frames] says whether any affected page
+     had a frame:
+     - per-core tables shoot down exactly the recorded cores;
+     - grouped tables widen the targets to whole groups, since any group
+       member may fill its TLB from the group table without faulting;
+     - a shared table records no cores, so once any affected page had a
+       frame, every core that ever used the address space is a target. *)
+  let shootdown t (core : Core.t) ~any_frames ~lo ~hi targets =
+    (match Mmu.kind t.mmu with
+    | Page_table.Per_core -> ()
     | Page_table.Grouped g ->
         let ncores = Machine.ncores t.machine in
         let widened = Bitset.create ncores in
@@ -103,11 +111,8 @@ module Make (C : Refcnt.Counter_intf.S) = struct
             done)
           targets;
         Bitset.union_into ~dst:targets widened
-
-  (* Clear translations for [lo, hi) on every core in [targets] and send
-     the IPIs; the caller holds the range lock. *)
-  let shootdown t (core : Core.t) ~lo ~hi targets =
-    widen_to_groups t targets;
+    | Page_table.Shared ->
+        if any_frames then Bitset.union_into ~dst:targets t.ever_active);
     if not (Bitset.is_empty targets) then begin
       Bitset.iter
         (fun c -> ignore (Mmu.drop_for_core t.mmu ~owner:c ~lo ~hi))
@@ -124,35 +129,22 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     end
 
   (* Unmap bookkeeping shared by munmap and map-over: with the range still
-     locked, gather the frames and the cores that may cache translations,
-     clear exactly those cores' page tables and TLBs, and interrupt the
-     remote ones. Returns the frame handles whose references the caller
-     drops *after* unlocking (the paper's ordering). *)
+     locked, gather the frames and shoot down the cores that may cache
+     their translations. Returns the frame handles whose references the
+     caller drops *after* unlocking (the paper's ordering). *)
   let cleanup_removed t (core : Core.t) ~lo ~hi removed =
-    let ncores = Machine.ncores t.machine in
-    let targets = Bitset.create ncores in
+    let targets = Bitset.create (Machine.ncores t.machine) in
     let handles = ref [] in
-    let any_frames = ref false in
     List.iter
       (fun (_vpn, _count, m) ->
         match m.frame with
         | Some (_pfn, h) ->
-            any_frames := true;
             handles := h :: !handles;
-            (match Mmu.kind t.mmu with
-            | Page_table.Per_core | Page_table.Grouped _ ->
-                Bitset.union_into ~dst:targets m.tlb_cores
-            | Page_table.Shared -> ())
+            Bitset.union_into ~dst:targets m.tlb_cores
         | None -> ())
       removed;
-    (* Shared page tables give no usage information: if any page was ever
-       faulted, conservatively shoot down every core that used the address
-       space. *)
-    (match Mmu.kind t.mmu with
-    | Page_table.Shared ->
-        if !any_frames then Bitset.union_into ~dst:targets t.ever_active
-    | Page_table.Per_core | Page_table.Grouped _ -> ());
-    shootdown t core ~lo ~hi targets;
+    shootdown t core ~any_frames:(not (List.is_empty !handles)) ~lo ~hi
+      targets;
     (* The range is gone and the shootdown round is over: no core may still
        cache a translation for [lo, hi). The TLB checker verifies this. *)
     let obs = Machine.obs t.machine in
@@ -168,45 +160,40 @@ module Make (C : Refcnt.Counter_intf.S) = struct
   (* ---------------------------------------------------------------- *)
   (* Fault-injection plumbing. Every operation below is exception-safe:
      whatever escapes its critical section (an injected abort, frame
-     exhaustion from [Physmem.alloc]) unwinds through a handler that
-     rolls the tree back to the pre-operation state and releases the
-     range lock, so a failed operation is a no-op. The [rollback_broken]
-     escape hatch deliberately skips that handling — it exists so tests
-     can prove the leak checkers catch a missing rollback. *)
+     exhaustion from [Physmem.alloc]) ends in [fail], which backs the
+     operation out, so a failed operation is a no-op. *)
 
   let abort_point (core : Core.t) ~op ~point =
     match core.Core.fault with
     | None -> ()
     | Some f -> Fault.abort_now f ~op ~point
 
-  let rollback_broken (core : Core.t) =
-    match core.Core.fault with
-    | Some f -> Fault.rollback_broken f
-    | None -> false
-
-  (* Crash semantics: an [Injected_crash] kills the process on the spot.
-     Unlike an abort, the dying operation must NOT unwind — no rollback,
-     no unlock; the tree is left exactly as the dead core left it, locks
-     and all. Each operation instead maintains [repair], a closure
-     capturing how to back out its half-done work from the current point,
-     and the outer handler stashes it in [t.crashed] for [reap] to run.
-     The inner rollback handlers exclude crashes with [is_crash] so the
-     graceful-abort path stays untouched. *)
-  let is_crash = function Fault.Injected_crash _ -> true | _ -> false
-
-  let stash_crash t repair e =
-    if is_crash e then begin
-      (match t.crashed with
-      | None -> ()
-      | Some _ ->
+  (* The one failure path. [repair] backs the failing operation out from
+     wherever it stopped: it undoes the half-done mutation and releases
+     the range locks. A graceful failure runs it on the spot. An
+     [Injected_crash] kills the process instead: the dying operation must
+     NOT unwind — no rollback, no unlock; the tree stays exactly as the
+     dead core left it, locks and all — so [repair] is stashed for [reap],
+     which stands for what a real kernel reconstructs from the dead CPU's
+     journal. The [rollback_broken] escape hatch skips the graceful path;
+     it exists so tests can prove the leak checkers catch a missing
+     rollback. Either way the exception propagates. *)
+  let fail t (core : Core.t) repair e =
+    (match e with
+    | Fault.Injected_crash _ ->
+        if Option.is_some t.crashed then
           raise
             (Vm_types.Invariant_violation
                {
                  subsystem = "radixvm";
                  detail = "second crash before the first was reaped";
-               }));
-      t.crashed <- Some repair
-    end
+               });
+        t.crashed <- Some repair
+    | _ -> (
+        match core.Core.fault with
+        | Some f when Fault.rollback_broken f -> ()
+        | Some _ | None -> repair ()));
+    raise e
 
   let crash_pending t = Option.is_some t.crashed
 
@@ -233,43 +220,39 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     Core.tick core core.Core.params.Params.op_cost;
     let lo = vpn and hi = vpn + npages in
     let lk = Radix.lock_range t.tree core ~lo ~hi in
-    let repair = ref (fun () -> Radix.unlock_range t.tree core lk) in
+    (* The displaced mappings, once cleared and shot down: until then
+       backing out is just unlocking. *)
+    let removed = ref None in
     match
       abort_point core ~op:"mmap" ~point:"locked";
-      let removed = Radix.clear_range t.tree core lk in
-      let handles = cleanup_removed t core ~lo ~hi removed in
-      (repair :=
-         fun () ->
-           (* Drop any partial fill (its fresh records carry no frames),
-              put the displaced mappings back — they still own the
-              collected handles' references — and free the range on the
-              dead core's behalf. *)
-           let _ : (int * int * meta) list =
-             Radix.clear_range t.tree core lk
-           in
-           reinstate t core lk removed;
-           Radix.unlock_range t.tree core lk);
-      (try
-         abort_point core ~op:"mmap" ~point:"cleared";
-         Radix.fill_range t.tree core lk (fresh_meta core ~prot ~backing);
-         abort_point core ~op:"mmap" ~point:"filled"
-       with e when (not (is_crash e)) && not (rollback_broken core) ->
-         (* Drop any partial fill, put the displaced mappings back. The
-            shoot-down that already happened only over-invalidated TLBs,
-            which is always safe. *)
-         let _ : (int * int * meta) list = Radix.clear_range t.tree core lk in
-         reinstate t core lk removed;
-         raise e);
+      let r = Radix.clear_range t.tree core lk in
+      let handles = cleanup_removed t core ~lo ~hi r in
+      removed := Some r;
+      abort_point core ~op:"mmap" ~point:"cleared";
+      Radix.fill_range t.tree core lk (fresh_meta core ~prot ~backing);
+      abort_point core ~op:"mmap" ~point:"filled";
       handles
     with
     | handles ->
         Radix.unlock_range t.tree core lk;
         drop_handles t core handles
     | exception e ->
-        stash_crash t !repair e;
-        if (not (is_crash e)) && not (rollback_broken core) then
-          Radix.unlock_range t.tree core lk;
-        raise e
+        fail t core
+          (fun () ->
+            (match !removed with
+            | None -> ()
+            | Some r ->
+                (* Drop any partial fill (its fresh records carry no
+                   frames) and put the displaced mappings back — they
+                   still own the collected handles' references. The
+                   shootdown that already happened only over-invalidated
+                   TLBs, which is always safe. *)
+                let _ : (int * int * meta) list =
+                  Radix.clear_range t.tree core lk
+                in
+                reinstate t core lk r);
+            Radix.unlock_range t.tree core lk)
+          e
 
   let munmap t (core : Core.t) ~vpn ~npages =
     if npages <= 0 then invalid_arg "Radixvm.munmap: npages";
@@ -278,29 +261,24 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     Core.tick core core.Core.params.Params.op_cost;
     let lo = vpn and hi = vpn + npages in
     let lk = Radix.lock_range t.tree core ~lo ~hi in
-    let repair = ref (fun () -> Radix.unlock_range t.tree core lk) in
+    let removed = ref None in
     match
       abort_point core ~op:"munmap" ~point:"locked";
-      let removed = Radix.clear_range t.tree core lk in
-      let handles = cleanup_removed t core ~lo ~hi removed in
-      (repair :=
-         fun () ->
-           reinstate t core lk removed;
-           Radix.unlock_range t.tree core lk);
-      (try abort_point core ~op:"munmap" ~point:"cleared"
-       with e when (not (is_crash e)) && not (rollback_broken core) ->
-         reinstate t core lk removed;
-         raise e);
+      let r = Radix.clear_range t.tree core lk in
+      let handles = cleanup_removed t core ~lo ~hi r in
+      removed := Some r;
+      abort_point core ~op:"munmap" ~point:"cleared";
       handles
     with
     | handles ->
         Radix.unlock_range t.tree core lk;
         drop_handles t core handles
     | exception e ->
-        stash_crash t !repair e;
-        if (not (is_crash e)) && not (rollback_broken core) then
-          Radix.unlock_range t.tree core lk;
-        raise e
+        fail t core
+          (fun () ->
+            Option.iter (reinstate t core lk) !removed;
+            Radix.unlock_range t.tree core lk)
+          e
 
   let destroy t core =
     (* Process teardown must not fail: like a real kernel's exit path it
@@ -336,9 +314,6 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     Core.tick core core.Core.params.Params.op_cost;
     let lo = vpn and hi = vpn + npages in
     let lk = Radix.lock_range t.tree core ~lo ~hi in
-    (* The only injection point fires before the first mutation, so a
-       crash here leaves nothing to back out: repair just frees the lock. *)
-    let repair () = Radix.unlock_range t.tree core lk in
     match
       (* The only abort point is before the first mutation: a permission
          rewrite cannot be partially rolled back page by page, so the
@@ -352,20 +327,14 @@ module Make (C : Refcnt.Counter_intf.S) = struct
             Bitset.union_into ~dst:targets m.tlb_cores
           end;
           { m with prot });
-      if prot = Vm_types.Read_only then begin
-        (match Mmu.kind t.mmu with
-        | Page_table.Shared ->
-            if !any_frames then Bitset.union_into ~dst:targets t.ever_active
-        | Page_table.Per_core | Page_table.Grouped _ -> ());
-        shootdown t core ~lo ~hi targets
-      end
+      if prot = Vm_types.Read_only then
+        shootdown t core ~any_frames:!any_frames ~lo ~hi targets
     with
     | () -> Radix.unlock_range t.tree core lk
     | exception e ->
-        stash_crash t repair e;
-        if (not (is_crash e)) && not (rollback_broken core) then
-          Radix.unlock_range t.tree core lk;
-        raise e
+        (* The abort point precedes every mutation: backing out is
+           unlocking. *)
+        fail t core (fun () -> Radix.unlock_range t.tree core lk) e
 
   let mmap_shared_frame t (core : Core.t) ~vpn ~npages ~pfn handle =
     if npages <= 0 then invalid_arg "Radixvm.mmap_shared_frame: npages";
@@ -375,9 +344,6 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     Core.tick core core.Core.params.Params.op_cost;
     let lo = vpn and hi = vpn + npages in
     let lk = Radix.lock_range t.tree core ~lo ~hi in
-    (* The one injection point fires before any mutation (the fill loop
-       that follows cannot fault), so repair is unlock-only. *)
-    let repair () = Radix.unlock_range t.tree core lk in
     match
       abort_point core ~op:"mmap" ~point:"locked";
       let removed = Radix.clear_range t.tree core lk in
@@ -396,10 +362,9 @@ module Make (C : Refcnt.Counter_intf.S) = struct
         Radix.unlock_range t.tree core lk;
         drop_handles t core handles
     | exception e ->
-        stash_crash t repair e;
-        if (not (is_crash e)) && not (rollback_broken core) then
-          Radix.unlock_range t.tree core lk;
-        raise e
+        (* The one injection point fires before any mutation (the fill
+           loop that follows cannot fail), so backing out is unlocking. *)
+        fail t core (fun () -> Radix.unlock_range t.tree core lk) e
 
   (* Attach a frame to a faulting page, privatizing its metadata record:
      anonymous pages get a zeroed frame, file pages come from the shared
@@ -451,9 +416,6 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     let stats = core.Core.stats in
     stats.Stats.pagefaults <- stats.Stats.pagefaults + 1;
     let lk = Radix.lock_range t.tree core ~lo:vpn ~hi:(vpn + 1) in
-    (* Pre-mutation injection point only: a crash here holds the page's
-       lock but has touched nothing, so repair is unlock-only. *)
-    let repair () = Radix.unlock_range t.tree core lk in
     match
       (* Pre-mutation abort point; [Physmem.alloc] inside [attach_frame]
          and [break_cow] can additionally raise [Out_of_frames], in both
@@ -493,11 +455,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     | r ->
         Radix.unlock_range t.tree core lk;
         r
-    | exception e ->
-        stash_crash t repair e;
-        if (not (is_crash e)) && not (rollback_broken core) then
-          Radix.unlock_range t.tree core lk;
-        raise e
+    | exception e -> fail t core (fun () -> Radix.unlock_range t.tree core lk) e
 
   (* Resolve one user access to the frame it may use. *)
   let resolve t (core : Core.t) ~vpn ~write =
@@ -545,26 +503,18 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     let lk = Radix.lock_range t.tree core ~lo ~hi in
     let child_lk = Radix.lock_range child.tree core ~lo ~hi in
     (* Metadata records this fork demotes to COW (records that were not
-       COW before): an abort must restore their bits, or the parent's
+       COW before): a failure must restore their bits, or the parent's
        still-cached writable translations would contradict the tree. *)
     let demoted = ref [] in
-    (* One repair covers every fork crash point: no shootdown has happened
-       before the last injection point, so restoring the demoted records'
-       COW bits restores the parent exactly; the half-built child is torn
-       down, returning the frame references the copy loop took. *)
-    let repair () =
-      List.iter (fun m -> m.cow <- false) !demoted;
-      Radix.unlock_range child.tree core child_lk;
-      Radix.unlock_range t.tree core lk;
-      destroy child core
-    in
     match
     abort_point core ~op:"fork" ~point:"locked";
     let targets = Bitset.create (Machine.ncores t.machine) in
+    let any_frames = ref false in
     (* Demote the parent's writable anonymous pages to COW. *)
     Radix.update_range t.tree core lk ~f:(fun m ->
         (match (m.frame, m.backing, m.prot) with
         | Some _, Vm_types.Anon, Vm_types.Read_write ->
+            any_frames := true;
             Bitset.union_into ~dst:targets m.tlb_cores;
             if not m.cow then demoted := m :: !demoted;
             m.cow <- true
@@ -587,39 +537,32 @@ module Make (C : Refcnt.Counter_intf.S) = struct
                cm.frame <- Some (pfn, handle);
                cm.cow <- m.cow;
                Radix.set_page child.tree core child_lk vpn cm));
+    abort_point core ~op:"fork" ~point:"copied";
     (* Drop the parent's (possibly writable) translations for demoted
        pages so the next write faults and copies. *)
-    (match Mmu.kind t.mmu with
-    | Page_table.Shared ->
-        if not (Bitset.is_empty targets) then
-          Bitset.union_into ~dst:targets t.ever_active
-    | Page_table.Per_core | Page_table.Grouped _ -> ());
-    abort_point core ~op:"fork" ~point:"copied";
-    shootdown t core ~lo ~hi targets
+    shootdown t core ~any_frames:!any_frames ~lo ~hi targets
     with
     | () ->
         Radix.unlock_range child.tree core child_lk;
         Radix.unlock_range t.tree core lk;
         child
     | exception e ->
-        stash_crash t repair e;
-        if (not (is_crash e)) && not (rollback_broken core) then begin
-          (* No shootdown has happened yet, so restoring the demoted
-             records' COW bits restores the parent exactly (its cached
-             translations were valid for the pre-fork state). The records
-             are per-page private — never folded, since only faulted
-             pages carry frames — so clearing the bit cannot leak into
-             other pages. *)
-          List.iter (fun m -> m.cow <- false) !demoted;
-          Radix.unlock_range child.tree core child_lk;
-          Radix.unlock_range t.tree core lk;
-          (* Tear the half-built child down: releases the frame
-             references the copy loop took and empties the child's tree.
-             Suppress injection — like process exit, fork's failure path
-             must not itself fail. *)
-          destroy child core
-        end;
-        raise e
+        (* One repair covers every fork failure point. No shootdown has
+           happened before the last one, so restoring the demoted records'
+           COW bits restores the parent exactly (its cached translations
+           were valid for the pre-fork state). The records are per-page
+           private — never folded, since only faulted pages carry frames —
+           so clearing the bit cannot leak into other pages. Tearing the
+           half-built child down returns the frame references the copy
+           loop took; like process exit, it runs with injection
+           suppressed. *)
+        fail t core
+          (fun () ->
+            List.iter (fun m -> m.cow <- false) !demoted;
+            Radix.unlock_range child.tree core child_lk;
+            Radix.unlock_range t.tree core lk;
+            destroy child core)
+          e
 
   (* Memory pressure: RadixVM's page tables are caches of the radix tree
      and can simply be dropped (section 3.2: "the hardware page tables
@@ -643,42 +586,9 @@ module Make (C : Refcnt.Counter_intf.S) = struct
           m)
     with
     | () -> Radix.unlock_range t.tree core lk
-    | exception e ->
-        if not (rollback_broken core) then Radix.unlock_range t.tree core lk;
-        raise e
+    | exception e -> fail t core (fun () -> Radix.unlock_range t.tree core lk) e
 
   let mapped t ~vpn = Option.is_some (Radix.peek t.tree vpn)
-
-  (* ---------------------------------------------------------------- *)
-  (* Typed-failure entry points: the same operations with the two
-     expected failures — frame exhaustion and injected aborts — caught
-     and returned as values. The operations' exception safety guarantees
-     an [Error] means "nothing happened". Anything else (a genuine bug)
-     still propagates. *)
-
-  let trap f =
-    match f () with
-    | v -> Stdlib.Ok v
-    | exception Physmem.Out_of_frames -> Stdlib.Error Vm_types.Enomem
-    | exception Fault.Injected_abort { op; point } ->
-        Stdlib.Error (Vm_types.Aborted { op; point })
-
-  let mmap_result t core ~vpn ~npages ?prot ?backing () =
-    trap (fun () -> mmap t core ~vpn ~npages ?prot ?backing ())
-
-  let munmap_result t core ~vpn ~npages =
-    trap (fun () -> munmap t core ~vpn ~npages)
-
-  let mprotect_result t core ~vpn ~npages prot =
-    trap (fun () -> mprotect t core ~vpn ~npages prot)
-
-  let fork_result t core = trap (fun () -> fork t core)
-  let touch_result t core ~vpn = trap (fun () -> touch t core ~vpn)
-
-  let store_result t core ~vpn value =
-    trap (fun () -> store t core ~vpn value)
-
-  let load_result t core ~vpn = trap (fun () -> load t core ~vpn)
 
   (* Table 2 accounting: tree nodes plus the per-page copies of mapping
      metadata (pages that have faulted carry a private ~32-byte record;
@@ -704,40 +614,42 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     (try Radix.check_invariants t.tree
      with Failure detail ->
        raise (Vm_types.Invariant_violation { subsystem = "radix"; detail }));
-    (* After quiescence, any cached translation must be covered by the
-       page's TLB core set, and no writable translation may survive for a
-       read-only or COW page (per-core MMU only — shared page tables don't
-       track usage). *)
-    if
+    (* After quiescence no writable translation may survive for a
+       read-only or COW page, under every page-table kind. Under per-core
+       tables, any cached translation must also be covered by the page's
+       TLB core set; shared and grouped tables let cores fill without
+       faulting, so they record no such set. *)
+    let per_core =
       match Mmu.kind t.mmu with
       | Page_table.Per_core -> true
       | Page_table.Shared | Page_table.Grouped _ -> false
-    then
-      ignore
-        (Radix.fold_mapped t.tree ~init:() ~f:(fun () vpn m ->
-             match m.frame with
-             | None -> ()
-             | Some (pfn, _) ->
-                 for c = 0 to Machine.ncores t.machine - 1 do
-                   let pt = Mmu.pt_entry t.mmu ~core:c ~vpn in
-                   let cached =
-                     Mmu.tlb_mem t.mmu ~core:c ~vpn
-                     ||
-                     match pt with
-                     | Some pte -> pte.Page_table.pfn = pfn
-                     | None -> false
-                   in
-                   if cached && not (Bitset.mem m.tlb_cores c) then
-                     inv_fail "core %d caches vpn %d outside its TLB set" c
-                       vpn;
-                   match pt with
-                   | Some pte when pte.Page_table.writable && not (writable m)
-                     ->
-                       inv_fail
-                         "core %d holds a writable PTE for protected vpn %d" c
-                         vpn
-                   | Some _ | None -> ()
-                 done))
+    in
+    ignore
+      (Radix.fold_mapped t.tree ~init:() ~f:(fun () vpn m ->
+           match m.frame with
+           | None -> ()
+           | Some (pfn, _) ->
+               for c = 0 to Machine.ncores t.machine - 1 do
+                 let pt = Mmu.pt_entry t.mmu ~core:c ~vpn in
+                 (if per_core then
+                    let cached =
+                      Mmu.tlb_mem t.mmu ~core:c ~vpn
+                      ||
+                      match pt with
+                      | Some pte -> pte.Page_table.pfn = pfn
+                      | None -> false
+                    in
+                    if cached && not (Bitset.mem m.tlb_cores c) then
+                      inv_fail "core %d caches vpn %d outside its TLB set" c
+                        vpn);
+                 match pt with
+                 | Some pte when pte.Page_table.writable && not (writable m)
+                   ->
+                     inv_fail
+                       "core %d holds a writable PTE for protected vpn %d" c
+                       vpn
+                 | Some _ | None -> ()
+               done))
 end
 
 module Default = Make (Refcnt.Refcache_counter)

@@ -61,7 +61,10 @@ module Make (C : Refcnt.Counter_intf.S) : sig
   (** Duplicate the address space, Unix-fork style: file-backed pages stay
       shared through the page cache; anonymous pages become copy-on-write
       in both parent and child (the parent's writable translations are
-      shot down so its next writes fault and copy). *)
+      shot down so its next writes fault and copy). If it fails (see
+      {!Vm_types.trap}) the parent is untouched — COW demotions undone,
+      locks released — and the half-built child was destroyed: its tree
+      emptied and every frame reference the copy had taken released. *)
 
   val destroy : t -> Ccsim.Core.t -> unit
   (** Unmap everything (process exit): every frame reference is dropped.
@@ -108,49 +111,6 @@ module Make (C : Refcnt.Counter_intf.S) : sig
       forked page): takes one reference per page on the frame's counter.
       This is the Figure 8 workload's operation. *)
 
-  (** {2 Typed-failure entry points}
-
-      The same operations with the two {e expected} failure modes — frame
-      exhaustion ({!Ccsim.Physmem.Out_of_frames} becomes
-      [Error Vm_types.Enomem]) and injected aborts
-      ({!Ccsim.Fault.Injected_abort} becomes [Error (Vm_types.Aborted _)])
-      — caught and returned as values. Every operation is exception-safe:
-      an [Error] means the operation was a no-op (range locks released,
-      partial mutations rolled back, reference counts rebalanced), so the
-      caller may retry, degrade, or report. Any other exception is a bug
-      and still propagates. *)
-
-  val mmap_result :
-    t -> Ccsim.Core.t -> vpn:int -> npages:int -> ?prot:Vm_types.prot ->
-    ?backing:Vm_types.backing -> unit -> (unit, Vm_types.vm_error) Stdlib.result
-
-  val munmap_result :
-    t -> Ccsim.Core.t -> vpn:int -> npages:int ->
-    (unit, Vm_types.vm_error) Stdlib.result
-
-  val mprotect_result :
-    t -> Ccsim.Core.t -> vpn:int -> npages:int -> Vm_types.prot ->
-    (unit, Vm_types.vm_error) Stdlib.result
-
-  val fork_result :
-    t -> Ccsim.Core.t -> (t, Vm_types.vm_error) Stdlib.result
-  (** {!fork} with the expected failures caught. An [Error] means the
-      parent is untouched (COW demotions undone, locks released) and the
-      half-built child was destroyed — its tree emptied and every frame
-      reference the copy had taken released. *)
-
-  val touch_result :
-    t -> Ccsim.Core.t -> vpn:int ->
-    (Vm_types.access_result, Vm_types.vm_error) Stdlib.result
-
-  val store_result :
-    t -> Ccsim.Core.t -> vpn:int -> int ->
-    (Vm_types.access_result, Vm_types.vm_error) Stdlib.result
-
-  val load_result :
-    t -> Ccsim.Core.t -> vpn:int ->
-    (int option, Vm_types.vm_error) Stdlib.result
-
   val counters : t -> C.t
   (** The frame-counting subsystem (to create shared frames). *)
 
@@ -161,8 +121,11 @@ module Make (C : Refcnt.Counter_intf.S) : sig
   val mmu : t -> Mmu.t
 
   val check_invariants : t -> unit
-  (** Tree invariants plus: every mapped-with-frame page's TLB set covers
-      every core whose TLB or page table holds its translation.
+  (** Tree invariants plus, for every mapped page with a frame: no core's
+      page table holds a writable translation of a read-only or COW page
+      (under every page-table kind), and, under per-core tables, the
+      page's TLB set covers every core whose TLB or page table holds its
+      translation.
       @raise Vm_types.Invariant_violation on failure, with the subsystem
       ("radix" or "radixvm") and a description. *)
 end

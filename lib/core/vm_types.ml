@@ -13,12 +13,31 @@ type access_result =
   | Oom  (** the fault handler could not allocate a frame *)
 
 (** Typed failure of a VM operation under fault injection or memory
-    pressure. Operations that fail this way are no-ops: locks released,
-    partial mutations rolled back, reference counts rebalanced. *)
+    pressure ({!trap}). Operations that fail this way are no-ops: locks
+    released, partial mutations rolled back, reference counts
+    rebalanced. *)
 type vm_error =
   | Enomem  (** physical frame budget exhausted *)
   | Aborted of { op : string; point : string }
       (** the operation hit a fault-injection abort point *)
+
+(** [trap (fun () -> op ...)] runs one VM operation with its two
+    {e expected} failure modes caught and returned as values: frame
+    exhaustion ({!Ccsim.Physmem.Out_of_frames}) becomes [Error Enomem]
+    and an injected abort ({!Ccsim.Fault.Injected_abort}) becomes
+    [Error (Aborted _)]. Every operation is exception-safe: an [Error]
+    means the operation was a no-op (range locks released, partial
+    mutations rolled back, reference counts rebalanced), so the caller
+    may retry, degrade, or report. Anything else — an injected crash,
+    which must reach the session driver, or a genuine bug — still
+    propagates. The trap types the failures of any {!Vm_intf.S}
+    system. *)
+let trap f =
+  match f () with
+  | v -> Stdlib.Ok v
+  | exception Ccsim.Physmem.Out_of_frames -> Stdlib.Error Enomem
+  | exception Ccsim.Fault.Injected_abort { op; point } ->
+      Stdlib.Error (Aborted { op; point })
 
 exception Invariant_violation of { subsystem : string; detail : string }
 (** A VM invariant check failed. Structured (rather than [Failure]) so

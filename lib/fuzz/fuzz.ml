@@ -360,7 +360,7 @@ let session ?(inject = fun (_ : int) -> []) src =
      replayer reads them from the program) --- *)
   let do_mmap core p lo len ro =
     let prot = if ro then T.Read_only else T.Read_write in
-    let r = R.mmap_result p.vm core ~vpn:lo ~npages:len ~prot () in
+    let r = T.trap (fun () -> R.mmap p.vm core ~vpn:lo ~npages:len ~prot ()) in
     trace "  c%d p%d mmap [%d,%d) %s -> %s" core.Core.id p.id lo (lo + len)
       (if prot = T.Read_only then "r-" else "rw")
       (pp_result r);
@@ -377,7 +377,7 @@ let session ?(inject = fun (_ : int) -> []) src =
         check_noop "mmap" p lo (lo + len - 1)
   in
   let do_munmap core p lo len =
-    let r = R.munmap_result p.vm core ~vpn:lo ~npages:len in
+    let r = T.trap (fun () -> R.munmap p.vm core ~vpn:lo ~npages:len) in
     trace "  c%d p%d munmap [%d,%d) -> %s" core.Core.id p.id lo (lo + len)
       (pp_result r);
     match r with
@@ -394,7 +394,7 @@ let session ?(inject = fun (_ : int) -> []) src =
   in
   let do_mprotect core p lo len ro =
     let prot = if ro then T.Read_only else T.Read_write in
-    let r = R.mprotect_result p.vm core ~vpn:lo ~npages:len prot in
+    let r = T.trap (fun () -> R.mprotect p.vm core ~vpn:lo ~npages:len prot) in
     trace "  c%d p%d mprotect [%d,%d) %s -> %s" core.Core.id p.id lo (lo + len)
       (if prot = T.Read_only then "r-" else "rw")
       (pp_result r);
@@ -409,7 +409,7 @@ let session ?(inject = fun (_ : int) -> []) src =
     | Error e -> count_err e
   in
   let do_store core p vpn value =
-    let r = R.store_result p.vm core ~vpn value in
+    let r = T.trap (fun () -> R.store p.vm core ~vpn value) in
     trace "  c%d p%d store %d<-%d -> %s" core.Core.id p.id vpn value
       (match r with
       | Ok a -> Format.asprintf "%a" T.pp_access_result a
@@ -431,7 +431,7 @@ let session ?(inject = fun (_ : int) -> []) src =
     | Error e -> count_err e
   in
   let do_load core p vpn =
-    let r = R.load_result p.vm core ~vpn in
+    let r = T.trap (fun () -> R.load p.vm core ~vpn) in
     trace "  c%d p%d load %d -> %s" core.Core.id p.id vpn
       (match r with
       | Ok (Some v) -> string_of_int v
@@ -453,7 +453,7 @@ let session ?(inject = fun (_ : int) -> []) src =
     | Error e -> count_err e
   in
   let do_touch core p vpn =
-    let r = R.touch_result p.vm core ~vpn in
+    let r = T.trap (fun () -> R.touch p.vm core ~vpn) in
     trace "  c%d p%d touch %d -> %s" core.Core.id p.id vpn
       (match r with
       | Ok a -> Format.asprintf "%a" T.pp_access_result a
@@ -482,7 +482,7 @@ let session ?(inject = fun (_ : int) -> []) src =
   let do_fork core p child =
     if List.length !procs >= max_procs then skip ()
     else
-      match R.fork_result p.vm core with
+      match T.trap (fun () -> R.fork p.vm core) with
       | Ok vm ->
           let q = new_proc ~id:child vm (copy_pages p.pages) in
           procs := !procs @ [ q ];

@@ -13,17 +13,17 @@ let errno_to_string = function
   | ENOMEM -> "ENOMEM"
   | EFAULT -> "EFAULT"
 
-(* Map VM-layer failures to errnos: frame exhaustion is ENOMEM; an
-   operation abandoned at a fault-injection point was rolled back by the
-   VM layer and reports EFAULT. Every syscall validates its arguments
-   before calling into the VM, so EINVAL always means "nothing happened"
-   — and thanks to the VM operations' exception safety, so do ENOMEM and
-   EFAULT. *)
-let trap_vm f =
-  match f () with
-  | v -> Ok v
-  | exception Ccsim.Physmem.Out_of_frames -> Error ENOMEM
-  | exception Ccsim.Fault.Injected_abort _ -> Error EFAULT
+(* Map the VM layer's typed failures to errnos: frame exhaustion is
+   ENOMEM; an operation abandoned at a fault-injection point was rolled
+   back by the VM layer and reports EFAULT. Every syscall validates its
+   arguments before calling into the VM, so EINVAL always means "nothing
+   happened" — and thanks to the VM operations' exception safety, so do
+   ENOMEM and EFAULT. *)
+let errno_of_vm = function
+  | Vm.Vm_types.Enomem -> ENOMEM
+  | Vm.Vm_types.Aborted _ -> EFAULT
+
+let trap_vm f = Result.map_error errno_of_vm (Vm.Vm_types.trap f)
 
 type state = Running | Zombie of int
 
@@ -270,33 +270,31 @@ let sys_mprotect _t core p ~vpn ~npages prot =
   | Ok (), Ok () -> trap_vm (fun () -> R.mprotect p.vm core ~vpn ~npages prot)
 
 (* User accesses degrade rather than raise: frame exhaustion surfaces as
-   [Oom] (load: [None]), and an access that keeps hitting an injected
+   [Oom] (load: [ENOMEM]), and an access that keeps hitting an injected
    abort point retries a bounded number of times — each attempt was rolled
    back, so retrying is sound — before giving up as a resource failure. *)
 let access_retries = 64
 
+let retry_access f =
+  let rec go tries =
+    match Vm.Vm_types.trap f with
+    | Error (Vm.Vm_types.Aborted _) when tries < access_retries ->
+        go (tries + 1)
+    | r -> r
+  in
+  go 0
+
 let store _t core p ~vpn value =
   if p.state <> Running then Vm.Vm_types.Segfault
   else
-    let rec go tries =
-      match R.store p.vm core ~vpn value with
-      | r -> r
-      | exception Physmem.Out_of_frames -> Vm.Vm_types.Oom
-      | exception Fault.Injected_abort _ ->
-          if tries < access_retries then go (tries + 1) else Vm.Vm_types.Oom
-    in
-    go 0
+    match retry_access (fun () -> R.store p.vm core ~vpn value) with
+    | Ok r -> r
+    | Error _ -> Vm.Vm_types.Oom
 
 let load_result _t core p ~vpn =
   if p.state <> Running then Ok None
   else
-    let rec go tries =
-      match R.load p.vm core ~vpn with
-      | r -> Ok r
-      | exception Physmem.Out_of_frames -> Error ENOMEM
-      | exception Fault.Injected_abort _ ->
-          if tries < access_retries then go (tries + 1) else Error EFAULT
-    in
-    go 0
+    Result.map_error errno_of_vm
+      (retry_access (fun () -> R.load p.vm core ~vpn))
 
 let load t core p ~vpn = Result.value (load_result t core p ~vpn) ~default:None

@@ -95,7 +95,9 @@ let access = function T.Ok -> `Ok | T.Segfault -> `Seg | T.Oom -> `Nomem
 let value = function Some w -> `Val w | None -> `Absent
 let ok () = `Ok
 
-let of_vm f = function
+(* Run one RadixVM operation with its expected failures trapped. *)
+let of_vm f op =
+  match T.trap op with
   | Ok v -> f v
   | Error T.Enomem -> `Nomem
   | Error (T.Aborted _) -> `Abort
@@ -132,19 +134,21 @@ let forked m ~rangelock ~slots ~procs =
   let vms = Array.init procs (fun i -> if i = 0 then root else R.fork root c0) in
   {
     base = 0;
-    load = (fun p core ~vpn -> of_vm value (R.load_result vms.(p) core ~vpn));
+    load =
+      (fun p core ~vpn -> of_vm value (fun () -> R.load vms.(p) core ~vpn));
     store =
-      (fun p core ~vpn w -> of_vm access (R.store_result vms.(p) core ~vpn w));
+      (fun p core ~vpn w ->
+        of_vm access (fun () -> R.store vms.(p) core ~vpn w));
     munmap =
       (fun p core ~vpn ~npages ->
-        of_vm ok (R.munmap_result vms.(p) core ~vpn ~npages));
+        of_vm ok (fun () -> R.munmap vms.(p) core ~vpn ~npages));
     map =
       (fun p core ~vpn ~npages ->
-        of_vm ok
-          (R.mmap_result vms.(p) core ~vpn ~npages ~backing:(T.File fd) ()));
+        of_vm ok (fun () ->
+            R.mmap vms.(p) core ~vpn ~npages ~backing:(T.File fd) ()));
     mprotect =
       (fun p core ~vpn prot ->
-        of_vm ok (R.mprotect_result vms.(p) core ~vpn ~npages:1 prot));
+        of_vm ok (fun () -> R.mprotect vms.(p) core ~vpn ~npages:1 prot));
     cache = hooks (radixvm_cache_ops ~file:fd) root;
     compact;
     reap = (fun p core -> R.reap vms.(p) core);

@@ -80,12 +80,14 @@ let shootdown_under plan_cfg =
   plan_cfg plan;
   let vm = R.create m in
   let c0 = Machine.core m 0 and c1 = Machine.core m 1 in
-  (match R.mmap_result vm c0 ~vpn:5 ~npages:1 () with
+  (match T.trap (fun () -> R.mmap vm c0 ~vpn:5 ~npages:1 ()) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "mmap failed");
-  Alcotest.(check result_vm) "touch c0" (Ok T.Ok) (R.touch_result vm c0 ~vpn:5);
-  Alcotest.(check result_vm) "touch c1" (Ok T.Ok) (R.touch_result vm c1 ~vpn:5);
-  (match R.munmap_result vm c0 ~vpn:5 ~npages:1 with
+  Alcotest.(check result_vm) "touch c0" (Ok T.Ok)
+    (T.trap (fun () -> R.touch vm c0 ~vpn:5));
+  Alcotest.(check result_vm) "touch c1" (Ok T.Ok)
+    (T.trap (fun () -> R.touch vm c1 ~vpn:5));
+  (match T.trap (fun () -> R.munmap vm c0 ~vpn:5 ~npages:1) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "munmap failed");
   Alcotest.(check bool) "unmapped" false (R.mapped vm ~vpn:5);
@@ -147,21 +149,22 @@ let crash_matrix =
 
 (* Run the operation that reaches [op]'s injection points, against the
    setup both tests build ([10, 14) mapped, 11 stored): mmap maps over
-   that range, so rolling it back must reinstate the displaced pages. The
-   typed [_result] wrappers catch aborts and Enomem only — a crash must
-   propagate to the caller (the session driver playing kernel). *)
+   that range, so rolling it back must reinstate the displaced pages.
+   [T.trap] catches aborts and Enomem only — a crash must propagate to
+   the caller (the session driver playing kernel). *)
 let run_victim op vm c0 =
   match op with
-  | "mmap" -> R.mmap_result vm c0 ~vpn:10 ~npages:4 ()
-  | "munmap" -> R.munmap_result vm c0 ~vpn:10 ~npages:4
-  | "mprotect" -> R.mprotect_result vm c0 ~vpn:10 ~npages:4 T.Read_only
+  | "mmap" -> T.trap (fun () -> R.mmap vm c0 ~vpn:10 ~npages:4 ())
+  | "munmap" -> T.trap (fun () -> R.munmap vm c0 ~vpn:10 ~npages:4)
+  | "mprotect" ->
+      T.trap (fun () -> R.mprotect vm c0 ~vpn:10 ~npages:4 T.Read_only)
   | "pagefault" -> (
-      match R.touch_result vm c0 ~vpn:13 with
+      match T.trap (fun () -> R.touch vm c0 ~vpn:13) with
       | Ok T.Ok -> Ok ()
       | Ok a -> Alcotest.failf "pagefault victim: %a" T.pp_access_result a
       | Error e -> Error e)
   | "fork" -> (
-      match R.fork_result vm c0 with
+      match T.trap (fun () -> R.fork vm c0) with
       | Ok child -> Ok (R.destroy child c0)
       | Error e -> Error e)
   | _ -> assert false
@@ -175,11 +178,11 @@ let test_abort_rolls_back () =
       let plan = plan_on m in
       let vm = R.create m in
       let c0 = Machine.core m 0 in
-      (match R.mmap_result vm c0 ~vpn:10 ~npages:4 () with
+      (match T.trap (fun () -> R.mmap vm c0 ~vpn:10 ~npages:4 ()) with
       | Ok () -> ()
       | Error _ -> Alcotest.fail (name ^ ": setup mmap failed"));
       Alcotest.(check result_vm) (name ^ ": store") (Ok T.Ok)
-        (R.store_result vm c0 ~vpn:11 7);
+        (T.trap (fun () -> R.store vm c0 ~vpn:11 7));
       let frames_before = live m in
       Fault.abort_ops plan ~op ~point ~prob:1.0 ();
       (match run_victim op vm c0 with
@@ -187,7 +190,8 @@ let test_abort_rolls_back () =
           Alcotest.(check (pair string string)) (name ^ ": typed abort")
             (op, point) (o, p)
       | Error e -> Alcotest.failf "[%s] wrong error: %a" name T.pp_vm_error e
-      | Ok () -> Alcotest.failf "[%s] abort at probability 1.0 did not fire" name);
+      | Ok () ->
+          Alcotest.failf "[%s] abort at probability 1.0 did not fire" name);
       Machine.set_fault m None;
       (* The failed operation must be a perfect no-op: the range still
          mapped and writable, the value intact, no frame leaked or
@@ -199,9 +203,9 @@ let test_abort_rolls_back () =
       Alcotest.(check (result (option int) vm_error_t))
         (name ^ ": value survived")
         (Ok (Some 7))
-        (R.load_result vm c0 ~vpn:11);
+        (T.trap (fun () -> R.load vm c0 ~vpn:11));
       Alcotest.(check result_vm) (name ^ ": still writable") (Ok T.Ok)
-        (R.store_result vm c0 ~vpn:11 7);
+        (T.trap (fun () -> R.store vm c0 ~vpn:11 7));
       Alcotest.(check int) (name ^ ": no frames leaked or dropped")
         frames_before (live m);
       R.check_invariants vm;
@@ -234,15 +238,17 @@ let test_fork_abort_rolls_back () =
       let plan = plan_on m in
       let vm = R.create m in
       let c0 = Machine.core m 0 in
-      (match R.mmap_result vm c0 ~vpn:10 ~npages:4 () with
+      (match T.trap (fun () -> R.mmap vm c0 ~vpn:10 ~npages:4 ()) with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "setup mmap failed");
       (* Populate two pages so the demote pass has real work to undo. *)
-      Alcotest.(check result_vm) "store" (Ok T.Ok) (R.store_result vm c0 ~vpn:11 7);
-      Alcotest.(check result_vm) "touch" (Ok T.Ok) (R.touch_result vm c0 ~vpn:12);
+      Alcotest.(check result_vm) "store" (Ok T.Ok)
+        (T.trap (fun () -> R.store vm c0 ~vpn:11 7));
+      Alcotest.(check result_vm) "touch" (Ok T.Ok)
+        (T.trap (fun () -> R.touch vm c0 ~vpn:12));
       let frames_before = live m in
       Fault.abort_ops plan ~op:"fork" ~point ~prob:1.0 ();
-      (match R.fork_result vm c0 with
+      (match T.trap (fun () -> R.fork vm c0) with
       | Error (T.Aborted { op = "fork"; point = p }) ->
           Alcotest.(check string) (point ^ ": typed abort") point p
       | Error e -> Alcotest.failf "[%s] wrong error: %a" point T.pp_vm_error e
@@ -251,11 +257,11 @@ let test_fork_abort_rolls_back () =
       Alcotest.(check (result (option int) vm_error_t))
         (point ^ ": value survived")
         (Ok (Some 7))
-        (R.load_result vm c0 ~vpn:11);
+        (T.trap (fun () -> R.load vm c0 ~vpn:11));
       (* The COW rollback check: were a demotion left behind, this write
          would fault a private copy and shift the frame count. *)
       Alcotest.(check result_vm) (point ^ ": write-after-rollback") (Ok T.Ok)
-        (R.store_result vm c0 ~vpn:12 9);
+        (T.trap (fun () -> R.store vm c0 ~vpn:12 9));
       Alcotest.(check int) (point ^ ": frames balanced") frames_before (live m);
       R.check_invariants vm;
       Alcotest.(check int) (point ^ ": range locks released") 0
@@ -263,12 +269,12 @@ let test_fork_abort_rolls_back () =
       (* With the plan detached the same fork goes through, and the child
          really shares the parent's pages. *)
       Machine.set_fault m None;
-      (match R.fork_result vm c0 with
+      (match T.trap (fun () -> R.fork vm c0) with
       | Ok child ->
           Alcotest.(check (result (option int) vm_error_t))
             (point ^ ": child sees value")
             (Ok (Some 7))
-            (R.load_result child c0 ~vpn:11);
+            (T.trap (fun () -> R.load child c0 ~vpn:11));
           R.destroy child c0
       | Error e ->
           Alcotest.failf "[%s] fork after detach failed: %a" point
@@ -285,25 +291,25 @@ let test_frame_exhaustion_degrades () =
   let plan = plan_on m in
   let vm = R.create m in
   let c0 = Machine.core m 0 in
-  (match R.mmap_result vm c0 ~vpn:0 ~npages:8 () with
+  (match T.trap (fun () -> R.mmap vm c0 ~vpn:0 ~npages:8 ()) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "setup mmap failed");
   (* Demand-zero pages allocate on first touch: freeze the budget at the
      current live count and every populate path must degrade, typed. *)
   Fault.set_frame_budget plan (Some (live m));
-  (match R.touch_result vm c0 ~vpn:3 with
+  (match T.trap (fun () -> R.touch vm c0 ~vpn:3) with
   | Error T.Enomem -> ()
   | r -> Alcotest.failf "touch: expected Enomem, got %a" pp_result_vm r);
-  (match R.store_result vm c0 ~vpn:4 9 with
+  (match T.trap (fun () -> R.store vm c0 ~vpn:4 9) with
   | Error T.Enomem -> ()
   | r -> Alcotest.failf "store: expected Enomem, got %a" pp_result_vm r);
   R.check_invariants vm;
   (* Pressure relieved: the same accesses succeed. *)
   Fault.set_frame_budget plan None;
   Alcotest.(check result_vm) "touch after relief" (Ok T.Ok)
-    (R.touch_result vm c0 ~vpn:3);
+    (T.trap (fun () -> R.touch vm c0 ~vpn:3));
   Alcotest.(check result_vm) "store after relief" (Ok T.Ok)
-    (R.store_result vm c0 ~vpn:4 9)
+    (T.trap (fun () -> R.store vm c0 ~vpn:4 9))
 
 (* ------------------------------------------------------------------ *)
 (* Kernel errno surface                                                *)
@@ -373,7 +379,7 @@ let test_broken_rollback_is_caught () =
   let c0 = Machine.core m 0 in
   Fault.set_break_rollback plan true;
   Fault.abort_ops plan ~op:"mmap" ~point:"locked" ~prob:1.0 ();
-  (match R.mmap_result vm c0 ~vpn:20 ~npages:3 () with
+  (match T.trap (fun () -> R.mmap vm c0 ~vpn:20 ~npages:3 ()) with
   | Error (T.Aborted _) -> ()
   | Ok () -> Alcotest.fail "abort did not fire"
   | Error e -> Alcotest.failf "wrong error: %a" T.pp_vm_error e);
@@ -388,12 +394,12 @@ let test_invariant_violation_is_typed () =
   let plan = plan_on m in
   let vm = R.create m in
   let c0 = Machine.core m 0 in
-  (match R.mmap_result vm c0 ~vpn:0 ~npages:2 () with
+  (match T.trap (fun () -> R.mmap vm c0 ~vpn:0 ~npages:2 ()) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "setup mmap failed");
   Fault.set_break_rollback plan true;
   Fault.abort_ops plan ~op:"munmap" ~point:"cleared" ~prob:1.0 ();
-  (match R.munmap_result vm c0 ~vpn:0 ~npages:2 with
+  (match T.trap (fun () -> R.munmap vm c0 ~vpn:0 ~npages:2) with
   | Error (T.Aborted _) -> ()
   | _ -> Alcotest.fail "abort did not fire");
   (* Half-applied munmap with no rollback: the tree's counts are wrong,
@@ -428,18 +434,18 @@ let test_crash_reap_survivors_clean () =
           let plan = plan_on m in
           let vm = R.create_with ~rangelock m in
           let c0 = Machine.core m 0 and c1 = Machine.core m 1 in
-          (match R.mmap_result vm c0 ~vpn:10 ~npages:4 () with
+          (match T.trap (fun () -> R.mmap vm c0 ~vpn:10 ~npages:4 ()) with
           | Ok () -> ()
           | Error _ -> Alcotest.fail (name ^ ": setup mmap failed"));
           Alcotest.(check result_vm) (name ^ ": setup store") (Ok T.Ok)
-            (R.store_result vm c0 ~vpn:11 7);
+            (T.trap (fun () -> R.store vm c0 ~vpn:11 7));
           Alcotest.(check result_vm) (name ^ ": setup touch") (Ok T.Ok)
-            (R.touch_result vm c0 ~vpn:12);
+            (T.trap (fun () -> R.touch vm c0 ~vpn:12));
           (* The survivor: forked before the crash, so it shares the
              refcounting layers and holds COW references to the victim's
              pages — exactly what reap must not disturb. *)
           let sib =
-            match R.fork_result vm c0 with
+            match T.trap (fun () -> R.fork vm c0) with
             | Ok s -> s
             | Error e ->
                 Alcotest.failf "[%s] setup fork failed: %a" name T.pp_vm_error e
@@ -469,16 +475,16 @@ let test_crash_reap_survivors_clean () =
           Alcotest.(check (result (option int) vm_error_t))
             (name ^ ": survivor reads shared value")
             (Ok (Some 7))
-            (R.load_result sib c1 ~vpn:11);
+            (T.trap (fun () -> R.load sib c1 ~vpn:11));
           Alcotest.(check result_vm) (name ^ ": survivor writes") (Ok T.Ok)
-            (R.store_result sib c1 ~vpn:12 9);
-          (match R.mmap_result sib c1 ~vpn:50 ~npages:3 () with
+            (T.trap (fun () -> R.store sib c1 ~vpn:12 9));
+          (match T.trap (fun () -> R.mmap sib c1 ~vpn:50 ~npages:3 ()) with
           | Ok () -> ()
           | Error _ -> Alcotest.fail (name ^ ": survivor mmap failed"));
           Alcotest.(check result_vm) (name ^ ": survivor touches new range")
             (Ok T.Ok)
-            (R.touch_result sib c1 ~vpn:51);
-          (match R.munmap_result sib c1 ~vpn:50 ~npages:3 with
+            (T.trap (fun () -> R.touch sib c1 ~vpn:51));
+          (match T.trap (fun () -> R.munmap sib c1 ~vpn:50 ~npages:3) with
           | Ok () -> ()
           | Error _ -> Alcotest.fail (name ^ ": survivor munmap failed"));
           R.check_invariants sib;
@@ -685,7 +691,7 @@ let test_watchdog_trips_and_is_one_shot () =
      last feed must trip from inside the wedged operation. *)
   Check.arm_watchdog chk ~horizon:1;
   Check.feed_watchdog chk;
-  (match R.mmap_result vm c0 ~vpn:0 ~npages:2 () with
+  (match T.trap (fun () -> R.mmap vm c0 ~vpn:0 ~npages:2 ()) with
   | exception Check.Livelock { elapsed; horizon; dump = _ } ->
       Alcotest.(check int) "reports the armed horizon" 1 horizon;
       Alcotest.(check bool) "elapsed is the machine clock" true (elapsed >= 0)
@@ -694,7 +700,7 @@ let test_watchdog_trips_and_is_one_shot () =
   (* One-shot: it disarmed itself before raising, so the session can be
      abandoned without the unwind (or anything after) re-tripping. *)
   let vm2 = R.create m in
-  match R.mmap_result vm2 c0 ~vpn:0 ~npages:1 () with
+  match T.trap (fun () -> R.mmap vm2 c0 ~vpn:0 ~npages:1 ()) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "post-trip op failed: %a" T.pp_vm_error e
   | exception Check.Livelock _ -> Alcotest.fail "watchdog tripped twice"

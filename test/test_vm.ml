@@ -488,6 +488,39 @@ let test_fork_write_isolation_against_parent () =
   Alcotest.(check int) "copy made" 2 (Physmem.live_frames (Machine.physmem m));
   ignore child
 
+(* fork must revoke every writable translation of the pages it demotes,
+   under each page-table kind. Core 1 caches the page's writable
+   translation without faulting under grouped and shared tables (a
+   hardware walk of the table core 0 filled), and a shared table records
+   no cores per page at all. A parent store from core 1 after the fork
+   must fault and copy, not land in the page the child shares. *)
+let test_fork_revokes_writable_translations () =
+  List.iter
+    (fun (kind, mmu) ->
+      let m = machine () in
+      let vm = R.create_with ~mmu m in
+      let c0 = Machine.core m 0 and c1 = Machine.core m 1 in
+      R.mmap vm c0 ~vpn:10 ~npages:1 ();
+      Alcotest.check result_t (kind ^ ": store 7") Vm_types.Ok
+        (R.store vm c0 ~vpn:10 7);
+      Alcotest.(check (option int)) (kind ^ ": core 1 loads 7") (Some 7)
+        (R.load vm c1 ~vpn:10);
+      let child = R.fork vm c0 in
+      R.check_invariants vm;
+      Alcotest.check result_t (kind ^ ": parent stores 99") Vm_types.Ok
+        (R.store vm c1 ~vpn:10 99);
+      Alcotest.(check (option int)) (kind ^ ": child loads 7") (Some 7)
+        (R.load child c0 ~vpn:10);
+      Alcotest.(check (option int)) (kind ^ ": parent loads 99") (Some 99)
+        (R.load vm c1 ~vpn:10);
+      R.destroy child c0;
+      R.destroy vm c0)
+    [
+      ("per-core", Vm.Page_table.Per_core);
+      ("grouped 2", Vm.Page_table.Grouped 2);
+      ("shared", Vm.Page_table.Shared);
+    ]
+
 let test_file_mappings_share_page_cache () =
   let m = machine () in
   let vm = R.create m in
@@ -1031,6 +1064,8 @@ let () =
           tc "frames freed at exit" `Quick test_fork_frames_freed_when_both_exit;
           tc "parent write isolation" `Quick test_fork_write_isolation_against_parent;
           tc "cow chain grandchild" `Quick test_cow_chain_grandchild;
+          tc "fork revokes writable translations" `Quick
+            test_fork_revokes_writable_translations;
         ] );
       ( "concurrent stress",
         [ tc "8-core randomized workloads" `Slow test_concurrent_stress ] );
