@@ -23,8 +23,6 @@ type vma = {
   backing : Vm.Vm_types.backing;
 }
 
-val vma_end : vma -> int
-
 (** Index structures usable as a VMA tree. *)
 module type INDEX = sig
   type 'v t

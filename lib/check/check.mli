@@ -218,7 +218,6 @@ val report :
     analysis's findings and a PASS/FAIL verdict ([allow] as in
     {!multi_writer_lines}, [race_allow] as in {!ok}). *)
 
-val pp_race : Format.formatter -> race -> unit
 val pp_cycle : Format.formatter -> cycle -> unit
 val pp_tlb_violation : Format.formatter -> tlb_violation -> unit
 val pp_rc_violation : Format.formatter -> rc_violation -> unit

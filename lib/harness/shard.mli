@@ -93,9 +93,6 @@ val epoch_cycles : t -> int
 val pending : t -> bool
 (** Some node has buffered, undelivered cross-shard events. *)
 
-val world_idle : t -> bool
-(** Every node's machine is idle ({!Ccsim.Machine.idle}). *)
-
 val sent : t -> int
 (** Cross-shard events gathered into batches so far. *)
 

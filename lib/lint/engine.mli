@@ -32,10 +32,6 @@ type config = {
 
 val repo_config : config
 
-val scan_cmt : config -> string -> Finding.t list
-(** Findings for one [.cmt] file (unsorted). Interface-only and partial
-    cmts yield []. Raises if the file is not a cmt. *)
-
 val find_cmts : config -> string list -> string list
 (** All [.cmt] files under the given roots, sorted; nonexistent roots are
     ignored. *)

@@ -41,8 +41,6 @@ type rule =
   | Allow_stale  (** An allowlist entry that matches no finding. *)
   | Allow_malformed  (** An allowlist line that does not parse. *)
 
-val all_rules : rule list
-
 val rule_id : rule -> string
 (** Stable kebab-case id used in output and in [lint.allow]. *)
 

@@ -52,7 +52,6 @@ val brk : process -> int
 val text_base : int
 val heap_base : int
 val stack_base : int
-val stack_pages : int
 
 (** {2 Syscalls} *)
 

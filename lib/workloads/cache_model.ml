@@ -8,7 +8,6 @@ type t = {
   next : int array;
   mutable head : int;
   mutable tail : int;
-  mutable resident : int;
 }
 
 let create ~slots =
@@ -21,11 +20,9 @@ let create ~slots =
     next = Array.make slots (-1);
     head = -1;
     tail = -1;
-    resident = 0;
   }
 
 let slot_of_key t key = key mod t.slots
-let resident t = t.resident
 
 let unlink t s =
   let p = t.prev.(s) and n = t.next.(s) in
@@ -60,18 +57,13 @@ let get t ~key =
 
 let set t ~key ~value =
   let s = slot_of_key t key in
-  if t.key.(s) = -1 then begin
-    t.resident <- t.resident + 1;
-    push_front t s
-  end
-  else touch t s;
+  if t.key.(s) = -1 then push_front t s else touch t s;
   t.key.(s) <- key;
   t.value.(s) <- value
 
 let drop t s =
   unlink t s;
-  t.key.(s) <- -1;
-  t.resident <- t.resident - 1
+  t.key.(s) <- -1
 
 let delete t ~key =
   let s = slot_of_key t key in
@@ -97,5 +89,4 @@ let clear t =
   Array.fill t.prev 0 t.slots (-1);
   Array.fill t.next 0 t.slots (-1);
   t.head <- -1;
-  t.tail <- -1;
-  t.resident <- 0
+  t.tail <- -1

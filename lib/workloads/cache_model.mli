@@ -39,5 +39,3 @@ val evict_slot : t -> int -> unit
 
 val clear : t -> unit
 (** Forget everything (mirror of a truncate-to-zero compaction). *)
-
-val resident : t -> int

@@ -20,8 +20,6 @@ type profile = {
   seed : int;
 }
 
-val firefox : profile
-val chrome : profile
 val apache : profile
 val mysql : profile
 val all : profile list
