@@ -158,26 +158,25 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     List.iter (fun h -> C.dec t.csub core h) handles
 
   (* ---------------------------------------------------------------- *)
-  (* Fault-injection plumbing. Every operation below is exception-safe:
-     whatever escapes its critical section (an injected abort, frame
-     exhaustion from [Physmem.alloc]) ends in [fail], which backs the
-     operation out, so a failed operation is a no-op. *)
+  (* Fault-injection plumbing. *)
 
   let abort_point (core : Core.t) ~op ~point =
     match core.Core.fault with
     | None -> ()
     | Some f -> Fault.abort_now f ~op ~point
 
-  (* The one failure path. [repair] backs the failing operation out from
-     wherever it stopped: it undoes the half-done mutation and releases
-     the range locks. A graceful failure runs it on the spot. An
-     [Injected_crash] kills the process instead: the dying operation must
-     NOT unwind — no rollback, no unlock; the tree stays exactly as the
-     dead core left it, locks and all — so [repair] is stashed for [reap],
-     which stands for what a real kernel reconstructs from the dead CPU's
-     journal. The [rollback_broken] escape hatch skips the graceful path;
-     it exists so tests can prove the leak checkers catch a missing
-     rollback. Either way the exception propagates. *)
+  (* The one failure path, which makes every operation below
+     exception-safe. Whatever escapes a critical section (an injected
+     abort, frame exhaustion from [Physmem.alloc]) lands here with
+     [repair], which backs the operation out from wherever it stopped:
+     it undoes the half-done mutation and releases the range locks, so a
+     failed operation is a no-op. An [Injected_crash] kills the process
+     instead: the dying operation must NOT unwind — no rollback, no
+     unlock; the tree stays exactly as the dead core left it, locks and
+     all — so [repair] is stashed for [reap]. The [rollback_broken]
+     escape hatch skips the graceful path; it exists so tests can prove
+     the leak checkers catch a missing rollback. Either way the exception
+     propagates. *)
   let fail t (core : Core.t) repair e =
     (match e with
     | Fault.Injected_crash _ ->

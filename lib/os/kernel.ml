@@ -270,7 +270,7 @@ let sys_mprotect _t core p ~vpn ~npages prot =
   | Ok (), Ok () -> trap_vm (fun () -> R.mprotect p.vm core ~vpn ~npages prot)
 
 (* User accesses degrade rather than raise: frame exhaustion surfaces as
-   [Oom] (load: [ENOMEM]), and an access that keeps hitting an injected
+   [Oom] (load: [None]), and an access that keeps hitting an injected
    abort point retries a bounded number of times — each attempt was rolled
    back, so retrying is sound — before giving up as a resource failure. *)
 let access_retries = 64
