@@ -330,10 +330,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
         shootdown t core ~any_frames:!any_frames ~lo ~hi targets
     with
     | () -> Radix.unlock_range t.tree core lk
-    | exception e ->
-        (* The abort point precedes every mutation: backing out is
-           unlocking. *)
-        fail t core (fun () -> Radix.unlock_range t.tree core lk) e
+    | exception e -> fail t core (fun () -> Radix.unlock_range t.tree core lk) e
 
   let mmap_shared_frame t (core : Core.t) ~vpn ~npages ~pfn handle =
     if npages <= 0 then invalid_arg "Radixvm.mmap_shared_frame: npages";

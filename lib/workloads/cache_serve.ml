@@ -95,7 +95,6 @@ let access = function T.Ok -> `Ok | T.Segfault -> `Seg | T.Oom -> `Nomem
 let value = function Some w -> `Val w | None -> `Absent
 let ok () = `Ok
 
-(* Run one RadixVM operation with its expected failures trapped. *)
 let of_vm f op =
   match T.trap op with
   | Ok v -> f v
