@@ -211,12 +211,40 @@ let test_abort_rolls_back () =
       R.check_invariants vm;
       Alcotest.(check int) (name ^ ": range locks released") 0
         (List.length (Check.leaked_locks chk));
-      (* With the plan detached the same operation goes through. *)
-      match run_victim op vm c0 with
+      (* With the plan detached the same operation goes through and takes
+         effect. *)
+      (match run_victim op vm c0 with
       | Ok () -> ()
       | Error e ->
           Alcotest.failf "[%s] retry after detach failed: %a" name
-            T.pp_vm_error e)
+            T.pp_vm_error e);
+      let load vpn = T.trap (fun () -> R.load vm c0 ~vpn) in
+      let value_t = Alcotest.(result (option int) vm_error_t) in
+      match op with
+      | "mmap" ->
+          for vpn = 10 to 13 do
+            Alcotest.(check bool) (Printf.sprintf "%s: %d remapped" name vpn)
+              true (R.mapped vm ~vpn)
+          done;
+          Alcotest.(check value_t) (name ^ ": fresh page reads zero")
+            (Ok (Some 0)) (load 11)
+      | "munmap" ->
+          for vpn = 10 to 13 do
+            Alcotest.(check bool) (Printf.sprintf "%s: %d now unmapped" name vpn)
+              false (R.mapped vm ~vpn)
+          done
+      | "mprotect" ->
+          Alcotest.(check value_t) (name ^ ": still readable") (Ok (Some 7))
+            (load 11);
+          Alcotest.(check result_vm) (name ^ ": now read-only")
+            (Ok T.Segfault)
+            (T.trap (fun () -> R.store vm c0 ~vpn:11 9))
+      | "pagefault" ->
+          Alcotest.(check int) (name ^ ": fault took a frame")
+            (frames_before + 1) (live m);
+          Alcotest.(check value_t) (name ^ ": faulted page loadable")
+            (Ok (Some 0)) (load 13)
+      | _ -> assert false)
     (List.concat_map
        (fun (op, points) ->
          if op = "fork" then [] else List.map (fun p -> (op, p)) points)
