@@ -256,6 +256,159 @@ let refcache_linearizable =
       end)
 
 (* ------------------------------------------------------------------ *)
+(* Delta-cache model                                                   *)
+
+(* A reference model of the per-core delta cache, kept as one record per
+   slot: two-way set-associative over [hash seq land mask], both ways
+   busy evicts the smaller-|delta| way, and flush evicts every slot
+   touched since the last flush in ascending slot order. Eviction order
+   is observable (line-stall timing, lock events), so the test reads the
+   real cache's evictions back as object-lock acquisitions — while no
+   count reaches zero, an eviction is the only thing that takes an
+   object's lock — and requires the model's sequence exactly, plus every
+   object's true count. A small cache makes objects collide. *)
+
+type dc_op = Bump of { core : int; obj : int; d : int } | Flush of int
+
+let dc_ncores = 3
+let dc_nobjs = 6
+let dc_slots = 4
+let dc_init = 1_000
+
+let dc_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          map3
+            (fun core obj up -> Bump { core; obj; d = (if up then 1 else -1) })
+            (int_bound (dc_ncores - 1))
+            (int_bound (dc_nobjs - 1))
+            bool );
+        (1, map (fun c -> Flush c) (int_bound (dc_ncores - 1)));
+      ])
+
+let dc_op_print = function
+  | Bump { core; obj; d } -> Printf.sprintf "%+d:o%d@%d" d obj core
+  | Flush c -> Printf.sprintf "flush@%d" c
+
+type model_slot = {
+  mutable m_obj : int;  (* -1 = empty *)
+  mutable m_delta : int;
+  mutable m_queued : bool;
+}
+
+(* The model's evictions as (core, object) in order, and each object's
+   true count. *)
+let dc_model ops =
+  let mask = dc_slots - 1 in
+  let slots =
+    Array.init dc_ncores (fun _ ->
+        Array.init dc_slots (fun _ ->
+            { m_obj = -1; m_delta = 0; m_queued = false }))
+  in
+  let dirty = Array.make dc_ncores [] in
+  let global = Array.make dc_nobjs dc_init in
+  let evictions = ref [] in
+  let evict core o d =
+    global.(o) <- global.(o) + d;
+    evictions := (core, o) :: !evictions
+  in
+  let bump core o d =
+    let way0 = o * 0x9E3779B1 land mask land lnot 1 in
+    let s0 = slots.(core).(way0) and s1 = slots.(core).(way0 lor 1) in
+    let i =
+      if s0.m_obj = o then way0
+      else if s1.m_obj = o then way0 lor 1
+      else if s0.m_obj < 0 then way0
+      else if s1.m_obj < 0 then way0 lor 1
+      else begin
+        let i = if abs s0.m_delta <= abs s1.m_delta then way0 else way0 lor 1 in
+        let v = slots.(core).(i) in
+        if v.m_delta <> 0 then evict core v.m_obj v.m_delta;
+        v.m_obj <- -1;
+        v.m_delta <- 0;
+        i
+      end
+    in
+    let s = slots.(core).(i) in
+    if s.m_obj <> o then begin
+      s.m_obj <- o;
+      s.m_delta <- 0
+    end;
+    s.m_delta <- s.m_delta + d;
+    if not s.m_queued then begin
+      s.m_queued <- true;
+      dirty.(core) <- i :: dirty.(core)
+    end
+  in
+  let flush core =
+    List.iter
+      (fun i ->
+        let s = slots.(core).(i) in
+        s.m_queued <- false;
+        if s.m_obj >= 0 && s.m_delta <> 0 then begin
+          evict core s.m_obj s.m_delta;
+          s.m_delta <- 0
+        end)
+      (List.sort Int.compare dirty.(core));
+    dirty.(core) <- []
+  in
+  List.iter
+    (function Bump { core; obj; d } -> bump core obj d | Flush c -> flush c)
+    ops;
+  let true_count o =
+    Array.fold_left
+      (fun acc core ->
+        Array.fold_left
+          (fun acc s -> if s.m_obj = o then acc + s.m_delta else acc)
+          acc core)
+      global.(o) slots
+  in
+  (List.rev !evictions, List.init dc_nobjs true_count)
+
+let dc_real ops =
+  let m =
+    Machine.create (Params.default ~ncores:dc_ncores ~epoch_cycles:epoch ())
+  in
+  let rc = Refcache.create ~cache_slots:dc_slots m in
+  let c0 = Machine.core m 0 in
+  (* Created in index order, so object [i] is the instance's [i]th
+     object, the sequence number the cache hashes. *)
+  let objs =
+    Array.init dc_nobjs (fun i ->
+        Refcache.make_obj ~label:(Printf.sprintf "dc%d" i) rc c0 ~init:dc_init
+          ~free:(fun _ -> ()))
+  in
+  let evictions = ref [] in
+  Obs.set_sink (Machine.obs m)
+    (Some
+       (function
+       | Obs.Acquire { core; label; _ } -> (
+           match Scanf.sscanf_opt label "dc%d%!" Fun.id with
+           | Some o -> evictions := (core, o) :: !evictions
+           | None -> ())
+       | _ -> ()));
+  List.iter
+    (function
+      | Bump { core; obj; d } ->
+          let c = Machine.core m core in
+          if d > 0 then Refcache.inc rc c objs.(obj)
+          else Refcache.dec rc c objs.(obj)
+      | Flush c -> Refcache.flush rc (Machine.core m c))
+    ops;
+  ( List.rev !evictions,
+    List.init dc_nobjs (fun i -> Refcache.true_count rc objs.(i)) )
+
+let delta_cache_model =
+  QCheck.Test.make ~name:"delta cache evicts as the record model" ~count:300
+    QCheck.(
+      make
+        ~print:(fun l -> String.concat "," (List.map dc_op_print l))
+        (QCheck.Gen.list_size (QCheck.Gen.int_range 1 80) dc_op_gen))
+    (fun ops -> dc_real ops = dc_model ops)
+
+(* ------------------------------------------------------------------ *)
 (* Counter schemes through the common interface                        *)
 
 module Counter_suite (C : Refcnt.Counter_intf.S) = struct
@@ -407,7 +560,11 @@ let () =
           tc "zero-init reviewed" `Quick test_zero_init_object_reviewed;
           tc "zero-init revived" `Quick test_zero_init_revived_by_inc;
         ] );
-      ("property", [ QCheck_alcotest.to_alcotest refcache_linearizable ]);
+      ( "property",
+        [
+          QCheck_alcotest.to_alcotest refcache_linearizable;
+          QCheck_alcotest.to_alcotest delta_cache_model;
+        ] );
       ("counter shared", Shared_suite.tests ~deferred:false);
       ("counter snzi", Snzi_suite.tests ~deferred:false);
       ("counter distributed", Dist_suite.tests ~deferred:false);
