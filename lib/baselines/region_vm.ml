@@ -108,11 +108,19 @@ struct
       doomed;
     doomed <> []
 
+  (* Remove the shared page table's PTEs for [lo, hi); returns the
+     removed [(vpn, pfn)] pairs in the order they were cleared. *)
+  let clear_present t ~lo ~hi =
+    let present = ref [] in
+    Page_table.clear_range (Mmu.page_table t.mmu) ~owner:0 ~lo ~hi
+      (fun vpn pfn -> present := (vpn, pfn) :: !present);
+    List.rev !present
+
   (* Clear the shared page table and every active core's TLB for [lo, hi),
      broadcasting shootdown IPIs; returns the frames to free. Caller holds
      the write lock. *)
   let shootdown_range t (core : Core.t) ~lo ~hi =
-    let removed = Page_table.clear_range (Mmu.page_table t.mmu) ~owner:0 ~lo ~hi in
+    let removed = clear_present t ~lo ~hi in
     if removed = [] then []
     else begin
       let targets =
@@ -121,7 +129,7 @@ struct
           t.ever_active []
       in
       Bitset.iter
-        (fun c -> ignore (Mmu.drop_for_core t.mmu ~owner:c ~lo ~hi))
+        (fun c -> Mmu.drop_for_core t.mmu ~owner:c ~lo ~hi)
         t.ever_active;
       Core.tick core core.Core.params.Params.op_cost;
       if targets <> [] then Ipi.multicast t.machine core ~targets;
@@ -266,7 +274,7 @@ struct
     (* Rewrite present PTEs with the new permission. *)
     let pt = Mmu.page_table t.mmu in
     let writable = prot = Vm_types.Read_write in
-    let present = Page_table.clear_range pt ~owner:0 ~lo ~hi in
+    let present = clear_present t ~lo ~hi in
     List.iter
       (fun (vpn, pfn) -> Page_table.install pt core ~vpn ~pfn ~writable)
       present;

@@ -1,4 +1,6 @@
-type t = { words : int array; n : int }
+(* One block: word 0 holds the capacity, words 1.. the bits. A set lives
+   in every line's directory entry and every page's mapping record. *)
+type t = int array
 
 (* 32 bits per word: a power of two, so the index split [i lsr 5] /
    [i land 31] is two shift-class instructions — with [Sys.int_size] (63,
@@ -9,40 +11,46 @@ let bits_per_word = 32
 
 let create n =
   if n < 0 then invalid_arg "Bitset.create";
-  { words = Array.make ((n + bits_per_word - 1) / bits_per_word) 0; n }
+  let t = Array.make (1 + ((n + bits_per_word - 1) / bits_per_word)) 0 in
+  t.(0) <- n;
+  t
 
-let capacity t = t.n
+let capacity (t : t) = Array.unsafe_get t 0
+
+(* The word holding bit [i]. *)
+let word_of i = (i lsr 5) + 1
 
 let check t i =
-  if i < 0 || i >= t.n then invalid_arg "Bitset: index out of range"
+  if i < 0 || i >= capacity t then invalid_arg "Bitset: index out of range"
 
 let add t i =
   check t i;
-  let w = i lsr 5 and b = i land 31 in
-  t.words.(w) <- t.words.(w) lor (1 lsl b)
+  let w = word_of i in
+  t.(w) <- t.(w) lor (1 lsl (i land 31))
 
 let remove t i =
   check t i;
-  let w = i lsr 5 and b = i land 31 in
-  t.words.(w) <- t.words.(w) land lnot (1 lsl b)
+  let w = word_of i in
+  t.(w) <- t.(w) land lnot (1 lsl (i land 31))
 
 let mem t i =
   check t i;
-  let w = i lsr 5 and b = i land 31 in
-  t.words.(w) land (1 lsl b) <> 0
+  t.(word_of i) land (1 lsl (i land 31)) <> 0
 
 (* No bounds check: for callers that guarantee [0 <= i < capacity]
    structurally (core ids against a set sized [ncores]). *)
 let unsafe_mem t i =
-  Array.unsafe_get t.words (i lsr 5) land (1 lsl (i land 31)) <> 0
+  Array.unsafe_get t (word_of i) land (1 lsl (i land 31)) <> 0
 
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
+let clear t = Array.fill t 1 (Array.length t - 1) 0
 
-let is_empty t =
-  let rec go k =
-    k = Array.length t.words || (Array.unsafe_get t.words k = 0 && go (k + 1))
-  in
-  go 0
+(* Top-level rather than local loops: a local recursive function that
+   captures [t] is a closure allocated per call, and these two run on
+   every line miss. *)
+let rec zero_from t k =
+  k = Array.length t || (Array.unsafe_get t k = 0 && zero_from t (k + 1))
+
+let is_empty t = zero_from t 1
 
 (* SWAR popcount on OCaml's 63-bit immediates: the usual 64-bit masks
    work unchanged because the (always zero) sign bit contributes
@@ -55,8 +63,8 @@ let popcount w =
 
 let cardinal t =
   let acc = ref 0 in
-  for k = 0 to Array.length t.words - 1 do
-    acc := !acc + popcount (Array.unsafe_get t.words k)
+  for k = 1 to Array.length t - 1 do
+    acc := !acc + popcount (Array.unsafe_get t k)
   done;
   !acc
 
@@ -77,10 +85,10 @@ let bit_index x =
    cost is per member rather than per universe bit — sharer sets are
    almost always sparse. *)
 let iter f t =
-  for k = 0 to Array.length t.words - 1 do
-    let w = ref (Array.unsafe_get t.words k) in
+  for k = 1 to Array.length t - 1 do
+    let w = ref (Array.unsafe_get t k) in
     if !w <> 0 then begin
-      let base = k * bits_per_word in
+      let base = (k - 1) * bits_per_word in
       while !w <> 0 do
         let lsb = !w land (- !w) in
         f (base + bit_index lsb);
@@ -107,28 +115,28 @@ let choose t =
    sharing?", "is any core of my socket but me sharing?"): straight mask
    arithmetic, so classifying a miss never walks the members. *)
 
+let rec other_from t ~wi ~b k =
+  k < Array.length t
+  &&
+  let w = Array.unsafe_get t k in
+  let w = if k = wi then w land lnot (1 lsl b) else w in
+  w <> 0 || other_from t ~wi ~b (k + 1)
+
 let exists_other t i =
   check t i;
-  let wi = i lsr 5 and b = i land 31 in
-  let rec go k =
-    if k = Array.length t.words then false
-    else
-      let w = Array.unsafe_get t.words k in
-      let w = if k = wi then w land lnot (1 lsl b) else w in
-      w <> 0 || go (k + 1)
-  in
-  go 0
+  other_from t ~wi:(word_of i) ~b:(i land 31) 1
 
 let mem_range_other t ~lo ~hi i =
-  if lo < 0 || hi > t.n || lo > hi then invalid_arg "Bitset.mem_range_other";
+  if lo < 0 || hi > capacity t || lo > hi then
+    invalid_arg "Bitset.mem_range_other";
   if lo >= hi then false
   else begin
-    let wi = i lsr 5 and bi = i land 31 in
-    let wlo = lo lsr 5 and whi = (hi - 1) lsr 5 in
+    let wi = word_of i and bi = i land 31 in
+    let wlo = word_of lo and whi = word_of (hi - 1) in
     let found = ref false in
     for k = wlo to whi do
       if not !found then begin
-        let w = Array.unsafe_get t.words k in
+        let w = Array.unsafe_get t k in
         (* Restrict to [lo, hi) within this word, then drop bit [i]. *)
         let w =
           if k = wlo then w land (-1 lsl (lo land 31)) else w
@@ -148,23 +156,8 @@ let mem_range_other t ~lo ~hi i =
   end
 
 let union_into ~dst src =
-  if dst.n <> src.n then invalid_arg "Bitset.union_into: capacity mismatch";
-  for w = 0 to Array.length dst.words - 1 do
-    dst.words.(w) <- dst.words.(w) lor src.words.(w)
+  if capacity dst <> capacity src then
+    invalid_arg "Bitset.union_into: capacity mismatch";
+  for w = 1 to Array.length dst - 1 do
+    dst.(w) <- dst.(w) lor src.(w)
   done
-
-let equal a b =
-  a.n = b.n
-  &&
-  let rec words_eq i =
-    i >= Array.length a.words
-    || (a.words.(i) = b.words.(i) && words_eq (i + 1))
-  in
-  words_eq 0
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Format.pp_print_int)
-    (elements t)

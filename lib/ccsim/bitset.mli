@@ -40,5 +40,3 @@ val union_into : dst:t -> t -> unit
 (** [union_into ~dst src] adds every member of [src] to [dst]. The two sets
     must have the same capacity. *)
 
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

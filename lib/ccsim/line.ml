@@ -30,38 +30,43 @@ let holds_for_read t core_id =
   (* Core ids are always < ncores = the sharer set's capacity. *)
   t.owner = core_id || Bitset.unsafe_mem t.sharers core_id
 
-(* Latency of fetching the line into [core]'s cache, given current holders
-   (excluding [core] itself). *)
-let miss_latency t (core : Core.t) =
+(* Where a miss by [core] fetches the line from, given its current
+   holders (excluding [core] itself). *)
+let miss_source t (core : Core.t) =
   let p = t.params in
-  let socket_of = Params.socket_of_core p in
   if t.owner >= 0 && t.owner <> core.Core.id then
-    if socket_of t.owner = core.Core.socket then
-      (p.Params.local_transfer, `Local)
-    else (p.Params.remote_transfer, `Remote)
+    if Params.socket_of_core p t.owner = core.Core.socket then `Local
+    else `Remote
   else if Bitset.exists_other t.sharers core.Core.id then
     (* Same classification the member walk produced: a sharer on my
        socket ⇔ a member of my socket's core-id range other than me. *)
     let cps = p.Params.cores_per_socket in
     let lo = core.Core.socket * cps in
-    let hi = min (Bitset.capacity t.sharers) (lo + cps) in
-    if Bitset.mem_range_other t.sharers ~lo ~hi core.Core.id then
-      (p.Params.local_transfer, `Local)
-    else (p.Params.remote_transfer, `Remote)
-  else if t.home_socket = core.Core.socket then (p.Params.dram_local, `Dram)
-  else (p.Params.dram_remote, `Dram)
+    let hi = Int.min (Bitset.capacity t.sharers) (lo + cps) in
+    if Bitset.mem_range_other t.sharers ~lo ~hi core.Core.id then `Local
+    else `Remote
+  else `Dram
 
+(* Count the miss and charge its latency, serialized at the line through
+   [free_at]. The source is an immediate, so a miss allocates nothing. *)
 let charge_miss t (core : Core.t) =
-  let latency, kind = miss_latency t core in
-  (match kind with
-  | `Local -> t.stats.Stats.transfers_local <- t.stats.Stats.transfers_local + 1
-  | `Remote ->
-      t.stats.Stats.transfers_remote <- t.stats.Stats.transfers_remote + 1
-  | `Dram -> t.stats.Stats.dram_fills <- t.stats.Stats.dram_fills + 1);
+  let p = t.params and stats = t.stats in
+  let latency =
+    match miss_source t core with
+    | `Local ->
+        stats.Stats.transfers_local <- stats.Stats.transfers_local + 1;
+        p.Params.local_transfer
+    | `Remote ->
+        stats.Stats.transfers_remote <- stats.Stats.transfers_remote + 1;
+        p.Params.remote_transfer
+    | `Dram ->
+        stats.Stats.dram_fills <- stats.Stats.dram_fills + 1;
+        if t.home_socket = core.Core.socket then p.Params.dram_local
+        else p.Params.dram_remote
+  in
   let now = Core.now core in
-  let start = max now t.free_at in
-  t.stats.Stats.line_stall_cycles <-
-    t.stats.Stats.line_stall_cycles + (start - now);
+  let start = Int.max now t.free_at in
+  stats.Stats.line_stall_cycles <- stats.Stats.line_stall_cycles + (start - now);
   let finish = start + latency in
   t.free_at <- finish;
   core.Core.clock <- finish

@@ -51,15 +51,14 @@ let install t (core : Core.t) ~vpn ~pfn ~writable =
   Tlb.insert t.tlbs.(core.Core.id) ~vpn ~pfn ~writable
 
 let drop_for_core t ~owner ~lo ~hi =
-  let removed = Page_table.clear_range t.pt ~owner ~lo ~hi in
-  Tlb.invalidate_range t.tlbs.(owner) ~lo ~hi;
-  removed
+  Page_table.clear_range t.pt ~owner ~lo ~hi (fun _ _ -> ());
+  Tlb.invalidate_range t.tlbs.(owner) ~lo ~hi
 
 let drop_tlb_range t ~owner ~lo ~hi =
   Tlb.invalidate_range t.tlbs.(owner) ~lo ~hi
 
 let discard_for_core t ~owner =
-  ignore (Page_table.clear_range t.pt ~owner ~lo:0 ~hi:max_int);
+  Page_table.clear_range t.pt ~owner ~lo:0 ~hi:max_int (fun _ _ -> ());
   Tlb.flush t.tlbs.(owner)
 
 let tlb_mem t ~core ~vpn = Tlb.mem t.tlbs.(core) vpn

@@ -36,10 +36,9 @@ val install :
 (** Called at the end of a software page fault: fill the faulting core's
     page table and TLB. *)
 
-val drop_for_core : t -> owner:int -> lo:int -> hi:int -> (int * int) list
+val drop_for_core : t -> owner:int -> lo:int -> hi:int -> unit
 (** Remove translations for [lo, hi) from core [owner]'s page table and
-    TLB; returns the [(vpn, pfn)] pairs that were present in the page
-    table. *)
+    TLB. *)
 
 val drop_tlb_range : t -> owner:int -> lo:int -> hi:int -> unit
 (** Invalidate core [owner]'s TLB entries for [lo, hi) without touching

@@ -58,7 +58,7 @@ let line_for t ~domain ~vpn =
   else begin
     let params = Machine.params t.machine in
     let nsockets =
-      max 1 (params.Params.ncores / params.Params.cores_per_socket)
+      Int.max 1 (params.Params.ncores / params.Params.cores_per_socket)
     in
     let label =
       match t.kind with
@@ -94,31 +94,26 @@ let install t (core : Core.t) ~vpn ~pfn ~writable =
   Int_table.set t.maps.(domain) vpn
     ((pfn lsl 1) lor if writable then 1 else 0)
 
-let clear_range t ~owner ~lo ~hi =
+let remove_pte map f vpn packed =
+  Int_table.remove map vpn;
+  f vpn (packed lsr 1)
+
+let clear_range t ~owner ~lo ~hi f =
   let map = t.maps.(domain_of t owner) in
-  let removed = ref [] in
   (* Probe per vpn for narrow ranges (the common munmap of a few pages);
      a narrow probe loop beats walking the whole slot array even when the
-     table holds fewer entries than the range. *)
+     table holds fewer entries than the range. Removal leaves a
+     tombstone, so the wide walk can remove as it goes. *)
   if hi - lo <= 64 || hi - lo < Int_table.length map then
     for vpn = lo to hi - 1 do
       let packed = Int_table.find_default map vpn (-1) in
-      if packed >= 0 then begin
-        Int_table.remove map vpn;
-        removed := (vpn, packed lsr 1) :: !removed
-      end
+      if packed >= 0 then remove_pte map f vpn packed
     done
-  else begin
-    let doomed =
-      Int_table.fold
-        (fun vpn packed acc ->
-          if vpn >= lo && vpn < hi then (vpn, packed lsr 1) :: acc else acc)
-        map []
-    in
-    List.iter (fun (vpn, _) -> Int_table.remove map vpn) doomed;
-    removed := doomed
-  end;
-  List.rev !removed
+  else
+    Int_table.iter
+      (fun vpn packed ->
+        if vpn >= lo && vpn < hi then remove_pte map f vpn packed)
+      map
 
 let entries t =
   Array.fold_left (fun acc map -> acc + Int_table.length map) 0 t.maps

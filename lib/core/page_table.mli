@@ -34,10 +34,13 @@ val install : t -> Ccsim.Core.t -> vpn:int -> pfn:int -> writable:bool -> unit
 (** Fill the PTE visible to [core]. *)
 
 val clear_range :
-  t -> owner:int -> lo:int -> hi:int -> (int * int) list
-(** Remove PTEs for vpns in [lo, hi) from core [owner]'s view ([owner] is
-    ignored for [Shared]); returns the removed [(vpn, pfn)] pairs. The
-    caller charges the cost (it happens inside shootdown handlers). *)
+  t -> owner:int -> lo:int -> hi:int -> (int -> int -> unit) -> unit
+(** [clear_range t ~owner ~lo ~hi f] removes the PTEs for vpns in
+    [lo, hi) from core [owner]'s view ([owner] is ignored for [Shared])
+    and calls [f vpn pfn] on each removed one, as it is removed: in
+    ascending vpn order for a narrow range, in the table's slot order for
+    a wide one. [f] must not install into the table. The caller charges
+    the cost (it happens inside shootdown handlers). *)
 
 val entries : t -> int
 (** Live PTEs, summed over per-core tables. *)

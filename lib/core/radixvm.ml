@@ -106,7 +106,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
         Bitset.iter
           (fun c ->
             let base = c / g * g in
-            for i = base to min (ncores - 1) (base + g - 1) do
+            for i = base to Int.min (ncores - 1) (base + g - 1) do
               Bitset.add widened i
             done)
           targets;
@@ -114,48 +114,60 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     | Page_table.Shared ->
         if any_frames then Bitset.union_into ~dst:targets t.ever_active);
     if not (Bitset.is_empty targets) then begin
-      Bitset.iter
-        (fun c -> ignore (Mmu.drop_for_core t.mmu ~owner:c ~lo ~hi))
-        targets;
-      let remote =
-        Bitset.fold
-          (fun c acc -> if c = core.Core.id then acc else c :: acc)
-          targets []
-      in
+      (* Targets drop their translations in ascending core order; the
+         remote ones are listed (in descending order) as they come up, so
+         a shootdown with no remote target builds no list. *)
+      let remote = ref [] in
+      for c = 0 to Bitset.capacity targets - 1 do
+        if Bitset.mem targets c then begin
+          Mmu.drop_for_core t.mmu ~owner:c ~lo ~hi;
+          if c <> core.Core.id then remote := c :: !remote
+        end
+      done;
       (* Local invalidation is a few instructions. *)
       Core.tick core core.Core.params.Params.op_cost;
-      if not (List.is_empty remote) then
-        Ipi.multicast t.machine core ~targets:remote
+      match !remote with
+      | [] -> ()
+      | targets -> Ipi.multicast t.machine core ~targets
     end
 
+  (* Add the TLB core sets of the removed pages that had a frame to
+     [targets]; true if any had one. *)
+  let rec frame_targets targets any = function
+    | [] -> any
+    | (_, _, m) :: rest -> (
+        match m.frame with
+        | Some _ ->
+            Bitset.union_into ~dst:targets m.tlb_cores;
+            frame_targets targets true rest
+        | None -> frame_targets targets any rest)
+
   (* Unmap bookkeeping shared by munmap and map-over: with the range still
-     locked, gather the frames and shoot down the cores that may cache
-     their translations. Returns the frame handles whose references the
-     caller drops *after* unlocking (the paper's ordering). *)
+     locked, shoot down the cores that may cache the removed frames'
+     translations. The caller drops the frames' references *after*
+     unlocking (the paper's ordering), with [drop_frames]. *)
   let cleanup_removed t (core : Core.t) ~lo ~hi removed =
     let targets = Bitset.create (Machine.ncores t.machine) in
-    let handles = ref [] in
-    List.iter
-      (fun (_vpn, _count, m) ->
-        match m.frame with
-        | Some (_pfn, h) ->
-            handles := h :: !handles;
-            Bitset.union_into ~dst:targets m.tlb_cores
-        | None -> ())
-      removed;
-    shootdown t core ~any_frames:(not (List.is_empty !handles)) ~lo ~hi
-      targets;
+    let any_frames = frame_targets targets false removed in
+    shootdown t core ~any_frames ~lo ~hi targets;
     (* The range is gone and the shootdown round is over: no core may still
        cache a translation for [lo, hi). The TLB checker verifies this. *)
     let obs = Machine.obs t.machine in
     if Obs.active obs then
       Obs.emit obs
         (Obs.Unmap_done
-           { core = core.Core.id; asid = Mmu.asid t.mmu; lo; hi });
-    !handles
+           { core = core.Core.id; asid = Mmu.asid t.mmu; lo; hi })
 
-  let drop_handles t core handles =
-    List.iter (fun h -> C.dec t.csub core h) handles
+  (* Drop the frame references of removed mappings, last page first. The
+     order is observable (it sets the delta caches' conflict pattern), so
+     the walk recurses before it drops. *)
+  let rec drop_frames t core = function
+    | [] -> ()
+    | (_, _, m) :: rest -> (
+        drop_frames t core rest;
+        match m.frame with
+        | Some (_, h) -> C.dec t.csub core h
+        | None -> ())
 
   (* ---------------------------------------------------------------- *)
   (* Fault-injection plumbing. *)
@@ -225,16 +237,16 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     match
       abort_point core ~op:"mmap" ~point:"locked";
       let r = Radix.clear_range t.tree core lk in
-      let handles = cleanup_removed t core ~lo ~hi r in
+      cleanup_removed t core ~lo ~hi r;
       removed := Some r;
       abort_point core ~op:"mmap" ~point:"cleared";
       Radix.fill_range t.tree core lk (fresh_meta core ~prot ~backing);
       abort_point core ~op:"mmap" ~point:"filled";
-      handles
+      r
     with
-    | handles ->
+    | r ->
         Radix.unlock_range t.tree core lk;
-        drop_handles t core handles
+        drop_frames t core r
     | exception e ->
         fail t core
           (fun () ->
@@ -264,14 +276,14 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     match
       abort_point core ~op:"munmap" ~point:"locked";
       let r = Radix.clear_range t.tree core lk in
-      let handles = cleanup_removed t core ~lo ~hi r in
+      cleanup_removed t core ~lo ~hi r;
       removed := Some r;
       abort_point core ~op:"munmap" ~point:"cleared";
-      handles
+      r
     with
-    | handles ->
+    | r ->
         Radix.unlock_range t.tree core lk;
-        drop_handles t core handles
+        drop_frames t core r
     | exception e ->
         fail t core
           (fun () ->
@@ -343,7 +355,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     match
       abort_point core ~op:"mmap" ~point:"locked";
       let removed = Radix.clear_range t.tree core lk in
-      let handles = cleanup_removed t core ~lo ~hi removed in
+      cleanup_removed t core ~lo ~hi removed;
       for p = lo to hi - 1 do
         C.inc t.csub core handle;
         let m =
@@ -352,11 +364,11 @@ module Make (C : Refcnt.Counter_intf.S) = struct
         m.frame <- Some (pfn, handle);
         Radix.set_page t.tree core lk p m
       done;
-      handles
+      removed
     with
-    | handles ->
+    | removed ->
         Radix.unlock_range t.tree core lk;
-        drop_handles t core handles
+        drop_frames t core removed
     | exception e ->
         (* The one injection point fires before any mutation (the fill
            loop that follows cannot fail), so backing out is unlocking. *)

@@ -170,20 +170,25 @@ let create ?(bits = 9) ?(levels = 4) ?(collapse = false)
   t.root <- Some root;
   t
 
+(* A child for interior slot [i] of [parent], born with [content] in
+   every slot and linked to its parent; the caller writes the slot. *)
+let new_child t core parent i content =
+  assert (parent.level > 0);
+  let child =
+    alloc_node t core ~level:(parent.level - 1)
+      ~base:(parent.base + (i * t.pages_per_slot.(parent.level)))
+      ~content
+  in
+  child.parent <- Some (parent, i);
+  child
+
 (* Expand a locked interior slot one level: the child replicates the slot's
    folded content and is born with every slot locked by the expanding
    operation (the paper's lock-bit propagation). Under an external
    range-lock backend the tree carries no lock bits, so the child is born
    unlocked and no span is recorded. *)
 let expand t core parent i content lk =
-  assert (parent.level > 0);
-  let span = t.pages_per_slot.(parent.level) in
-  let child =
-    alloc_node t core ~level:(parent.level - 1)
-      ~base:(parent.base + (i * span))
-      ~content
-  in
-  child.parent <- Some (parent, i);
+  let child = new_child t core parent i content in
   (match t.backend with
   | Embedded _ ->
       for j = 0 to t.fanout - 1 do
@@ -204,99 +209,96 @@ let expand t core parent i content lk =
    folded (count [fanout] + anchor) and the parent slot's Folded->Child
    rewrite leaves its used count unchanged. *)
 let split_fold t core parent i v =
-  assert (parent.level > 0);
-  let span = t.pages_per_slot.(parent.level) in
-  let child =
-    alloc_node t core ~level:(parent.level - 1)
-      ~base:(parent.base + (i * span))
-      ~content:(Folded v)
-  in
-  child.parent <- Some (parent, i);
-  write_slot t core parent i (Child child)
+  write_slot t core parent i (Child (new_child t core parent i (Folded v)))
 
-let slot_bounds t node i =
+(* The walks below are top-level functions, not local closures, and keep
+   slot bounds in locals, not tuples: a one-page lock and unlock allocate
+   only the lock record and its pin and span cells. *)
+
+let rec lock_node t core lk partition node lo hi =
   let span = t.pages_per_slot.(node.level) in
-  let lo = node.base + (i * span) in
-  (lo, lo + span)
+  let first = (lo - node.base) / span in
+  let last = (hi - 1 - node.base) / span in
+  if node.level = 0 then begin
+    for i = first to last do
+      Lock.acquire core node.locks.(i)
+    done;
+    lk.spans <- (node, first, last) :: lk.spans
+  end
+  else
+    for i = first to last do
+      lock_slot t core lk partition node lo hi i
+    done
 
-let clamp lo hi slot_lo slot_hi = (max lo slot_lo, min hi slot_hi)
+and lock_slot t core lk partition node lo hi i =
+  let span = t.pages_per_slot.(node.level) in
+  let slot_lo = node.base + (i * span) in
+  let slot_hi = slot_lo + span in
+  match read_slot core node i with
+  | Child n -> (
+      match Refcache.tryget t.rc core n.weak with
+      | Some _ ->
+          lk.pins <- n :: lk.pins;
+          lock_node t core lk partition n (Int.max lo slot_lo)
+            (Int.min hi slot_hi)
+      | None ->
+          (* The child was collapsed under us; clean up, retry. *)
+          Lock.acquire core node.locks.(i);
+          (match node.slots.(i) with
+          | Child n' when n'.dead -> write_slot t core node i Empty
+          | Empty | Folded _ | Child _ -> ());
+          Lock.release core node.locks.(i);
+          lock_slot t core lk partition node lo hi i)
+  | Folded _
+    when (match partition with
+         | Some p -> span > p && not (lo <= slot_lo && slot_hi <= hi)
+         | None -> false) ->
+      (* Partitioning: split the huge fold rather than lock it whole.
+         Taking the slot lock briefly serializes racing splitters of this
+         one slot; after the split both descend into disjoint parts of the
+         child. *)
+      Lock.acquire core node.locks.(i);
+      (match node.slots.(i) with
+      | Folded v' -> split_fold t core node i v'
+      | Empty | Child _ -> ());
+      Lock.release core node.locks.(i);
+      lock_slot t core lk partition node lo hi i
+  | Empty | Folded _ ->
+      (* Lock at interior granularity; expansion, if needed, happens later
+         under this lock. *)
+      Lock.acquire core node.locks.(i);
+      lk.spans <- (node, i, i) :: lk.spans
 
 let lock_range t core ~lo ~hi =
   if not (0 <= lo && lo < hi && hi <= max_vpn t) then
     invalid_arg "Radix.lock_range: bad range";
   let lk = { lk_lo = lo; lk_hi = hi; spans = []; pins = []; ext = None } in
-  match t.backend with
-  | External rl ->
-      lk.ext <- Some (Locks.Range_lock.acquire core rl ~lo ~hi);
-      lk
-  | Embedded { partition } ->
-      let rec go node lo hi =
-        let span = t.pages_per_slot.(node.level) in
-        let first = (lo - node.base) / span in
-        let last = (hi - 1 - node.base) / span in
-        if node.level = 0 then begin
-          for i = first to last do
-            Lock.acquire core node.locks.(i)
-          done;
-          lk.spans <- (node, first, last) :: lk.spans
-        end
-        else
-          let rec do_slot i =
-            let slot_lo, slot_hi = slot_bounds t node i in
-            match read_slot core node i with
-            | Child n -> (
-                match Refcache.tryget t.rc core n.weak with
-                | Some _ ->
-                    lk.pins <- n :: lk.pins;
-                    let l, h = clamp lo hi slot_lo slot_hi in
-                    go n l h
-                | None ->
-                    (* The child was collapsed under us; clean up, retry. *)
-                    Lock.acquire core node.locks.(i);
-                    (match node.slots.(i) with
-                    | Child n' when n'.dead -> write_slot t core node i Empty
-                    | Empty | Folded _ | Child _ -> ());
-                    Lock.release core node.locks.(i);
-                    do_slot i)
-            | Folded _
-              when (match partition with
-                   | Some p -> span > p && not (lo <= slot_lo && slot_hi <= hi)
-                   | None -> false) ->
-                (* Partitioning: split the huge fold rather than lock it
-                   whole. Taking the slot lock briefly serializes racing
-                   splitters of this one slot; after the split both descend
-                   into disjoint parts of the child. *)
-                Lock.acquire core node.locks.(i);
-                (match node.slots.(i) with
-                | Folded v' -> split_fold t core node i v'
-                | Empty | Child _ -> ());
-                Lock.release core node.locks.(i);
-                do_slot i
-            | Empty | Folded _ ->
-                (* Lock at interior granularity; expansion, if needed,
-                   happens later under this lock. *)
-                Lock.acquire core node.locks.(i);
-                lk.spans <- (node, i, i) :: lk.spans
-          in
-          for i = first to last do
-            do_slot i
-          done
-      in
-      go (root t) lo hi;
-      lk
+  (match t.backend with
+  | External rl -> lk.ext <- Some (Locks.Range_lock.acquire core rl ~lo ~hi)
+  | Embedded { partition } -> lock_node t core lk partition (root t) lo hi);
+  lk
 
-let unlock_range t core lk =
-  (* Spans are prepended as they are locked, so walking the list releases
-     in reverse acquisition order; releasing each span back-to-front makes
-     the whole sequence LIFO (and keeps the checker's held-lock stack pops
-     at the top instead of scanning). *)
-  List.iter
-    (fun (node, i0, i1) ->
+(* Spans are prepended as they are locked, so walking the list releases
+   in reverse acquisition order; releasing each span back-to-front makes
+   the whole sequence LIFO (and keeps the checker's held-lock stack pops
+   at the top instead of scanning). *)
+let rec release_spans core = function
+  | [] -> ()
+  | (node, i0, i1) :: rest ->
       for i = i1 downto i0 do
         Lock.release core node.locks.(i)
-      done)
-    lk.spans;
-  List.iter (fun node -> Refcache.dec t.rc core node.obj) lk.pins;
+      done;
+      release_spans core rest
+
+let rec drop_pins t core = function
+  | [] -> ()
+  | node :: rest ->
+      Refcache.dec t.rc core node.obj;
+      drop_pins t core rest
+
+let unlock_range t core lk =
+  release_spans core lk.spans;
+  drop_pins t core lk.pins;
   (match lk.ext with
   | None -> ()
   | Some h ->
@@ -311,104 +313,96 @@ let check_in_range lk ~lo ~hi op =
   if lo < lk.lk_lo || hi > lk.lk_hi then
     invalid_arg (op ^ ": outside the locked range")
 
-let fill_range t core lk v =
-  let lo = lk.lk_lo and hi = lk.lk_hi in
-  let rec fill node lo hi =
-    let span = t.pages_per_slot.(node.level) in
-    let first = (lo - node.base) / span in
-    let last = (hi - 1 - node.base) / span in
-    for i = first to last do
-      let slot_lo, slot_hi = slot_bounds t node i in
-      let full = lo <= slot_lo && slot_hi <= hi in
-      if node.level = 0 then begin
-        (match node.slots.(i) with
-        | Empty -> ()
-        | Folded _ | Child _ -> invalid_arg "Radix.fill_range: page mapped");
-        write_slot t core node i (Folded v)
-      end
-      else
-        match read_slot core node i with
-        | Child n ->
-            let l, h = clamp lo hi slot_lo slot_hi in
-            fill n l h
-        | Folded _ -> invalid_arg "Radix.fill_range: range mapped"
-        | Empty ->
-            if full then write_slot t core node i (Folded v)
-            else begin
-              let child = expand t core node i Empty lk in
-              let l, h = clamp lo hi slot_lo slot_hi in
-              fill child l h
-            end
-    done
-  in
-  fill (root t) lo hi
+let rec fill_node t core lk v node lo hi =
+  let span = t.pages_per_slot.(node.level) in
+  let first = (lo - node.base) / span in
+  let last = (hi - 1 - node.base) / span in
+  for i = first to last do
+    let slot_lo = node.base + (i * span) in
+    let slot_hi = slot_lo + span in
+    if node.level = 0 then begin
+      (match node.slots.(i) with
+      | Empty -> ()
+      | Folded _ | Child _ -> invalid_arg "Radix.fill_range: page mapped");
+      write_slot t core node i (Folded v)
+    end
+    else
+      match read_slot core node i with
+      | Child n ->
+          fill_node t core lk v n (Int.max lo slot_lo) (Int.min hi slot_hi)
+      | Folded _ -> invalid_arg "Radix.fill_range: range mapped"
+      | Empty ->
+          if lo <= slot_lo && slot_hi <= hi then
+            write_slot t core node i (Folded v)
+          else
+            fill_node t core lk v
+              (expand t core node i Empty lk)
+              (Int.max lo slot_lo) (Int.min hi slot_hi)
+  done
+
+let fill_range t core lk v = fill_node t core lk v (root t) lk.lk_lo lk.lk_hi
 
 (* The walk behind [clear_range] and [update_range]: visit every mapped
    slot of the locked range and replace each fully covered fold of [n]
    pages from [lo] by [f lo n v]. A fold the range covers only in part is
    expanded first, so the pages outside the range keep their mapping. *)
-let rewrite_range t core lk ~f =
-  let rec walk node lo hi =
-    let span = t.pages_per_slot.(node.level) in
-    let first = (lo - node.base) / span in
-    let last = (hi - 1 - node.base) / span in
-    for i = first to last do
-      let slot_lo, slot_hi = slot_bounds t node i in
-      match read_slot core node i with
-      | Empty -> ()
-      | Child n ->
-          assert (node.level > 0);
-          let l, h = clamp lo hi slot_lo slot_hi in
-          walk n l h
-      | Folded v ->
-          (* A leaf slot is one page, always covered. *)
-          if lo <= slot_lo && slot_hi <= hi then
-            write_slot t core node i (f slot_lo span v)
-          else begin
-            let child = expand t core node i (Folded v) lk in
-            let l, h = clamp lo hi slot_lo slot_hi in
-            walk child l h
-          end
-    done
-  in
-  walk (root t) lk.lk_lo lk.lk_hi
+let rec rewrite_node t core lk f node lo hi =
+  let span = t.pages_per_slot.(node.level) in
+  let first = (lo - node.base) / span in
+  let last = (hi - 1 - node.base) / span in
+  for i = first to last do
+    let slot_lo = node.base + (i * span) in
+    let slot_hi = slot_lo + span in
+    match read_slot core node i with
+    | Empty -> ()
+    | Child n ->
+        assert (node.level > 0);
+        rewrite_node t core lk f n (Int.max lo slot_lo) (Int.min hi slot_hi)
+    | Folded v ->
+        (* A leaf slot is one page, always covered. *)
+        if lo <= slot_lo && slot_hi <= hi then
+          write_slot t core node i (f slot_lo span v)
+        else
+          rewrite_node t core lk f
+            (expand t core node i (Folded v) lk)
+            (Int.max lo slot_lo) (Int.min hi slot_hi)
+  done
+
+let rewrite_range t core lk f = rewrite_node t core lk f (root t) lk.lk_lo lk.lk_hi
 
 let clear_range t core lk =
   let acc = ref [] in
-  rewrite_range t core lk ~f:(fun lo n v ->
+  rewrite_range t core lk (fun lo n v ->
       acc := (lo, n, v) :: !acc;
       Empty);
   List.rev !acc
 
 let update_range t core lk ~f =
-  rewrite_range t core lk ~f:(fun _ _ v -> Folded (f v))
+  rewrite_range t core lk (fun _ _ v -> Folded (f v))
+
+let rec get_node t core vpn node =
+  let i = (vpn - node.base) / t.pages_per_slot.(node.level) in
+  match read_slot core node i with
+  | Empty -> None
+  | Folded v -> Some v
+  | Child n -> get_node t core vpn n
 
 let get_page t core lk vpn =
   check_in_range lk ~lo:vpn ~hi:(vpn + 1) "Radix.get_page";
-  let rec get node =
-    let span = t.pages_per_slot.(node.level) in
-    let i = (vpn - node.base) / span in
+  get_node t core vpn (root t)
+
+let rec set_node t core lk vpn v node =
+  let i = (vpn - node.base) / t.pages_per_slot.(node.level) in
+  if node.level = 0 then write_slot t core node i (Folded v)
+  else
     match read_slot core node i with
-    | Empty -> None
-    | Folded v -> Some v
-    | Child n -> get n
-  in
-  get (root t)
+    | Child n -> set_node t core lk vpn v n
+    | (Empty | Folded _) as content ->
+        set_node t core lk vpn v (expand t core node i content lk)
 
 let set_page t core lk vpn v =
   check_in_range lk ~lo:vpn ~hi:(vpn + 1) "Radix.set_page";
-  let rec set node =
-    let span = t.pages_per_slot.(node.level) in
-    let i = (vpn - node.base) / span in
-    if node.level = 0 then write_slot t core node i (Folded v)
-    else
-      match read_slot core node i with
-      | Child n -> set n
-      | (Empty | Folded _) as content ->
-          let child = expand t core node i content lk in
-          set child
-  in
-  set (root t)
+  set_node t core lk vpn v (root t)
 
 let lookup t core vpn =
   if vpn < 0 || vpn >= max_vpn t then invalid_arg "Radix.lookup";

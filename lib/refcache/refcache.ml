@@ -19,20 +19,17 @@ and weakref = {
   wline : Line.t;
 }
 
-type slot = {
-  mutable sobj : obj option;
-  mutable delta : int;
-  mutable queued : bool;  (* on this core's dirty list *)
-}
-
-(* [dirty] lists the slots touched since the last flush (every slot with a
-   nonzero delta is on it — flush zeroes all deltas, so a nonzero delta
-   implies a touch since). Flush walks it instead of all [cache_slots]
-   slots, which turns the per-epoch maintenance cost from O(cache size)
-   into O(slots actually used this epoch). *)
+(* One core's delta cache as parallel arrays: slot [i] holds [objs.(i)]
+   with pending delta [deltas.(i)], and [touched] marks the slots written
+   since the last flush (every slot with a nonzero delta is touched —
+   flush zeroes all deltas, so a nonzero delta implies a touch since).
+   Flush visits only the touched slots, in ascending slot order, which
+   turns the per-epoch maintenance cost from O(cache size) into O(slots
+   actually used this epoch). *)
 type percore = {
-  slots : slot array;
-  mutable dirty_slots : int list;
+  objs : obj option array;
+  deltas : int array;
+  touched : Bitset.t;
   review : (obj * int) Queue.t;
 }
 
@@ -85,6 +82,8 @@ let evict t (core : Core.t) obj delta =
     else obj.dirty <- true;
   Lock.release core obj.lock
 
+let holds slot obj = match slot with Some o -> o == obj | None -> false
+
 (* The delta cache is two-way set-associative: an object hashes to a set
    of two slots and evicts the other way's entry only when both miss.
    This keeps the conflict rate low even when a few extremely hot objects
@@ -96,40 +95,31 @@ let cached_delta t (core : Core.t) obj d =
   (* The delta cache is core-private: constant local cost, no line traffic. *)
   Core.tick core (2 * core.Core.params.Params.l1_hit);
   let pc = t.percore.(core.Core.id) in
-  let slots = pc.slots in
+  let objs = pc.objs and deltas = pc.deltas in
   let way0 = hash_obj t obj land lnot 1 in
-  let s0 = slots.(way0) and s1 = slots.(way0 lor 1) in
-  let s =
-    match (s0.sobj, s1.sobj) with
-    | Some o, _ when o == obj -> s0
-    | _, Some o when o == obj -> s1
-    | None, _ -> s0
-    | _, None -> s1
-    | Some _, Some _ ->
-        (* Both ways busy: evict the smaller-delta way (hot pinned objects
-           carry transient non-zero deltas mid-operation; evicting them
-           would write their shared global count). *)
-        let victim = if abs s0.delta <= abs s1.delta then s0 else s1 in
-        (match victim.sobj with
-        | Some o when victim.delta <> 0 -> evict t core o victim.delta
-        | _ -> ());
-        victim.sobj <- None;
-        victim.delta <- 0;
-        victim
+  let way1 = way0 lor 1 in
+  let i =
+    if holds objs.(way0) obj then way0
+    else if holds objs.(way1) obj then way1
+    else if Option.is_none objs.(way0) then way0
+    else if Option.is_none objs.(way1) then way1
+    else begin
+      (* Both ways busy: evict the smaller-delta way (hot pinned objects
+         carry transient non-zero deltas mid-operation; evicting them
+         would write their shared global count). *)
+      let v = if abs deltas.(way0) <= abs deltas.(way1) then way0 else way1 in
+      (match objs.(v) with
+      | Some o when deltas.(v) <> 0 -> evict t core o deltas.(v)
+      | _ -> ());
+      v
+    end
   in
-  if
-    match s.sobj with
-    | Some o -> not (o == obj)
-    | None -> true
-  then begin
-    s.sobj <- Some obj;
-    s.delta <- 0
+  if not (holds objs.(i) obj) then begin
+    objs.(i) <- Some obj;
+    deltas.(i) <- 0
   end;
-  s.delta <- s.delta + d;
-  if not s.queued then begin
-    s.queued <- true;
-    pc.dirty_slots <- (if s == s1 then way0 lor 1 else way0) :: pc.dirty_slots
-  end
+  deltas.(i) <- deltas.(i) + d;
+  Bitset.add pc.touched i
 
 let inc t (core : Core.t) obj =
   let obs = core.Core.obs in
@@ -205,18 +195,16 @@ let flush t (core : Core.t) =
   let pc = t.percore.(id) in
   (* Ascending slot order, exactly the full-array walk's eviction order —
      eviction order is observable (line-stall timing, lock events). *)
-  let dirty = List.sort compare pc.dirty_slots in
-  pc.dirty_slots <- [];
-  List.iter
+  Bitset.iter
     (fun i ->
-      let s = pc.slots.(i) in
-      s.queued <- false;
-      match s.sobj with
-      | Some o when s.delta <> 0 ->
-          evict t core o s.delta;
-          s.delta <- 0
+      let d = pc.deltas.(i) in
+      match pc.objs.(i) with
+      | Some o when d <> 0 ->
+          evict t core o d;
+          pc.deltas.(i) <- 0
       | _ -> ())
-    dirty;
+    pc.touched;
+  Bitset.clear pc.touched;
   if not t.flushed.(id) then begin
     t.flushed.(id) <- true;
     t.nflushed <- t.nflushed + 1;
@@ -238,10 +226,9 @@ let create ?(cache_slots = 4096) machine =
       percore =
         Array.init n (fun _ ->
             {
-              slots =
-                Array.init cache_slots (fun _ ->
-                    { sobj = None; delta = 0; queued = false });
-              dirty_slots = [];
+              objs = Array.make cache_slots None;
+              deltas = Array.make cache_slots 0;
+              touched = Bitset.create cache_slots;
               review = Queue.create ();
             });
       global_epoch = 0;
@@ -299,13 +286,14 @@ let tryget t (core : Core.t) w =
   Line.read_atomic core w.wline;
   match w.target with
   | None -> None
-  | Some obj ->
+  | Some obj as target ->
       if w.dying then begin
         Line.write_atomic core w.wline;
         w.dying <- false
       end;
       inc t core obj;
-      Some obj
+      (* The weak reference's own block: a revival allocates nothing. *)
+      target
 
 let is_freed obj = obj.freed
 let oid obj = obj.oid
@@ -314,12 +302,9 @@ let true_count t obj =
   let total = ref (Cell.peek obj.refcnt) in
   Array.iter
     (fun pc ->
-      Array.iter
-        (fun s ->
-          match s.sobj with
-          | Some o when o == obj -> total := !total + s.delta
-          | _ -> ())
-        pc.slots)
+      Array.iteri
+        (fun i slot -> if holds slot obj then total := !total + pc.deltas.(i))
+        pc.objs)
     t.percore;
   !total
 

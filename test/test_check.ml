@@ -254,7 +254,7 @@ let test_stale_tlb_fires () =
   Vm.Mmu.install mmu c1 ~vpn:100 ~pfn ~writable:true;
   let asid = Vm.Mmu.asid mmu in
   (* Bug: no shootdown round — only the unmapping core is cleaned. *)
-  ignore (Vm.Mmu.drop_for_core mmu ~owner:0 ~lo:100 ~hi:101);
+  Vm.Mmu.drop_for_core mmu ~owner:0 ~lo:100 ~hi:101;
   Obs.emit (Machine.obs m)
     (Obs.Unmap_done { core = 0; asid; lo = 100; hi = 101 });
   (match Check.tlb_violations chk with
@@ -267,7 +267,7 @@ let test_stale_tlb_fires () =
         (List.length vs));
   (* The correct protocol — clear every core that may cache the range —
      adds no further violation. *)
-  ignore (Vm.Mmu.drop_for_core mmu ~owner:1 ~lo:100 ~hi:101);
+  Vm.Mmu.drop_for_core mmu ~owner:1 ~lo:100 ~hi:101;
   Obs.emit (Machine.obs m)
     (Obs.Unmap_done { core = 0; asid; lo = 100; hi = 101 });
   Alcotest.(check int) "clean after full shootdown" 1

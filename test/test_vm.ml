@@ -823,8 +823,10 @@ let test_pt_find_install_clear () =
       (match PT.find pt a ~vpn:6 with
       | Some pte -> Alcotest.(check bool) "ro kept" false pte.PT.writable
       | None -> Alcotest.fail "pte 6 missing");
-      let removed = PT.clear_range pt ~owner:0 ~lo:0 ~hi:6 in
-      Alcotest.(check (list (pair int int))) "removed" [ (5, 50) ] removed;
+      let removed = ref [] in
+      PT.clear_range pt ~owner:0 ~lo:0 ~hi:6 (fun vpn pfn ->
+          removed := (vpn, pfn) :: !removed);
+      Alcotest.(check (list (pair int int))) "removed" [ (5, 50) ] !removed;
       Alcotest.(check (option int)) "cleared" None (pfn_of (PT.find pt a ~vpn:5));
       Alcotest.(check (option int)) "kept" (Some 60) (pfn_of (PT.find pt a ~vpn:6)))
     [ PT.Per_core; PT.Shared; PT.Grouped 2 ]
