@@ -11,12 +11,12 @@ let multicast machine (sender : Core.t) ~targets =
     (* The interconnect briefly serializes every IPI machine-wide;
        the dominant cost is the sender's own APIC protocol, paid
        serially per target. *)
-    let start = max (Core.now sender) (Machine.ipi_free_at machine) in
+    let start = Int.max (Core.now sender) (Machine.ipi_free_at machine) in
     Machine.set_ipi_free_at machine (start + p.Params.ipi_channel);
     let sent = start + p.Params.ipi_send in
     sender.Core.clock <- sent;
     let deliver = sent + p.Params.ipi_deliver in
-    let begun = max (target.Core.clock + target.Core.pending_intr) deliver in
+    let begun = Int.max (target.Core.clock + target.Core.pending_intr) deliver in
     let ack = begun + p.Params.ipi_handler in
     Core.interrupt target ~cycles:p.Params.ipi_handler;
     stats.Stats.ipis <- stats.Stats.ipis + 1;
@@ -30,7 +30,7 @@ let multicast machine (sender : Core.t) ~targets =
         let target = Machine.core machine id in
         if not faulty then begin
           let _, ack = send_one target in
-          ack_max := max !ack_max ack
+          ack_max := Int.max !ack_max ack
         end
         else begin
           (* Sender-side timeout with bounded retry and exponential
@@ -56,12 +56,12 @@ let multicast machine (sender : Core.t) ~targets =
                   None
             in
             match acked with
-            | Some ack -> ack_max := max !ack_max ack
+            | Some ack -> ack_max := Int.max !ack_max ack
             | None ->
                 stats.Stats.shootdown_retries <-
                   stats.Stats.shootdown_retries + 1;
                 (* The sender spun the whole timeout on this target. *)
-                sender.Core.clock <- max sender.Core.clock (sent + timeout);
+                sender.Core.clock <- Int.max sender.Core.clock (sent + timeout);
                 if try_no + 1 < p.Params.ipi_max_retries then
                   attempt (try_no + 1)
                 else Fault.note_ipi_abandoned f
@@ -92,7 +92,7 @@ let remote machine (sender : Core.t) ~targets =
            the IPI, and the completion handshake is deferred to the next
            epoch boundary, where the shard engine delivers the handler
            cost to the remote core. *)
-        let start = max (Core.now sender) (Machine.ipi_free_at machine) in
+        let start = Int.max (Core.now sender) (Machine.ipi_free_at machine) in
         Machine.set_ipi_free_at machine (start + p.Params.ipi_channel);
         let sent = start + p.Params.ipi_send in
         sender.Core.clock <- sent;

@@ -101,7 +101,7 @@ let add_maintenance t ~period fn =
      objects that do not exist on real hardware. *)
   let n = ncores t in
   let next =
-    Array.init n (fun i -> period + (i * period / (4 * max 1 n)))
+    Array.init n (fun i -> period + (i * period / (4 * Int.max 1 n)))
   in
   t.maints <- { period; fn; next } :: t.maints;
   for i = 0 to n - 1 do
@@ -259,7 +259,7 @@ let run_pick t p =
   else begin
     let i = -2 - p in
     let core = t.cores.(i) in
-    core.Core.clock <- max core.Core.clock t.maint_min.(i);
+    core.Core.clock <- Int.max core.Core.clock t.maint_min.(i);
     run_due_maint t core;
     true
   end
@@ -279,7 +279,7 @@ let run_for t ~cycles =
   done
 
 let elapsed t =
-  Array.fold_left (fun acc c -> max acc (eff_clock c)) 0 t.cores
+  Array.fold_left (fun acc c -> Int.max acc (eff_clock c)) 0 t.cores
 
 let drain t ~cycles =
   let target = elapsed t + cycles in
@@ -301,13 +301,13 @@ let drain t ~cycles =
     | None -> continue := false
     | Some (m, i, time) ->
         let core = t.cores.(i) in
-        core.Core.clock <- max core.Core.clock time;
+        core.Core.clock <- Int.max core.Core.clock time;
         m.fn core;
         m.next.(i) <- m.next.(i) + m.period;
         refresh_maint_min t i
   done;
   Array.iter
-    (fun (c : Core.t) -> c.Core.clock <- max c.Core.clock target)
+    (fun (c : Core.t) -> c.Core.clock <- Int.max c.Core.clock target)
     t.cores
 
 let seconds t cycles = float_of_int cycles /. t.params.Params.clock_hz
@@ -325,7 +325,7 @@ let wait_hint t (core : Core.t) =
      cycle-sized steps. *)
   let poll = core.Core.clock + (16 * t.params.Params.op_cost) in
   core.Core.clock <-
-    (if other < 0 then poll else max poll (t.hkey.(other) + 1));
+    (if other < 0 then poll else Int.max poll (t.hkey.(other) + 1));
   if active then heap_add t id
 
 let ipi_free_at t = t.ipi_free

@@ -67,11 +67,11 @@ let read_acquire (core : Core.t) t =
 
 let read_release (core : Core.t) t =
   quiet_write core t;
-  t.readers_free <- max t.readers_free (Core.now core);
+  t.readers_free <- Int.max t.readers_free (Core.now core);
   emit_release core t ~rd:true
 
 let write_acquire (core : Core.t) t =
-  charge_acquire core t (max t.writer_free t.readers_free);
+  charge_acquire core t (Int.max t.writer_free t.readers_free);
   emit_acquire core t ~rd:false
 
 let write_release (core : Core.t) t =

@@ -558,7 +558,7 @@ let census t =
           lc_multi_writer = c.lc_multi_writer + (if nw >= 2 then 1 else 0);
           lc_reads = c.lc_reads + r.lr_reads;
           lc_writes = c.lc_writes + r.lr_writes;
-          lc_max_writers = max c.lc_max_writers nw;
+          lc_max_writers = Int.max c.lc_max_writers nw;
         })
     t.lines;
   Hashtbl.fold (fun _ c acc -> c :: acc) tbl []
@@ -596,13 +596,13 @@ let cycles t =
         if not (Int_table.mem index w) then begin
           strongconnect w;
           Int_table.set lowlink v
-            (min
+            (Int.min
                (Int_table.find_default lowlink v max_int)
                (Int_table.find_default lowlink w max_int))
         end
         else if Int_table.mem on_stack w then
           Int_table.set lowlink v
-            (min
+            (Int.min
                (Int_table.find_default lowlink v max_int)
                (Int_table.find_default index w max_int)))
       (Int_table.find_default adj v []);

@@ -35,7 +35,7 @@ let repo_classify path =
   {
     hot =
       has "lib/ccsim/" || has "lib/check/" || has "lib/refcache/"
-      || has "lib/core/" || has "lib/locks/";
+      || has "lib/core/" || has "lib/locks/" || has "lib/radix/";
     artifact =
       has "lib/harness/" || has "lib/fuzz/" || has "bench/" || has "bin/";
     float_emitter = has "lib/harness/" && String.equal base "harness__json.cmt";
@@ -242,10 +242,14 @@ let collect scope modname file_fallback str =
   let check_poly_instantiation env loc name (ty : type_expr) =
     (* [Hashtbl.hash] is never specialized, so only immediate arguments
        are cheap there; comparisons get the compiler's full
-       specialization set. *)
-    let cheap =
-      if String.equal name "Hashtbl.hash" then immediate
-      else specialized_compare
+       specialization set. [min] and [max] are ordinary polymorphic
+       functions, never specialized at any type: even at [int] they call
+       [caml_greaterequal]/[caml_lessequal] and walk [compare_val]. *)
+    let cheap env arg =
+      match name with
+      | "Hashtbl.hash" -> immediate env arg
+      | "min" | "max" -> false
+      | _ -> specialized_compare env arg
     in
     match get_desc (expand env ty) with
     | Tarrow (_, arg, _, _) ->

@@ -1,7 +1,9 @@
 (* hot-hashtbl / hot-polycompare / hot-marshal: hot-path hygiene
-   violations. Polymorphic comparisons here are at boxed structured types
-   (records, options, lists) — the ones that really reach caml_compare;
-   int/float/string comparisons are specialized and must NOT be flagged. *)
+   violations. The comparison operators and [compare] here are at boxed
+   structured types (records, options, lists) — the ones that really
+   reach caml_compare; at int/float/string they are specialized and must
+   NOT be flagged. [min] and [max] are never specialized, so they are
+   flagged at every type, int included. *)
 
 type pair = { a : int; b : string }
 
@@ -10,6 +12,7 @@ let same (x : pair) (y : pair) = x = y
 let rank (x : int option) (y : int option) = compare x y
 let differs (x : pair list) (y : pair list) = x <> y
 let smallest (x : pair) (y : pair) = min x y
+let int_min (x : int) (y : int) = min x y
 let digest (x : pair) = Hashtbl.hash x
 
 (* NOT flagged: specialized comparisons. *)

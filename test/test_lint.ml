@@ -276,6 +276,7 @@ let () =
           fires "bad_hot.ml" "hot-polycompare" "Bad_hot.rank";
           fires "bad_hot.ml" "hot-polycompare" "Bad_hot.differs";
           fires "bad_hot.ml" "hot-polycompare" "Bad_hot.smallest";
+          fires "bad_hot.ml" "hot-polycompare" "Bad_hot.int_min";
           fires "bad_hot.ml" "hot-polycompare" "Bad_hot.digest";
           Alcotest.test_case "specialized int (=) exempt" `Quick
             (check_silent ~file:"bad_hot.ml" ~site:"Bad_hot.int_eq"
