@@ -1,49 +1,89 @@
-(* A deterministic host gate: the minor words RadixVM's operation path
-   allocates per simulated page write, over small fixed windows of the
-   Figure 5 local and global microbenchmarks (8 cores, 1M cycles of
-   warmup, 4M measured). For a fixed program and input the count does
-   not depend on host load, unlike a wall-clock gate, so each bound is
-   tight: the count measured under the default (dev) build profile when
-   the bound was set, plus 1%. A change that allocates more on the mmap,
-   fault or munmap path fails here; one that allocates less should lower
-   the bound. *)
+(* Deterministic host gates on RadixVM's allocation and state size:
+   - the minor words the operation path allocates per simulated page
+     write, over small fixed windows of the Figure 5 local and global
+     microbenchmarks (8 cores, 1M cycles of warmup, 4M measured);
+   - the minor words per served operation of the 32-core file-backed
+     cache-serving window (256 slots, seed 1, 1M + 8M cycles);
+   - the live heap words one [R.create] adds on an 80-core machine (its
+     per-core delta caches and line directories), read after a full
+     major collection on either side.
+   For a fixed program and input each count does not depend on host
+   load, unlike a wall-clock gate, so each bound is tight: the count
+   measured under the default (dev) build profile when the bound was
+   set, plus 1%. A change that allocates more on the mmap, fault, serve
+   or munmap path, or grows an address space's state, fails here; one
+   that allocates less should lower the bound. *)
 
 module R = Vm.Radixvm.Default
 module MB = Workloads.Microbench.Make (R)
+module CS = Workloads.Cache_serve
 
 let ncores = 8
 let warmup = 1_000_000
 let duration = 4_000_000
 
 (* Minor words allocated from the warmup/measure boundary to the end of
-   the run, per page write of the measured window. *)
-let words_per_write run =
+   the run, per operation of the measured window. *)
+let words_per_op run ~ops =
   let start = ref 0. in
   let r = run ~on_measure:(fun () -> start := Gc.minor_words ()) in
   let words = Gc.minor_words () -. !start in
-  let writes = r.Workloads.Microbench.page_writes in
-  Alcotest.(check bool) "the window holds page writes" true (writes > 0);
-  words /. float_of_int writes
+  let n = ops r in
+  Alcotest.(check bool) "the window holds operations" true (n > 0);
+  words /. float_of_int n
 
-let gate ~measured run () =
-  let words = words_per_write run in
+let page_writes r = r.Workloads.Microbench.page_writes
+
+let serve ~on_measure =
+  let module S = CS.Make (R) in
+  S.serve ~warmup:1_000_000 ~slots:256 ~seed:1 ~file:3
+    ~cache_ops:(CS.radixvm_cache_ops ~file:3) ~on_measure ~ncores:32
+    ~duration:8_000_000 R.create
+
+(* Live words after a full major collection, before and after one
+   [R.create] on a fresh 80-core machine. *)
+let create_words () =
+  let m = Ccsim.Machine.create (Ccsim.Params.default ~ncores:80 ()) in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let vm = R.create m in
+  Gc.full_major ();
+  let after = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity vm);
+  float_of_int (after - before)
+
+let gate ~unit_ ~measured count () =
+  let value = count () in
   let bound = measured *. 1.01 in
-  if words > bound then
-    Alcotest.failf
-      "%.3f minor words per page write, over the bound %.3f (%.3f + 1%%)"
-      words bound measured
+  if value > bound then
+    Alcotest.failf "%.3f %s, over the bound %.3f (%.3f + 1%%)" value unit_
+      bound measured
 
 let () =
   let tc = Alcotest.test_case in
+  let per_write = "minor words per page write" in
   Alcotest.run "alloc"
     [
-      ( "minor words per page write",
+      ( per_write,
         [
           tc "local" `Quick
-            (gate ~measured:669.4 (fun ~on_measure ->
-                 MB.local ~warmup ~on_measure ~ncores ~duration R.create));
+            (gate ~unit_:per_write ~measured:205.309 (fun () ->
+                 words_per_op ~ops:page_writes (fun ~on_measure ->
+                     MB.local ~warmup ~on_measure ~ncores ~duration R.create)));
           tc "global" `Quick
-            (gate ~measured:147.872 (fun ~on_measure ->
-                 MB.global ~warmup ~on_measure ~ncores ~duration R.create));
+            (gate ~unit_:per_write ~measured:36.627 (fun () ->
+                 words_per_op ~ops:page_writes (fun ~on_measure ->
+                     MB.global ~warmup ~on_measure ~ncores ~duration R.create)));
+        ] );
+      ( "minor words per served op",
+        [
+          tc "file-backed serve, 32 cores" `Quick
+            (gate ~unit_:"minor words per op" ~measured:12.623 (fun () ->
+                 words_per_op serve ~ops:(fun r -> r.CS.ops)));
+        ] );
+      ( "state size",
+        [
+          tc "one 80-core create" `Quick
+            (gate ~unit_:"live words" ~measured:2_093_396. create_words);
         ] );
     ]
