@@ -35,12 +35,11 @@ val install : t -> Ccsim.Core.t -> vpn:int -> pfn:int -> writable:bool -> unit
 
 val clear_range :
   t -> owner:int -> lo:int -> hi:int -> (int -> int -> unit) -> unit
-(** [clear_range t ~owner ~lo ~hi f] removes the PTEs for vpns in
-    [lo, hi) from core [owner]'s view ([owner] is ignored for [Shared])
-    and calls [f vpn pfn] on each removed one, as it is removed: in
-    ascending vpn order for a narrow range, in the table's slot order for
-    a wide one. [f] must not install into the table. The caller charges
-    the cost (it happens inside shootdown handlers). *)
+(** Remove the PTEs for vpns in [lo, hi) from core [owner]'s view
+    ([owner] is ignored for [Shared]), calling [f vpn pfn] on each as it
+    goes — ascending vpns for a narrow range, table slot order for a wide
+    one; [f] must not install. The caller charges the cost (it happens
+    inside shootdown handlers). *)
 
 val entries : t -> int
 (** Live PTEs, summed over per-core tables. *)

@@ -114,9 +114,8 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     | Page_table.Shared ->
         if any_frames then Bitset.union_into ~dst:targets t.ever_active);
     if not (Bitset.is_empty targets) then begin
-      (* Targets drop their translations in ascending core order; the
-         remote ones are listed (in descending order) as they come up, so
-         a shootdown with no remote target builds no list. *)
+      (* Targets drop their translations in ascending core order; only
+         remote ones are listed, so a local shootdown builds no list. *)
       let remote = ref [] in
       for c = 0 to Bitset.capacity targets - 1 do
         if Bitset.mem targets c then begin
@@ -135,12 +134,10 @@ module Make (C : Refcnt.Counter_intf.S) = struct
      [targets]; true if any had one. *)
   let rec frame_targets targets any = function
     | [] -> any
-    | (_, _, m) :: rest -> (
-        match m.frame with
-        | Some _ ->
-            Bitset.union_into ~dst:targets m.tlb_cores;
-            frame_targets targets true rest
-        | None -> frame_targets targets any rest)
+    | (_, _, { frame = Some _; tlb_cores; _ }) :: rest ->
+        Bitset.union_into ~dst:targets tlb_cores;
+        frame_targets targets true rest
+    | _ :: rest -> frame_targets targets any rest
 
   (* Unmap bookkeeping shared by munmap and map-over: with the range still
      locked, shoot down the cores that may cache the removed frames'
@@ -158,16 +155,13 @@ module Make (C : Refcnt.Counter_intf.S) = struct
         (Obs.Unmap_done
            { core = core.Core.id; asid = Mmu.asid t.mmu; lo; hi })
 
-  (* Drop the frame references of removed mappings, last page first. The
-     order is observable (it sets the delta caches' conflict pattern), so
-     the walk recurses before it drops. *)
+  (* Drop the removed mappings' frame references, last page first: the
+     order is observable (it sets the delta caches' conflict pattern). *)
   let rec drop_frames t core = function
     | [] -> ()
     | (_, _, m) :: rest -> (
         drop_frames t core rest;
-        match m.frame with
-        | Some (_, h) -> C.dec t.csub core h
-        | None -> ())
+        match m.frame with Some (_, h) -> C.dec t.csub core h | None -> ())
 
   (* ---------------------------------------------------------------- *)
   (* Fault-injection plumbing. *)

@@ -242,9 +242,8 @@ let collect scope modname file_fallback str =
   let check_poly_instantiation env loc name (ty : type_expr) =
     (* [Hashtbl.hash] is never specialized, so only immediate arguments
        are cheap there; comparisons get the compiler's full
-       specialization set. [min] and [max] are ordinary polymorphic
-       functions, never specialized at any type: even at [int] they call
-       [caml_greaterequal]/[caml_lessequal] and walk [compare_val]. *)
+       specialization set. [min]/[max] are plain polymorphic functions,
+       never specialized: even at [int] they reach [compare_val]. *)
     let cheap env arg =
       match name with
       | "Hashtbl.hash" -> immediate env arg

@@ -20,16 +20,16 @@ and weakref = {
 }
 
 (* One core's delta cache as parallel arrays: slot [i] holds [objs.(i)]
-   with pending delta [deltas.(i)], and [touched] marks the slots written
-   since the last flush (every slot with a nonzero delta is touched —
-   flush zeroes all deltas, so a nonzero delta implies a touch since).
-   Flush visits only the touched slots, in ascending slot order, which
-   turns the per-epoch maintenance cost from O(cache size) into O(slots
-   actually used this epoch). *)
+   with pending delta [deltas.(i)], and bit [i land 31] of
+   [touched.(i lsr 5)] marks it written since the last flush (flush zeroes
+   every delta it visits, so a nonzero delta implies a touch since).
+   Flush visits only the touched slots: O(slots used this epoch), not
+   O(cache size). The bits are set inline: a cross-module [Bitset.add]
+   call on every inc and dec is a measurable share of its cost. *)
 type percore = {
   objs : obj option array;
   deltas : int array;
-  touched : Bitset.t;
+  touched : int array;
   review : (obj * int) Queue.t;
 }
 
@@ -119,7 +119,8 @@ let cached_delta t (core : Core.t) obj d =
     deltas.(i) <- 0
   end;
   deltas.(i) <- deltas.(i) + d;
-  Bitset.add pc.touched i
+  let w = i lsr 5 in
+  pc.touched.(w) <- pc.touched.(w) lor (1 lsl (i land 31))
 
 let inc t (core : Core.t) obj =
   let obs = core.Core.obs in
@@ -195,16 +196,23 @@ let flush t (core : Core.t) =
   let pc = t.percore.(id) in
   (* Ascending slot order, exactly the full-array walk's eviction order —
      eviction order is observable (line-stall timing, lock events). *)
-  Bitset.iter
-    (fun i ->
-      let d = pc.deltas.(i) in
-      match pc.objs.(i) with
-      | Some o when d <> 0 ->
-          evict t core o d;
-          pc.deltas.(i) <- 0
-      | _ -> ())
-    pc.touched;
-  Bitset.clear pc.touched;
+  for w = 0 to Array.length pc.touched - 1 do
+    let bits = pc.touched.(w) in
+    if bits <> 0 then begin
+      pc.touched.(w) <- 0;
+      for b = 0 to 31 do
+        if bits land (1 lsl b) <> 0 then begin
+          let i = (w lsl 5) + b in
+          let d = pc.deltas.(i) in
+          match pc.objs.(i) with
+          | Some o when d <> 0 ->
+              evict t core o d;
+              pc.deltas.(i) <- 0
+          | _ -> ()
+        end
+      done
+    end
+  done;
   if not t.flushed.(id) then begin
     t.flushed.(id) <- true;
     t.nflushed <- t.nflushed + 1;
@@ -228,7 +236,7 @@ let create ?(cache_slots = 4096) machine =
             {
               objs = Array.make cache_slots None;
               deltas = Array.make cache_slots 0;
-              touched = Bitset.create cache_slots;
+              touched = Array.make ((cache_slots + 31) / 32) 0;
               review = Queue.create ();
             });
       global_epoch = 0;

@@ -67,23 +67,23 @@ let () =
       ( per_write,
         [
           tc "local" `Quick
-            (gate ~unit_:per_write ~measured:205.309 (fun () ->
+            (gate ~unit_:per_write ~measured:205.147 (fun () ->
                  words_per_op ~ops:page_writes (fun ~on_measure ->
                      MB.local ~warmup ~on_measure ~ncores ~duration R.create)));
           tc "global" `Quick
-            (gate ~unit_:per_write ~measured:36.627 (fun () ->
+            (gate ~unit_:per_write ~measured:36.594 (fun () ->
                  words_per_op ~ops:page_writes (fun ~on_measure ->
                      MB.global ~warmup ~on_measure ~ncores ~duration R.create)));
         ] );
       ( "minor words per served op",
         [
           tc "file-backed serve, 32 cores" `Quick
-            (gate ~unit_:"minor words per op" ~measured:12.623 (fun () ->
+            (gate ~unit_:"minor words per op" ~measured:12.614 (fun () ->
                  words_per_op serve ~ops:(fun r -> r.CS.ops)));
         ] );
       ( "state size",
         [
           tc "one 80-core create" `Quick
-            (gate ~unit_:"live words" ~measured:2_093_396. create_words);
+            (gate ~unit_:"live words" ~measured:2_093_236. create_words);
         ] );
     ]
