@@ -11,6 +11,9 @@ type obj = {
   mutable freed : bool;
   free : Core.t -> unit;
   mutable weak : weakref option;
+  mutable held : slot;
+      (* [Held] of this object, built once by [make_obj]: putting the
+         object into a slot allocates nothing *)
 }
 
 and weakref = {
@@ -19,15 +22,26 @@ and weakref = {
   wline : Line.t;
 }
 
-(* One core's delta cache as parallel arrays: slot [i] holds [objs.(i)]
-   with pending delta [deltas.(i)], and bit [i land 31] of
-   [touched.(i lsr 5)] marks it written since the last flush (flush zeroes
-   every delta it visits, so a nonzero delta implies a touch since).
-   Flush visits only the touched slots: O(slots used this epoch), not
-   O(cache size). The bits are set inline: a cross-module [Bitset.add]
-   call on every inc and dec is a measurable share of its cost. *)
+(* A delta-cache slot. [Held o] has a delta pending for [o] since the last
+   flush. Flush turns every [Held] slot it visits into a [Ghost]: the slot
+   still occupies its way and still matches its last object, which it
+   remembers only by [seq] (kept in the slot's [deltas] cell, as a ghost's
+   delta is zero), so it no longer keeps an object Refcache has freed
+   reachable. A ghost behaves exactly as a slot left holding its object
+   with delta zero would: not empty, never evicted, a hit for its own
+   object; so eviction choices and order do not depend on it. *)
+and slot = Empty | Held of obj | Ghost
+
+(* One core's delta cache as parallel arrays: slot [i] is [slots.(i)] with
+   pending delta [deltas.(i)] (or, for a ghost, its object's seq), and bit
+   [i land 31] of [touched.(i lsr 5)] marks it written since the last
+   flush (only a write makes a slot [Held], and flush makes every slot it
+   visits a ghost, so the set bits are exactly the [Held] slots). Flush
+   visits only the touched slots: O(slots used this epoch), not O(cache
+   size). The bits are set inline: a cross-module [Bitset.add] call on
+   every inc and dec is a measurable share of its cost. *)
 type percore = {
-  objs : obj option array;
+  slots : slot array;
   deltas : int array;
   touched : int array;
   review : (obj * int) Queue.t;
@@ -82,7 +96,18 @@ let evict t (core : Core.t) obj delta =
     else obj.dirty <- true;
   Lock.release core obj.lock
 
-let holds slot obj = match slot with Some o -> o == obj | None -> false
+(* Does slot [i] stand for [obj]: holding it, or a ghost of it? *)
+let matches slots deltas i obj =
+  match slots.(i) with
+  | Held o -> o == obj
+  | Ghost -> deltas.(i) = obj.seq
+  | Empty -> false
+
+let is_empty = function Empty -> true | Held _ | Ghost -> false
+
+(* The delta slot [i] has pending: a ghost's cell holds a seq. *)
+let pending slots deltas i =
+  match slots.(i) with Held _ -> deltas.(i) | Empty | Ghost -> 0
 
 (* The delta cache is two-way set-associative: an object hashes to a set
    of two slots and evicts the other way's entry only when both miss.
@@ -95,29 +120,34 @@ let cached_delta t (core : Core.t) obj d =
   (* The delta cache is core-private: constant local cost, no line traffic. *)
   Core.tick core (2 * core.Core.params.Params.l1_hit);
   let pc = t.percore.(core.Core.id) in
-  let objs = pc.objs and deltas = pc.deltas in
+  let slots = pc.slots and deltas = pc.deltas in
   let way0 = hash_obj t obj land lnot 1 in
   let way1 = way0 lor 1 in
   let i =
-    if holds objs.(way0) obj then way0
-    else if holds objs.(way1) obj then way1
-    else if Option.is_none objs.(way0) then way0
-    else if Option.is_none objs.(way1) then way1
+    if matches slots deltas way0 obj then way0
+    else if matches slots deltas way1 obj then way1
+    else if is_empty slots.(way0) then way0
+    else if is_empty slots.(way1) then way1
     else begin
       (* Both ways busy: evict the smaller-delta way (hot pinned objects
          carry transient non-zero deltas mid-operation; evicting them
          would write their shared global count). *)
-      let v = if abs deltas.(way0) <= abs deltas.(way1) then way0 else way1 in
-      (match objs.(v) with
-      | Some o when deltas.(v) <> 0 -> evict t core o deltas.(v)
-      | _ -> ());
+      let v =
+        if abs (pending slots deltas way0) <= abs (pending slots deltas way1)
+        then way0
+        else way1
+      in
+      (match slots.(v) with
+      | Held o when deltas.(v) <> 0 -> evict t core o deltas.(v)
+      | Held _ | Empty | Ghost -> ());
       v
     end
   in
-  if not (holds objs.(i) obj) then begin
-    objs.(i) <- Some obj;
-    deltas.(i) <- 0
-  end;
+  (match slots.(i) with
+  | Held o when o == obj -> ()
+  | Held _ | Empty | Ghost ->
+      slots.(i) <- obj.held;
+      deltas.(i) <- 0);
   deltas.(i) <- deltas.(i) + d;
   let w = i lsr 5 in
   pc.touched.(w) <- pc.touched.(w) lor (1 lsl (i land 31))
@@ -203,12 +233,13 @@ let flush t (core : Core.t) =
       for b = 0 to 31 do
         if bits land (1 lsl b) <> 0 then begin
           let i = (w lsl 5) + b in
-          let d = pc.deltas.(i) in
-          match pc.objs.(i) with
-          | Some o when d <> 0 ->
-              evict t core o d;
-              pc.deltas.(i) <- 0
-          | _ -> ()
+          match pc.slots.(i) with
+          | Held o ->
+              let d = pc.deltas.(i) in
+              if d <> 0 then evict t core o d;
+              pc.slots.(i) <- Ghost;
+              pc.deltas.(i) <- o.seq
+          | Empty | Ghost -> ()
         end
       done
     end
@@ -234,7 +265,7 @@ let create ?(cache_slots = 4096) machine =
       percore =
         Array.init n (fun _ ->
             {
-              objs = Array.make cache_slots None;
+              slots = Array.make cache_slots Empty;
               deltas = Array.make cache_slots 0;
               touched = Array.make ((cache_slots + 31) / 32) 0;
               review = Queue.create ();
@@ -267,8 +298,10 @@ let make_obj ?(label = "refcache:obj") t (core : Core.t) ~init ~free =
       freed = false;
       free;
       weak = None;
+      held = Empty;
     }
   in
+  obj.held <- Held obj;
   let obs = core.Core.obs in
   if Obs.active obs then
     Obs.emit obs (Obs.Rc_make { core = core.Core.id; oid; init; label });
@@ -306,15 +339,16 @@ let tryget t (core : Core.t) w =
 let is_freed obj = obj.freed
 let oid obj = obj.oid
 
+(* [cached_delta] places an object only in its own two ways, and a ghost's
+   delta is zero, so the [Held] slots of those ways carry every delta. *)
 let true_count t obj =
-  let total = ref (Cell.peek obj.refcnt) in
-  Array.iter
-    (fun pc ->
-      Array.iteri
-        (fun i slot -> if holds slot obj then total := !total + pc.deltas.(i))
-        pc.objs)
-    t.percore;
-  !total
+  let way0 = hash_obj t obj land lnot 1 in
+  let held pc i =
+    match pc.slots.(i) with Held o when o == obj -> pc.deltas.(i) | _ -> 0
+  in
+  Array.fold_left
+    (fun acc pc -> acc + held pc way0 + held pc (way0 lor 1))
+    (Cell.peek obj.refcnt) t.percore
 
 let epoch t = t.global_epoch
 

@@ -6,13 +6,19 @@
      cache-serving window (256 slots, seed 1, 1M + 8M cycles);
    - the live heap words one [R.create] adds on an 80-core machine (its
      per-core delta caches and line directories), read after a full
-     major collection on either side.
+     major collection on either side;
+   - the minor words of the seed-42 checked fuzz session (600 ops, 4
+     cores: the benchmark's fuzz-checked session).
    For a fixed program and input each count does not depend on host
    load, unlike a wall-clock gate, so each bound is tight: the count
    measured under the default (dev) build profile when the bound was
    set, plus 1%. A change that allocates more on the mmap, fault, serve
-   or munmap path, or grows an address space's state, fails here; one
-   that allocates less should lower the bound. *)
+   or munmap path, in a checked session, or grows an address space's
+   state, fails here; one that allocates less should lower the bound.
+   One more gate compares two runs instead of a fixed count: the live
+   words at the end of a local window must not grow with the window's
+   length (16M cycles against 4M, within 1%), since host memory should
+   track the live simulated state, not everything the run has freed. *)
 
 module R = Vm.Radixvm.Default
 module MB = Workloads.Microbench.Make (R)
@@ -52,6 +58,32 @@ let create_words () =
   ignore (Sys.opaque_identity vm);
   float_of_int (after - before)
 
+(* Live words after a full major collection at the end of a local window
+   of [duration] cycles, with the VM still reachable. *)
+let local_live_words ~duration =
+  let vm = ref None in
+  let r =
+    MB.local ~warmup ~ncores ~duration (fun m ->
+        let v = R.create m in
+        vm := Some v;
+        v)
+  in
+  Alcotest.(check bool) "the window writes pages" true (page_writes r > 0);
+  Gc.full_major ();
+  let live = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity !vm);
+  float_of_int live
+
+let fuzz_session_words () =
+  let before = Gc.minor_words () in
+  let o =
+    Fuzz.run_session
+      { Fuzz.default with seed = 42; ops = 600; ncores = 4; check = true }
+  in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (list string)) "the session passes" [] o.Fuzz.failures;
+  words
+
 let gate ~unit_ ~measured count () =
   let value = count () in
   let bound = measured *. 1.01 in
@@ -64,6 +96,15 @@ let () =
   let per_write = "minor words per page write" in
   Alcotest.run "alloc"
     [
+      (* First: its count shifts by about 0.3% when other tests run
+         before it in the same process, and first it reads what a fresh
+         process reads. *)
+      ( "minor words per session",
+        [
+          tc "checked fuzz session, seed 42" `Quick
+            (gate ~unit_:"minor words" ~measured:44_883_637.
+               fuzz_session_words);
+        ] );
       ( per_write,
         [
           tc "local" `Quick
@@ -85,5 +126,10 @@ let () =
         [
           tc "one 80-core create" `Quick
             (gate ~unit_:"live words" ~measured:2_093_236. create_words);
+          tc "local, 16M-cycle window against 4M" `Quick (fun () ->
+              let short = local_live_words ~duration in
+              gate ~unit_:"live words" ~measured:short
+                (fun () -> local_live_words ~duration:(4 * duration))
+                ());
         ] );
     ]

@@ -197,6 +197,67 @@ let test_zero_init_revived_by_inc () =
   Alcotest.(check int) "then freed" 1 !freed
 
 (* ------------------------------------------------------------------ *)
+(* Host reachability: a delta-cache slot keeps its object reachable only
+   while it holds a pending delta. Each object is made in a function of
+   its own, so no stack slot of the test keeps it alive, and the test
+   holds it only through a weak pointer. *)
+
+let[@inline never] make_watched rc m ~init weak =
+  let obj =
+    Refcache.make_obj rc (Machine.core m 0) ~init ~free:(fun _ -> ())
+  in
+  Weak.set weak 0 (Some obj)
+
+(* One inc and one dec on cores 1 and 2, then the dec to zero on core 0. *)
+let[@inline never] drop_to_zero rc m weak =
+  match Weak.get weak 0 with
+  | None -> Alcotest.fail "collected while referenced"
+  | Some obj ->
+      List.iter
+        (fun c ->
+          Refcache.inc rc (Machine.core m c) obj;
+          Refcache.dec rc (Machine.core m c) obj)
+        [ 1; 2 ];
+      Refcache.dec rc (Machine.core m 0) obj
+
+let[@inline never] watched_freed weak =
+  match Weak.get weak 0 with Some obj -> Refcache.is_freed obj | None -> true
+
+let[@inline never] inc_watched rc core weak =
+  match Weak.get weak 0 with
+  | None -> Alcotest.fail "collected while referenced"
+  | Some obj -> Refcache.inc rc core obj
+
+let check_collected weak =
+  Gc.full_major ();
+  Alcotest.(check bool) "collected" false (Weak.check weak 0)
+
+let test_freed_obj_collected () =
+  let m = machine () in
+  let rc = Refcache.create m in
+  let weak = Weak.create 1 in
+  make_watched rc m ~init:1 weak;
+  drop_to_zero rc m weak;
+  let epochs = ref 0 in
+  while not (watched_freed weak) do
+    if !epochs = 10 then Alcotest.fail "not freed within 10 epochs";
+    drain_epochs m 1;
+    incr epochs
+  done;
+  check_collected weak
+
+(* The count stays 2, so Refcache never frees it; once every core has
+   flushed, nothing of Refcache's keeps it reachable. *)
+let test_dropped_live_obj_collected () =
+  let m = machine () in
+  let rc = Refcache.create m in
+  let weak = Weak.create 1 in
+  make_watched rc m ~init:1 weak;
+  inc_watched rc (Machine.core m 1) weak;
+  drain_epochs m 2;
+  check_collected weak
+
+(* ------------------------------------------------------------------ *)
 (* Refcache property test                                              *)
 
 type rc_op = Inc of int | Dec of int | Settle
@@ -552,6 +613,9 @@ let () =
             test_oids_disjoint_across_domains;
           tc "no allocation without a sink" `Quick
             test_inc_dec_allocate_nothing;
+          tc "freed object collected" `Quick test_freed_obj_collected;
+          tc "dropped live object collected" `Quick
+            test_dropped_live_obj_collected;
         ] );
       ( "weakref",
         [
