@@ -84,6 +84,10 @@ let () =
             parse acc rest
         | _ -> usage ())
     | "--out-dir" :: d :: rest ->
+        if not (Sys.file_exists d && Sys.is_directory d) then begin
+          Printf.eprintf "main.exe: --out-dir %s is not a directory\n" d;
+          usage ()
+        end;
         out_dir := d;
         parse acc rest
     | ("--jobs" | "--shards" | "--out-dir") :: [] -> usage ()

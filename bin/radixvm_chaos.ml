@@ -57,7 +57,7 @@ let shards_arg =
 
 let out_dir_arg =
   Arg.(
-    value & opt string "."
+    value & opt dir "."
     & info [ "out-dir" ] ~doc:"Directory for BENCH_chaos.json and any \
                                repro artifacts.")
 

@@ -39,6 +39,11 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--out-dir" :: d :: rest ->
+        if not (Sys.file_exists d && Sys.is_directory d) then begin
+          Printf.eprintf
+            "radixvm_selfbench.exe: --out-dir %s is not a directory\n" d;
+          usage ()
+        end;
         out_dir := d;
         parse rest
     | _ -> usage ()

@@ -53,6 +53,10 @@ let () =
         allow_file := Some f;
         parse rest
     | "--out-dir" :: d :: rest ->
+        if not (Sys.file_exists d && Sys.is_directory d) then begin
+          Printf.eprintf "simlint.exe: --out-dir %s is not a directory\n" d;
+          usage ()
+        end;
         out_dir := Some d;
         parse rest
     | "--all-scopes" :: rest ->
