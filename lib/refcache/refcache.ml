@@ -97,7 +97,7 @@ let evict t (core : Core.t) obj delta =
   Lock.release core obj.lock
 
 (* Does slot [i] stand for [obj]: holding it, or a ghost of it? *)
-let matches slots deltas i obj =
+let[@inline] matches slots deltas i obj =
   match slots.(i) with
   | Held o -> o == obj
   | Ghost -> deltas.(i) = obj.seq
@@ -106,7 +106,7 @@ let matches slots deltas i obj =
 let is_empty = function Empty -> true | Held _ | Ghost -> false
 
 (* The delta slot [i] has pending: a ghost's cell holds a seq. *)
-let pending slots deltas i =
+let[@inline] pending slots deltas i =
   match slots.(i) with Held _ -> deltas.(i) | Empty | Ghost -> 0
 
 (* The delta cache is two-way set-associative: an object hashes to a set
