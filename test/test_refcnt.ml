@@ -208,25 +208,14 @@ let[@inline never] make_watched rc m ~init weak =
   in
   Weak.set weak 0 (Some obj)
 
-(* One inc and one dec on cores 1 and 2, then the dec to zero on core 0. *)
-let[@inline never] drop_to_zero rc m weak =
+(* Apply [f] to the watched object, in a frame of its own. *)
+let[@inline never] with_watched weak f =
   match Weak.get weak 0 with
+  | Some obj -> f obj
   | None -> Alcotest.fail "collected while referenced"
-  | Some obj ->
-      List.iter
-        (fun c ->
-          Refcache.inc rc (Machine.core m c) obj;
-          Refcache.dec rc (Machine.core m c) obj)
-        [ 1; 2 ];
-      Refcache.dec rc (Machine.core m 0) obj
 
 let[@inline never] watched_freed weak =
   match Weak.get weak 0 with Some obj -> Refcache.is_freed obj | None -> true
-
-let[@inline never] inc_watched rc core weak =
-  match Weak.get weak 0 with
-  | None -> Alcotest.fail "collected while referenced"
-  | Some obj -> Refcache.inc rc core obj
 
 let check_collected weak =
   Gc.full_major ();
@@ -237,7 +226,14 @@ let test_freed_obj_collected () =
   let rc = Refcache.create m in
   let weak = Weak.create 1 in
   make_watched rc m ~init:1 weak;
-  drop_to_zero rc m weak;
+  (* One inc and one dec on cores 1 and 2, then the dec to zero on 0. *)
+  with_watched weak (fun obj ->
+      List.iter
+        (fun c ->
+          Refcache.inc rc (Machine.core m c) obj;
+          Refcache.dec rc (Machine.core m c) obj)
+        [ 1; 2 ];
+      Refcache.dec rc (Machine.core m 0) obj);
   let epochs = ref 0 in
   while not (watched_freed weak) do
     if !epochs = 10 then Alcotest.fail "not freed within 10 epochs";
@@ -253,7 +249,7 @@ let test_dropped_live_obj_collected () =
   let rc = Refcache.create m in
   let weak = Weak.create 1 in
   make_watched rc m ~init:1 weak;
-  inc_watched rc (Machine.core m 1) weak;
+  with_watched weak (Refcache.inc rc (Machine.core m 1));
   drain_epochs m 2;
   check_collected weak
 
