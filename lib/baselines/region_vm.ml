@@ -94,18 +94,19 @@ struct
     in
     before @ scan lo []
 
+  (* Remove [v] from the VMA index, reinserting its parts outside
+     [lo, hi). *)
+  let split_out t core ~lo ~hi v =
+    ignore (Ix.remove core t.index v.start);
+    if v.start < lo then
+      Ix.insert core t.index v.start { v with len = lo - v.start };
+    if vma_end v > hi then
+      Ix.insert core t.index hi { v with start = hi; len = vma_end v - hi }
+
   (* Remove [lo, hi) from the VMA index, splitting partial overlaps. *)
   let carve t core ~lo ~hi =
     let doomed = overlapping t core ~lo ~hi in
-    List.iter
-      (fun v ->
-        ignore (Ix.remove core t.index v.start);
-        if v.start < lo then
-          Ix.insert core t.index v.start { v with len = lo - v.start };
-        if vma_end v > hi then
-          Ix.insert core t.index hi
-            { v with start = hi; len = vma_end v - hi })
-      doomed;
+    List.iter (split_out t core ~lo ~hi) doomed;
     doomed <> []
 
   (* Remove the shared page table's PTEs for [lo, hi); returns the
@@ -262,11 +263,7 @@ struct
     let affected = overlapping t core ~lo ~hi in
     List.iter
       (fun v ->
-        ignore (Ix.remove core t.index v.start);
-        if v.start < lo then
-          Ix.insert core t.index v.start { v with len = lo - v.start };
-        if vma_end v > hi then
-          Ix.insert core t.index hi { v with start = hi; len = vma_end v - hi };
+        split_out t core ~lo ~hi v;
         let seg_lo = max v.start lo and seg_hi = min (vma_end v) hi in
         insert_vma t core
           { start = seg_lo; len = seg_hi - seg_lo; prot; backing = v.backing })
