@@ -16,13 +16,10 @@ type t = { file : string; entries : entry list }
 
 val empty : t
 
-val parse_string : file:string -> string -> t * Finding.t list
-(** Parses allowlist text; the findings are [Allow_malformed] errors for
-    unparseable lines. *)
-
 val load : string -> t * Finding.t list
-(** [parse_string] over a file's contents. Raises [Sys_error] if the file
-    cannot be read. *)
+(** Parses an allowlist file; the findings are [Allow_malformed] errors
+    for unparseable lines. Raises [Sys_error] if the file cannot be
+    read. *)
 
 val matches : entry -> Finding.t -> bool
 (** Rule ids equal and the entry site equals the finding site or is a

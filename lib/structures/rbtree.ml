@@ -30,7 +30,6 @@ let create core =
   { nil; root = nil; size = 0 }
 
 let size t = t.size
-let is_empty t = t.size = 0
 
 let find core t key =
   let rec go n =

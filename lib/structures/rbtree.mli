@@ -10,7 +10,6 @@ type 'v t
 
 val create : Ccsim.Core.t -> 'v t
 val size : 'v t -> int
-val is_empty : 'v t -> bool
 val find : Ccsim.Core.t -> 'v t -> int -> 'v option
 val floor : Ccsim.Core.t -> 'v t -> int -> (int * 'v) option
 (** Greatest binding with key <= the argument. *)

@@ -7,14 +7,15 @@ type 'v node = {
   line : Line.t;
 }
 
-type 'v t = { head : 'v node; max_level : int; mutable length : int }
+type 'v t = { head : 'v node; mutable length : int }
+
+let max_level = 16
 
 let fresh_line (core : Core.t) =
   Line.create ~label:"skiplist:node" core.Core.params core.Core.stats
     ~home_socket:core.Core.socket
 
-let create ?(max_level = 16) core =
-  if max_level < 1 then invalid_arg "Skiplist.create";
+let create core =
   {
     head =
       {
@@ -23,24 +24,23 @@ let create ?(max_level = 16) core =
         next = Array.make max_level None;
         line = fresh_line core;
       };
-    max_level;
     length = 0;
   }
 
 (* Deterministic tower height: one plus the number of trailing one bits of
    a hash of the key — geometric(1/2), independent of insertion order. *)
-let height_of t key =
+let height_of key =
   let h = key * 0x9E3779B1 land max_int in
   let rec count h acc = if h land 1 = 1 then count (h lsr 1) (acc + 1) else acc in
-  min t.max_level (1 + count h 0)
+  min max_level (1 + count h 0)
 
 (* Walk down from the top level, collecting the predecessor at each level.
    Every node whose line we inspect is charged as a read. *)
 let find_preds core t key =
-  let preds = Array.make t.max_level t.head in
+  let preds = Array.make max_level t.head in
   Line.read core t.head.line;
   let cur = ref t.head in
-  for level = t.max_level - 1 downto 0 do
+  for level = max_level - 1 downto 0 do
     let continue = ref true in
     while !continue do
       match !cur.next.(level) with
@@ -81,7 +81,7 @@ let insert core t key value =
       Line.write core n.line;
       n.value <- Some value
   | _ ->
-      let h = height_of t key in
+      let h = height_of key in
       let node =
         { key; value = Some value; next = Array.make h None; line = fresh_line core }
       in
@@ -138,7 +138,7 @@ let check_invariants t =
     go 0 t.head.next.(0)
   in
   if count <> t.length then failwith "Skiplist: length mismatch";
-  for level = 1 to t.max_level - 1 do
+  for level = 1 to max_level - 1 do
     let rec check = function
       | None -> ()
       | Some n ->

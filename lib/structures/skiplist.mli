@@ -14,8 +14,8 @@
 
 type 'v t
 
-val create : ?max_level:int -> Ccsim.Core.t -> 'v t
-(** [create core] is an empty list (default [max_level] 16). *)
+val create : Ccsim.Core.t -> 'v t
+(** [create core] is an empty list of at most 16 levels. *)
 
 val find : Ccsim.Core.t -> 'v t -> int -> 'v option
 val mem : Ccsim.Core.t -> 'v t -> int -> bool
