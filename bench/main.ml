@@ -10,11 +10,8 @@
      --strict     exit nonzero if any checker verdict is not clean
      --jobs N     run the per-(system, core-count) simulations on N host
                   domains (default: Domain.recommended_domain_count; 1 =
-                  serial). Results are deterministic and identically
-                  ordered for any N.
-     --shards N   widest execution width for the shard target's worlds
-                  (default 4). Combined with --jobs, the pool width is
-                  clamped so jobs x shards never oversubscribes the host.
+                  serial; clamped to that count). Results are
+                  deterministic and identically ordered for any N.
      --out-dir D  where to write the BENCH_*.json artifacts (default .)
 
    Every selected target writes a machine-readable artifact
@@ -26,39 +23,16 @@ module Json = Harness.Json
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [--quick] [--check] [--strict] [--jobs N] [--shards N] [--out-dir D] [targets...]\n\
+    "usage: main.exe [--quick] [--check] [--strict] [--jobs N] [--out-dir D] [targets...]\n\
      targets: %s\n"
     (String.concat " " Figures.target_names);
   exit 1
-
-(* The commit the artifacts were generated from, for BENCH_meta.json.
-   Read straight from .git so the harness needs no subprocess and no
-   libraries; "unknown" outside a work tree (e.g. a dune sandbox). *)
-let git_commit () =
-  let read_line path =
-    try
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Some (String.trim (input_line ic)))
-    with Sys_error _ | End_of_file -> None
-  in
-  match read_line ".git/HEAD" with
-  | None -> "unknown"
-  | Some head ->
-      if String.length head > 5 && String.sub head 0 5 = "ref: " then
-        let r = String.sub head 5 (String.length head - 5) in
-        (match read_line (Filename.concat ".git" r) with
-        | Some hash -> hash
-        | None -> "unknown")
-      else head
 
 let () =
   let quick = ref false
   and check = ref false
   and strict = ref false
-  and jobs = ref 0
-  and shards = ref 4
+  and jobs = ref (Harness.Pool.default_jobs ())
   and out_dir = ref "." in
   let rec parse acc = function
     | [] -> List.rev acc
@@ -77,12 +51,6 @@ let () =
             jobs := n;
             parse acc rest
         | _ -> usage ())
-    | "--shards" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            shards := n;
-            parse acc rest
-        | _ -> usage ())
     | "--out-dir" :: d :: rest ->
         if not (Sys.file_exists d && Sys.is_directory d) then begin
           Printf.eprintf "main.exe: --out-dir %s is not a directory\n" d;
@@ -90,7 +58,7 @@ let () =
         end;
         out_dir := d;
         parse acc rest
-    | ("--jobs" | "--shards" | "--out-dir") :: [] -> usage ()
+    | ("--jobs" | "--out-dir") :: [] -> usage ()
     | a :: _ when String.length a > 0 && a.[0] = '-' -> usage ()
     | a :: rest -> parse (a :: acc) rest
   in
@@ -109,23 +77,9 @@ let () =
             exit 1)
       selected
   in
-  (* A shard-figure world already runs up to --shards domains of its own,
-     so when the shard target is part of the run an explicit --jobs is
-     clamped to jobs x shards <= the host's parallelism
-     (Pool.clamp_jobs); other targets keep the requested width. *)
-  let per_job = if List.mem "shard" selected then !shards else 1 in
-  let jobs =
-    if !jobs = 0 then Harness.Pool.default_jobs ()
-    else Harness.Pool.clamp_jobs ~per_job !jobs
-  in
+  let jobs = Harness.Pool.clamp_jobs !jobs in
   let ctx =
-    {
-      Figures.quick = !quick;
-      check = !check;
-      jobs;
-      shards = !shards;
-      ppf = Format.std_formatter;
-    }
+    { Figures.quick = !quick; check = !check; jobs; ppf = Format.std_formatter }
   in
   let t0 = Unix.gettimeofday () in
   let all_checks = ref [] in
@@ -159,7 +113,7 @@ let () =
                 (fun (name, s) -> (name, Json.Float s))
                 !target_walls) );
          ("generated_at", Json.Float t0);
-         ("commit", Json.String (git_commit ()));
+         ("commit", Json.String (Harness.Git.commit ()));
          ( "instrumented_runs",
            Json.List
              (List.map

@@ -45,15 +45,15 @@ let max_sessions_arg =
         ~doc:"Hard cap on sessions regardless of remaining budget \
               (0 = no cap).")
 
-let shards_arg =
+let nodes_arg =
   Arg.(
     value
-    & opt (Cli.count "--shards") 1
-    & info [ "shards" ]
-        ~doc:"Run each session as a sharded world of this many coupled \
-              node sessions (Fuzz.run_world), one host domain per node \
-              (clamped to the host's parallelism). Palettes still derive \
-              from (seed, index), so failures stay reproducible.")
+    & opt (Cli.count "--nodes") 1
+    & info [ "nodes" ]
+        ~doc:"Run each session as a world of this many coupled node \
+              sessions (Fuzz.run_world), one host domain per node up to \
+              the host's count. Palettes still derive from (seed, index), \
+              so failures stay reproducible.")
 
 let out_dir_arg =
   Arg.(
@@ -85,10 +85,10 @@ let palette ~seed ~index =
     watchdog = Some watchdog_horizon;
   }
 
-(* One unit of chaos: a plain session, or — with --shards N — a world of
+(* One unit of chaos: a plain session, or — with --nodes N — a world of
    N coupled node sessions. Reported through one shape either way. *)
-let run_unit ~shards cfg =
-  if shards <= 1 then begin
+let run_unit ~nodes ~jobs cfg =
+  if nodes <= 1 then begin
     let o = Fuzz.run_session cfg in
     ( o.Fuzz.passed,
       o.Fuzz.crashes,
@@ -97,7 +97,7 @@ let run_unit ~shards cfg =
       if o.Fuzz.passed then None else Some o )
   end
   else begin
-    let w = Fuzz.run_world ~shards ~nodes:shards cfg in
+    let w = Fuzz.run_world ~jobs ~nodes cfg in
     let crashes =
       List.fold_left
         (fun a (o : Fuzz.outcome) -> a + o.Fuzz.crashes)
@@ -115,7 +115,8 @@ let run_unit ~shards cfg =
         w.Fuzz.w_outcomes )
   end
 
-let main seconds seed max_sessions shards out_dir verbose =
+let main seconds seed max_sessions nodes out_dir verbose =
+  let jobs = Harness.Pool.clamp_jobs nodes in
   let t0 = Unix.gettimeofday () in
   let elapsed () = Unix.gettimeofday () -. t0 in
   let rows = ref [] in
@@ -132,7 +133,7 @@ let main seconds seed max_sessions shards out_dir verbose =
     let cfg = palette ~seed ~index in
     let s0 = Unix.gettimeofday () in
     let passed, crashes, livelocked, transcript, failing =
-      run_unit ~shards cfg
+      run_unit ~nodes ~jobs cfg
     in
     let wall = Unix.gettimeofday () -. s0 in
     total_crashes := !total_crashes + crashes;
@@ -142,7 +143,7 @@ let main seconds seed max_sessions shards out_dir verbose =
       index cfg.Fuzz.seed
       (Locks.Range_lock.name cfg.Fuzz.rangelock)
       cfg.Fuzz.ncores cfg.Fuzz.ops
-      (if shards > 1 then Printf.sprintf " shards=%d" shards else "")
+      (if nodes > 1 then Printf.sprintf " nodes=%d" nodes else "")
       (if passed then "PASS" else "FAIL")
       crashes
       (if livelocked then ", LIVELOCK" else "")
@@ -171,7 +172,7 @@ let main seconds seed max_sessions shards out_dir verbose =
           ("backend", Json.String (Locks.Range_lock.name cfg.Fuzz.rangelock));
           ("cores", Json.Int cfg.Fuzz.ncores);
           ("ops", Json.Int cfg.Fuzz.ops);
-          ("shards", Json.Int shards);
+          ("nodes", Json.Int nodes);
           ("passed", Json.Bool passed);
           ("crashes", Json.Int crashes);
           ("livelocked", Json.Bool livelocked);
@@ -207,7 +208,7 @@ let cmd =
   Cmd.v
     (Cmd.info "radixvm-chaos" ~doc)
     Term.(
-      const main $ seconds_arg $ seed_arg $ max_sessions_arg $ shards_arg
+      const main $ seconds_arg $ seed_arg $ max_sessions_arg $ nodes_arg
       $ out_dir_arg $ verbose_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -2,10 +2,11 @@
    stack.
 
    Each run is a batch of independent sessions (seeds seed .. seed+runs-1),
-   executed on a worker pool; transcripts are printed in seed order, so the
-   output is byte-identical for any --jobs. A failing session writes a
-   self-contained repro artifact (the reified program plus the failing
-   transcript) and prints the command that replays it:
+   or with --nodes N of N-node worlds, executed on a worker pool;
+   transcripts are printed in seed order, so the output is byte-identical
+   for any --jobs. A failing session writes a self-contained repro
+   artifact (the reified program plus the failing transcript) and prints
+   the command that replays it:
 
      radixvm-fuzz --seed 42 --ops 600 --cores 4 --runs 2 --jobs 2
      radixvm-fuzz --repro fuzz_repro_1337.txt        # replay an artifact
@@ -42,18 +43,8 @@ let nodes_arg =
         ~doc:
           "World width: run each seed as a world of this many coupled \
            node sessions exchanging spawn requests at barrier points \
-           (1 = the classic single-machine session).")
-
-let shards_arg =
-  Arg.(
-    value
-    & opt (Cli.count "--shards") 1
-    & info [ "shards" ]
-        ~doc:
-          "Host domains executing each world's node sessions. Transcripts \
-           are byte-identical for any value; only the wall clock moves. \
-           Combined with $(b,--jobs), the total worker-domain count is \
-           clamped to the host's parallelism.")
+           (1 = the classic single-machine session). Worlds run one \
+           after another, each on the $(b,--jobs) pool.")
 
 let jobs_arg =
   Arg.(
@@ -61,7 +52,8 @@ let jobs_arg =
     & opt (Cli.count "--jobs") (Harness.Pool.default_jobs ())
     & info [ "jobs" ]
         ~doc:
-          "Worker domains. Sessions are independent and results are \
+          "Worker domains, at most the host's count. Sessions (and a \
+           world's node sessions) are independent and results are \
            printed in seed order, so the output does not depend on this.")
 
 let check_arg =
@@ -158,7 +150,13 @@ let do_shrink ~artifact (o : Fuzz.outcome) =
         minimal.Fuzz.pr_ncores min_path min_path;
       true
 
-let report_failure ~artifact ~shrink (o : Fuzz.outcome) =
+(* The first failing session writes the repro artifact. In a world that
+   is the failing node's own recorded program, which replays standalone
+   — no world involved. *)
+let report_failure ~shrink (o : Fuzz.outcome) =
+  let artifact =
+    Printf.sprintf "fuzz_repro_%d.txt" o.Fuzz.program.Fuzz.pr_seed
+  in
   Fuzz.write_artifact artifact o;
   Printf.printf "repro: written to %s\n  replay: radixvm-fuzz --repro %s\n"
     artifact artifact;
@@ -179,74 +177,41 @@ let replay_main path shrink verbose =
         exit 1
       end
 
-let world_main ~seed ~ops ~cores ~runs ~nodes ~shards ~jobs ~check ~verbose
-    ~broken ~crash ~watchdog ~rangelock ~shrink =
-  (* Each world already runs [shards] domains, so the world-level pool is
-     clamped to jobs × shards ≤ the host's parallelism. *)
-  let wjobs = Harness.Pool.clamp_jobs ~per_job:shards jobs in
-  let worlds =
-    List.init runs (fun i ->
-        let cfg =
-          { Fuzz.seed = seed + i; ops; ncores = cores; check; verbose;
-            broken; rangelock; crash; watchdog }
-        in
-        Harness.Pool.job
-          ~name:(Printf.sprintf "fuzz-world-%d" cfg.Fuzz.seed)
-          (fun () -> Fuzz.run_world ~shards ~nodes cfg))
-  in
-  let outs = Harness.Pool.run ~jobs:wjobs worlds in
-  List.iter (fun w -> print_string w.Fuzz.w_transcript) outs;
-  let failed = List.filter (fun w -> not w.Fuzz.w_passed) outs in
-  Printf.printf "fuzz: %d/%d worlds passed\n" (runs - List.length failed) runs;
-  (match failed with
-  | [] -> ()
-  | w :: _ -> (
-      (* The failing node's session is an ordinary recorded program —
-         the repro artifact replays it standalone, no world involved. *)
-      match
-        List.filter (fun (o : Fuzz.outcome) -> not o.Fuzz.passed)
-          w.Fuzz.w_outcomes
-      with
-      | [] -> ()
-      | o :: _ ->
-          let artifact =
-            Printf.sprintf "fuzz_repro_%d.txt" o.Fuzz.program.Fuzz.pr_seed
-          in
-          report_failure ~artifact ~shrink o));
-  if failed <> [] then exit 1
-
-let main seed ops cores runs nodes shards jobs check verbose broken crash
-    watchdog rangelock repro shrink =
+let main seed ops cores runs nodes jobs check verbose broken crash watchdog
+    rangelock repro shrink =
   match repro with
   | Some path -> replay_main path shrink verbose
-  | None when nodes > 1 || shards > 1 ->
-      world_main ~seed ~ops ~cores ~runs ~nodes ~shards ~jobs ~check ~verbose
-        ~broken ~crash ~watchdog ~rangelock ~shrink
   | None ->
-      let sessions =
-        List.init runs (fun i ->
-            let cfg =
-              { Fuzz.seed = seed + i; ops; ncores = cores; check; verbose;
-                broken; rangelock; crash; watchdog }
-            in
-            Harness.Pool.job
-              ~name:(Printf.sprintf "fuzz-%d" cfg.Fuzz.seed)
-              (fun () -> Fuzz.run_session cfg))
+      let jobs = Harness.Pool.clamp_jobs jobs in
+      let cfg i =
+        { Fuzz.seed = seed + i; ops; ncores = cores; check; verbose; broken;
+          rangelock; crash; watchdog }
       in
-      let outcomes = Harness.Pool.run ~jobs sessions in
-      List.iter (fun o -> print_string o.Fuzz.transcript) outcomes;
-      let failed = List.filter (fun o -> not o.Fuzz.passed) outcomes in
-      Printf.printf "fuzz: %d/%d sessions passed\n"
-        (runs - List.length failed)
-        runs;
-      (match failed with
-      | [] -> ()
-      | o :: _ ->
-          let artifact =
-            Printf.sprintf "fuzz_repro_%d.txt" o.Fuzz.program.Fuzz.pr_seed
+      (* (transcript, passed) per seed, and every session outcome. *)
+      let units, outcomes =
+        if nodes = 1 then
+          let os =
+            Harness.Pool.run ~jobs
+              (List.init runs (fun i ->
+                   Harness.Pool.job
+                     ~name:(Printf.sprintf "fuzz-%d" (seed + i))
+                     (fun () -> Fuzz.run_session (cfg i))))
           in
-          report_failure ~artifact ~shrink o);
-      if failed <> [] then exit 1
+          (List.map (fun (o : Fuzz.outcome) -> (o.transcript, o.passed)) os, os)
+        else
+          let ws =
+            List.init runs (fun i -> Fuzz.run_world ~jobs ~nodes (cfg i))
+          in
+          ( List.map (fun w -> (w.Fuzz.w_transcript, w.Fuzz.w_passed)) ws,
+            List.concat_map (fun w -> w.Fuzz.w_outcomes) ws )
+      in
+      List.iter (fun (t, _) -> print_string t) units;
+      let failed = List.length (List.filter (fun (_, p) -> not p) units) in
+      Printf.printf "fuzz: %d/%d %s passed\n" (runs - failed) runs
+        (if nodes = 1 then "sessions" else "worlds");
+      Option.iter (report_failure ~shrink)
+        (List.find_opt (fun (o : Fuzz.outcome) -> not o.passed) outcomes);
+      if failed > 0 then exit 1
 
 let cmd =
   let doc = "seeded fault-injection fuzzer for the RadixVM stack" in
@@ -254,7 +219,7 @@ let cmd =
     (Cmd.info "radixvm-fuzz" ~doc)
     Term.(
       const main $ seed_arg $ ops_arg $ cores_arg $ runs_arg $ nodes_arg
-      $ shards_arg $ jobs_arg $ check_arg $ verbose_arg $ broken_arg
-      $ crash_arg $ watchdog_arg $ rangelock_arg $ repro_arg $ shrink_arg)
+      $ jobs_arg $ check_arg $ verbose_arg $ broken_arg $ crash_arg
+      $ watchdog_arg $ rangelock_arg $ repro_arg $ shrink_arg)
 
 let () = exit (Cmd.eval cmd)

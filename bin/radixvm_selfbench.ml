@@ -52,10 +52,7 @@ let () =
   (* 1. The quick fig5 sweep, serial: the dominant edit-compile-measure
      loop of this repo. [--jobs 1] so the number means the same thing on
      any host core count. *)
-  let ctx =
-    { Figures.quick = true; check = false; jobs = 1; shards = 1;
-      ppf = null_ppf }
-  in
+  let ctx = { Figures.quick = true; check = false; jobs = 1; ppf = null_ppf } in
   let fig5, fig5_s =
     time (fun () -> Figures.run_target ctx "fig5")
   in
@@ -78,13 +75,14 @@ let () =
   let ops_per_sec = float_of_int fuzz_cfg.Fuzz.ops /. fuzz_s in
   Printf.printf "fuzz 600 ops (checked):    %7.2f s  (%.0f ops/s)\n%!" fuzz_s
     ops_per_sec;
-  (* 2b. A sharded fuzz world: 4 coupled node sessions, execution width
-     clamped to the host. The soak path added by the shard engine. *)
+  (* 2b. A sharded fuzz world: 4 coupled node sessions on up to 4 host
+     domains (at most the host's count). *)
   let world_cfg =
     { Fuzz.default with Fuzz.seed = 42; ops = 300; ncores = 4; check = true }
   in
   let world, world_s =
-    time (fun () -> Fuzz.run_world ~shards:4 ~nodes:4 world_cfg)
+    time (fun () ->
+        Fuzz.run_world ~jobs:(Harness.Pool.clamp_jobs 4) ~nodes:4 world_cfg)
   in
   if not world.Fuzz.w_passed then begin
     prerr_endline "selfbench: sharded fuzz world FAILED; timings meaningless";

@@ -23,24 +23,7 @@ let usage () =
    (simlint lints itself — this use is covered by lint.allow.) *)
 let now () = Unix.gettimeofday ()
 
-let git_commit () =
-  let read_line path =
-    try
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Some (String.trim (input_line ic)))
-    with Sys_error _ | End_of_file -> None
-  in
-  match read_line ".git/HEAD" with
-  | None -> "unknown"
-  | Some head ->
-      if String.length head > 5 && String.sub head 0 5 = "ref: " then
-        let r = String.sub head 5 (String.length head - 5) in
-        match read_line (Filename.concat ".git" r) with
-        | Some hash -> hash
-        | None -> "unknown"
-      else head
+let is_dir d = Sys.file_exists d && Sys.is_directory d
 
 let () =
   let allow_file = ref None
@@ -53,7 +36,7 @@ let () =
         allow_file := Some f;
         parse rest
     | "--out-dir" :: d :: rest ->
-        if not (Sys.file_exists d && Sys.is_directory d) then begin
+        if not (is_dir d) then begin
           Printf.eprintf "simlint.exe: --out-dir %s is not a directory\n" d;
           usage ()
         end;
@@ -74,6 +57,14 @@ let () =
     | [] -> [ "lib"; "bin"; "bench"; "test" ]
     | rs -> rs
   in
+  (* A missing root would otherwise scan nothing and pass. *)
+  List.iter
+    (fun r ->
+      if not (is_dir r) then begin
+        Printf.eprintf "simlint.exe: root %s is not a directory\n" r;
+        usage ()
+      end)
+    roots;
   let config =
     if !all_scopes then
       (* Fixture mode: every rule family applies everywhere. *)
@@ -128,7 +119,7 @@ let () =
              ( "target_wall_clock_seconds",
                Json.Obj [ ("lint", Json.Float wall) ] );
              ("generated_at", Json.Float t0);
-             ("commit", Json.String (git_commit ()));
+             ("commit", Json.String (Harness.Git.commit ()));
              ("modules_scanned", Json.Int (List.length scanned));
              ("findings", Json.Int (List.length findings));
            ]));

@@ -755,7 +755,7 @@ let run_program ?(verbose = false) prog =
    fork/reap traffic in Harness.Shard). The schedule is drawn from
    dedicated per-node rngs before any session runs, so it — and
    therefore every node's transcript — is a pure function of the world
-   seed and node count. [shards] only maps node sessions onto host
+   seed and node count. [jobs] only maps node sessions onto host
    domains; no byte of the outcome depends on it. --- *)
 
 type world_outcome = {
@@ -789,15 +789,12 @@ let world_schedule ~seed ~nodes ~ops =
   done;
   (Array.map List.rev per_dst, List.sort compare !all)
 
-let run_world ?(clamp = true) ?(shards = 1) ~nodes cfg =
+let run_world ?jobs ~nodes cfg =
   if nodes < 1 then invalid_arg "Fuzz.run_world: nodes must be at least 1";
-  if shards < 1 then invalid_arg "Fuzz.run_world: shards must be at least 1";
   let cfg = { cfg with ops = max 1 cfg.ops; ncores = max 2 cfg.ncores } in
   let per_dst, all = world_schedule ~seed:cfg.seed ~nodes ~ops:cfg.ops in
-  let jobs = max 1 (min shards nodes) in
-  let jobs = if clamp then Harness.Pool.clamp_jobs jobs else jobs in
   let outcomes =
-    Harness.Pool.run ~jobs
+    Harness.Pool.run ?jobs
       (List.init nodes (fun n ->
            let sched = per_dst.(n) in
            let inject b =
@@ -812,7 +809,7 @@ let run_world ?(clamp = true) ?(shards = 1) ~nodes cfg =
                session ~inject
                  (Gen { cfg with seed = node_seed ~seed:cfg.seed n }))))
   in
-  (* The world transcript deliberately never mentions the shard width:
+  (* The world transcript deliberately never mentions the pool width:
      widths 1/2/4 must render the same bytes (golden-pinned). *)
   let buf = Buffer.create 8192 in
   let line fmt =

@@ -166,27 +166,27 @@ type world_outcome = {
       (** world header + cross-node spawn schedule + every node's session
           transcript in node order + a world verdict line. A pure
           function of the configuration and node count — byte-identical
-          at any [shards] width, which the golden test pins at widths
-          1, 2, and 4. *)
+          at any [jobs] width, which the golden test pins at widths 1, 2,
+          and 4. *)
   w_passed : bool;
   w_failures : string list;  (** each tagged ["node N: ..."] *)
   w_spawns : int;  (** cross-node spawn injections in the schedule *)
   w_outcomes : outcome list;  (** per-node outcomes, node order *)
 }
 
-val run_world : ?clamp:bool -> ?shards:int -> nodes:int -> config -> world_outcome
+val run_world : ?jobs:int -> nodes:int -> config -> world_outcome
 (** Run a world of [nodes] coupled sessions: node [n] runs an ordinary
     session with seed [cfg.seed + 7919*n], plus a static cross-node
     spawn schedule — per-node rngs (independent of every session rng)
     decide at which barrier indices (every 97th counted op, the drain
     period) a node asks its successor to spawn a fresh process there,
     executed as an ordinary recorded {!Spawn} op so a node's repro
-    artifact replays standalone. [shards] host domains execute the node
-    sessions ([Harness.Pool]); since the schedule is fixed up front the
-    sessions are embarrassingly parallel and the outcome is independent
-    of [shards]. [clamp] (default) additionally bounds the width by
-    {!Harness.Pool.default_jobs}; [nodes = 1] degenerates to exactly
-    {!run_session} wrapped in the world envelope. *)
+    artifact replays standalone. The node sessions run on a
+    {!Harness.Pool} of [jobs] domains (default
+    {!Harness.Pool.default_jobs}; the width is used as given); since the
+    schedule is fixed up front the sessions are embarrassingly parallel
+    and the outcome is independent of [jobs]. [nodes = 1] degenerates to
+    exactly {!run_session} wrapped in the world envelope. *)
 
 (** {1 Repro files} *)
 

@@ -4,11 +4,8 @@ let job ~name run = { name; run }
 
 exception Job_failed of string * exn
 
-let default_jobs ?(per_job = 1) () =
-  max 1 (Domain.recommended_domain_count () / max 1 per_job)
-
-let clamp_jobs ?(per_job = 1) jobs =
-  max 1 (min jobs (default_jobs ~per_job ()))
+let default_jobs () = max 1 (Domain.recommended_domain_count ())
+let clamp_jobs jobs = max 1 (min jobs (default_jobs ()))
 
 (* Each result slot is written by exactly one worker (slots are claimed
    through the atomic cursor), and [Domain.join] publishes those writes to

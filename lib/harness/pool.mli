@@ -22,19 +22,15 @@ exception Job_failed of string * exn
 (** Raised by {!run} when a job raises: carries the job's name and the
     original exception. The first failing job in submission order wins. *)
 
-val default_jobs : ?per_job:int -> unit -> int
-(** The host's useful parallelism for a sweep whose every job itself
-    spawns [per_job] domains (a sharded world runs one domain per shard):
-    [Domain.recommended_domain_count () / per_job], at least 1. The
-    default [per_job = 1] is the legacy behaviour —
-    [Domain.recommended_domain_count ()] itself. *)
+val default_jobs : unit -> int
+(** The host's useful parallelism: [Domain.recommended_domain_count ()],
+    at least 1. *)
 
-val clamp_jobs : ?per_job:int -> int -> int
-(** [clamp_jobs ~per_job j] bounds an explicitly requested [--jobs j] so
-    that [j * per_job] worker domains never oversubscribe the host:
-    the result is [min j (default_jobs ~per_job ())], at least 1. Drivers
-    combining [--jobs] with [--shards] route the requested value through
-    this instead of spawning J×S domains. *)
+val clamp_jobs : int -> int
+(** [clamp_jobs j] bounds an explicitly requested [--jobs j] by the
+    host: [min j (default_jobs ())], at least 1. The CLI drivers route
+    their [--jobs] through this once; library code runs the width it is
+    given. *)
 
 val run : ?jobs:int -> 'a job list -> 'a list
 (** [run ~jobs js] executes every job and returns their results in the

@@ -25,7 +25,6 @@ type t = {
   mutable epoch : int;
   mutable sent : int;
   mutable delivered : int;
-  mutable dropped : int;
   mutable log : delivery list;  (* newest first *)
   keep_log : bool;
 }
@@ -60,20 +59,16 @@ let create ?(keep_log = false) ~epoch params_list =
     epoch = 0;
     sent = 0;
     delivered = 0;
-    dropped = 0;
     log = [];
     keep_log;
   }
 
-let nodes t = Array.length t.nodes
 let node t i = t.nodes.(i)
 let machine nd = nd.machine
 let node_id nd = nd.id
 let epoch t = t.epoch
-let epoch_cycles t = t.epoch_cycles
 let sent t = t.sent
 let delivered t = t.delivered
-let dropped t = t.dropped
 let on_message nd fn = nd.handler <- Some fn
 let log t = List.rev t.log
 
@@ -126,7 +121,7 @@ let exchange t ~time =
           | Some fn ->
               fn ~time ~src ev.Machine.xpayload;
               t.delivered <- t.delivered + 1
-          | None -> t.dropped <- t.dropped + 1));
+          | None -> ()));
       if t.keep_log then
         t.log <-
           {
@@ -145,8 +140,8 @@ let post (_ : node) ch v ~time = Channel.post ch v ~ready:time
 (* A reusable sense-reversing barrier: [await] blocks until all [total]
    participants arrive, then releases the round together. The mutex
    establishes the happens-before edges that make the coordinator's
-   exchange (and its writes to t.epoch / the stop flag) visible to every
-   worker in the next round. *)
+   exchange (and its writes to t.epoch and the running flag) visible to
+   every worker in the next round. *)
 type barrier = {
   mutex : Mutex.t;
   cond : Condition.t;
@@ -174,59 +169,37 @@ let await b =
     done;
   Mutex.unlock b.mutex
 
-let run ?(clamp = true) ?(shards = 1) ?(stop = fun _ -> false) t =
-  let n = Array.length t.nodes in
-  let shards = max 1 (min shards n) in
-  (* Oversubscribing host domains is never faster (on a small host the
-     stop-the-world GC pauses serialize the time-sliced domains), so by
-     default the execution width is additionally clamped to the host's
-     useful parallelism. Simulation results do not depend on the
-     effective width, so the clamp is invisible to everything but the
-     wall clock; tests pass [~clamp:false] to force genuinely
-     multi-domain layouts. *)
-  let shards = if clamp then min shards (Pool.default_jobs ()) else shards in
-  let boundary () = (t.epoch + 1) * t.epoch_cycles in
-  let finished () = (world_idle t && not (pending t)) || stop t in
-  if shards = 1 then
-    while not (finished ()) do
-      let horizon = boundary () in
+let run ?(shards = 1) t =
+  let shards = max 1 (min shards (Array.length t.nodes)) in
+  let finished () = world_idle t && not (pending t) in
+  (* Worker [w] owns nodes with id mod shards = w; between the two
+     barriers of a round only worker 0 touches shared world state. At
+     width 1 the calling domain is the only worker and the barriers
+     return at once. *)
+  let b = barrier shards in
+  let running = ref (not (finished ())) in
+  let worker w =
+    while !running do
+      let horizon = (t.epoch + 1) * t.epoch_cycles in
       Array.iter
-        (fun nd -> Machine.run_for nd.machine ~cycles:horizon)
+        (fun nd ->
+          if nd.id mod shards = w then
+            Machine.run_for nd.machine ~cycles:horizon)
         t.nodes;
-      exchange t ~time:horizon;
-      t.epoch <- t.epoch + 1
+      await b;
+      if w = 0 then begin
+        exchange t ~time:horizon;
+        t.epoch <- t.epoch + 1;
+        running := not (finished ())
+      end;
+      await b
     done
-  else begin
-    (* Worker [w] owns nodes with id mod shards = w; between the two
-       barriers of a round only worker 0 touches shared world state. *)
-    let b = barrier shards in
-    let running = ref true in
-    let worker w =
-      while !running do
-        let horizon = boundary () in
-        Array.iter
-          (fun nd ->
-            if nd.id mod shards = w then
-              Machine.run_for nd.machine ~cycles:horizon)
-          t.nodes;
-        await b;
-        if w = 0 then begin
-          exchange t ~time:horizon;
-          t.epoch <- t.epoch + 1;
-          if finished () then running := false
-        end;
-        await b
-      done
-    in
-    if finished () then ()
-    else begin
-      let domains =
-        Array.init (shards - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
-      in
-      worker 0;
-      Array.iter Domain.join domains
-    end
-  end
+  in
+  let domains =
+    Array.init (shards - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
+  in
+  worker 0;
+  Array.iter Domain.join domains
 
 let total_stats t =
   let acc = Stats.create () in

@@ -17,12 +17,12 @@
     function of the node topology and epoch length only — the shard
     width [~shards] (how many host domains execute the per-node run
     loops) is a pure execution mapping, and every artifact derived from
-    a world is byte-identical at any width. The golden tests pin this at
-    widths 1, 2, and 4.
+    a world is byte-identical at any width. The shard tests assert this
+    at widths 1, 2, and 4.
 
     Determinism rules enforced around this module:
     - A node's state may only be mutated by its own run loop, or by the
-      engine's {!exchange} at a barrier. The simlint rule
+      engine's exchange at a barrier. The simlint rule
       [ds-cross-shard] statically flags the delivery endpoints
       ({!Ccsim.Machine.deliver_interrupt}, {!Ccsim.Channel.post},
       {!Ccsim.Core.interrupt}) outside this engine.
@@ -49,7 +49,6 @@ val create : ?keep_log:bool -> epoch:int -> Ccsim.Params.t list -> t
     comparable to (or above) the modeled IPI delivery latency.
     [keep_log] records every delivery for tests ({!log}). *)
 
-val nodes : t -> int
 val node : t -> int -> node
 val machine : node -> Ccsim.Machine.t
 val node_id : node -> int
@@ -59,7 +58,7 @@ val on_message : node ->
 (** Install the node's handler for [Xrc]/[Xmsg] payloads ([Xshootdown]
     is delivered by the engine itself). Called at epoch barriers in
     canonical batch order; [time] is the boundary's virtual time. Events
-    arriving on a node with no handler are counted in {!dropped}. *)
+    arriving on a node with no handler are dropped. *)
 
 val post : node -> 'a Ccsim.Channel.t -> 'a -> time:int -> unit
 (** For use inside an {!on_message} handler: hand a message to one of
@@ -67,40 +66,22 @@ val post : node -> 'a Ccsim.Channel.t -> 'a -> time:int -> unit
     the sanctioned wrapper around {!Ccsim.Channel.post} — calling the
     raw endpoint outside the engine trips simlint's [ds-cross-shard]. *)
 
-val run : ?clamp:bool -> ?shards:int -> ?stop:(t -> bool) -> t -> unit
+val run : ?shards:int -> t -> unit
 (** Run the epoch loop until every node is idle and no events are
-    pending (or [stop] answers true, checked once per barrier).
-    [shards] host domains execute the per-node run loops, node [i] on
-    domain [i mod shards] (clamped to the node count); [1] — the
+    pending. [shards] host domains execute the per-node run loops, node
+    [i] on domain [i mod shards] (clamped to the node count); [1] — the
     default — runs everything on the calling domain. Any value yields
-    bit-identical simulation results. With [clamp] (the default) the
-    execution width is additionally bounded by {!Pool.default_jobs} so a
-    wide world never oversubscribes the host — pass [~clamp:false] to
-    force the requested layout (tests exercising genuinely multi-domain
-    execution on small hosts). *)
-
-val exchange : t -> time:int -> unit
-(** Deliver the buffered batch at virtual time [time] and leave the
-    epoch counter untouched: the manual barrier for op-driven drivers
-    (the sharded fuzzer) that advance nodes themselves. {!run} calls
-    this internally at each boundary. *)
+    bit-identical simulation results; the width is used as given, so the
+    caller decides how many host domains a world may take. *)
 
 val epoch : t -> int
 (** Completed epochs. *)
-
-val epoch_cycles : t -> int
-
-val pending : t -> bool
-(** Some node has buffered, undelivered cross-shard events. *)
 
 val sent : t -> int
 (** Cross-shard events gathered into batches so far. *)
 
 val delivered : t -> int
 (** Events actually delivered (shootdowns + handled messages). *)
-
-val dropped : t -> int
-(** [Xrc]/[Xmsg] events that arrived on a node without a handler. *)
 
 val log : t -> delivery list
 (** Delivery log in delivery order; empty unless [~keep_log:true]. *)

@@ -6,9 +6,6 @@ type config = {
   nodes : int;  (** simulated machines in the world *)
   cores : int;  (** cores per node *)
   shards : int;  (** host domains executing the world *)
-  clamp : bool;
-      (** clamp the execution width to the host's parallelism
-          ({!Harness.Shard.run}); [false] forces the requested layout *)
   duration : int;  (** simulated cycles each node runs for *)
   epoch : int;  (** barrier period in simulated cycles *)
 }
@@ -50,7 +47,7 @@ module Make (V : Vm.Vm_intf.S) = struct
     for n = 0 to cfg.nodes - 1 do
       setup w cfg (Shard.node w n) ~ops ~acks
     done;
-    Shard.run ~clamp:cfg.clamp ~shards:cfg.shards w;
+    Shard.run ~shards:cfg.shards w;
     let stats = Shard.total_stats w in
     let total a = Array.fold_left ( + ) 0 a in
     let buf = Buffer.create 256 in

@@ -21,8 +21,7 @@
 type config = {
   nodes : int;
   cores : int;
-  shards : int;
-  clamp : bool;  (** clamp execution width to host parallelism *)
+  shards : int;  (** host domains executing the world, used as given *)
   duration : int;  (** simulated cycles each node runs for *)
   epoch : int;  (** barrier period in simulated cycles *)
 }

@@ -31,60 +31,34 @@ let null_ppf =
    exercises the pool), no checker (verdict fields would change the
    artifact shape, and the checked configurations are covered by
    @bench-smoke). *)
-let ctx ~shards =
-  { Figures.quick = true; check = false; jobs = 2; shards; ppf = null_ppf }
+let ctx = { Figures.quick = true; check = false; jobs = 2; ppf = null_ppf }
 
-let shard_widths = [ 1; 2; 4 ]
+let render ctx target =
+  match Figures.run_target ctx target with
+  | Some out ->
+      (* Same bytes Json.to_file writes: pretty document + newline. *)
+      Harness.Json.to_string ~pretty:true out.Figures.json ^ "\n"
+  | None -> failwith ("unknown bench target " ^ target)
 
-(* Each artifact is regenerated at --shards 1/2/4: the shard width is a
-   pure execution parameter and must never reach the bytes. The width-1
-   rendering is the digest subject; any cross-width difference fails
-   before digesting. *)
-let artifact_bytes target =
-  let render shards =
-    match Figures.run_target (ctx ~shards) target with
-    | Some out ->
-        (* Same bytes Json.to_file writes: pretty document + newline. *)
-        Harness.Json.to_string ~pretty:true out.Figures.json ^ "\n"
-    | None -> failwith ("unknown bench target " ^ target)
-  in
-  match List.map render shard_widths with
-  | reference :: rest ->
-      List.iteri
-        (fun i bytes ->
-          if bytes <> reference then
-            failwith
-              (Printf.sprintf "%s differs between --shards 1 and --shards %d"
-                 target
-                 (List.nth shard_widths (i + 1))))
-        rest;
-      reference
-  | [] -> assert false
+(* [render jobs] at widths 1, 2 and 4 must give the same bytes; the
+   width-1 rendering is the digest subject. *)
+let same_at_widths what render =
+  let reference = render 1 in
+  List.iter
+    (fun jobs ->
+      if render jobs <> reference then
+        failwith
+          (Printf.sprintf "%s differs between --jobs 1 and --jobs %d" what
+             jobs))
+    [ 2; 4 ];
+  reference
 
-(* The cacheserve artifact varies the pool width instead: its rows mix
-   generic, page-cache and multi-process runs, and neither row values
-   nor row order may depend on how many worker domains ran the sweep. *)
+(* The cacheserve artifact varies the pool width: its rows mix generic,
+   page-cache and multi-process runs, and neither row values nor row
+   order may depend on how many worker domains ran the sweep. *)
 let cacheserve_bytes () =
-  let render jobs =
-    match
-      Figures.run_target { (ctx ~shards:1) with Figures.jobs } "cacheserve"
-    with
-    | Some out -> Harness.Json.to_string ~pretty:true out.Figures.json ^ "\n"
-    | None -> failwith "unknown bench target cacheserve"
-  in
-  let widths = [ 1; 2; 4 ] in
-  match List.map render widths with
-  | reference :: rest ->
-      List.iteri
-        (fun i bytes ->
-          if bytes <> reference then
-            failwith
-              (Printf.sprintf
-                 "BENCH_cacheserve.json differs between --jobs 1 and --jobs %d"
-                 (List.nth widths (i + 1))))
-        rest;
-      reference
-  | [] -> assert false
+  same_at_widths "BENCH_cacheserve.json" (fun jobs ->
+      render { ctx with Figures.jobs } "cacheserve")
 
 let fuzz_bytes () =
   let outcome = Fuzz.run_session { Fuzz.default with Fuzz.seed = 42 } in
@@ -95,25 +69,12 @@ let fuzz_bytes () =
   outcome.Fuzz.transcript
 
 (* The sharded fuzz world: 4 coupled node sessions with cross-node spawn
-   injections, run at genuine domain widths 1/2/4 (~clamp:false so even a
-   small host really lays the nodes out three different ways). *)
+   injections, run on genuine pools of 1, 2 and 4 domains, so even a
+   small host really lays the nodes out three different ways. *)
 let fuzz_world_bytes () =
   let base = { Fuzz.default with Fuzz.seed = 42 } in
-  let render shards =
-    (Fuzz.run_world ~clamp:false ~shards ~nodes:4 base).Fuzz.w_transcript
-  in
-  match List.map render shard_widths with
-  | reference :: rest ->
-      List.iteri
-        (fun i bytes ->
-          if bytes <> reference then
-            failwith
-              (Printf.sprintf
-                 "world transcript differs between --shards 1 and --shards %d"
-                 (List.nth shard_widths (i + 1))))
-        rest;
-      reference
-  | [] -> assert false
+  same_at_widths "world transcript" (fun jobs ->
+      (Fuzz.run_world ~jobs ~nodes:4 base).Fuzz.w_transcript)
 
 (* The model-checked cache-serve session (4 cores, 3 forked processes, 64
    slots, fault plan seed 11). The history alone is too weak a subject:
@@ -224,9 +185,9 @@ let local_80_bytes () =
 
 let subjects =
   [
-    ("BENCH_fig5.json", fun () -> artifact_bytes "fig5");
-    ("BENCH_fig9.json", fun () -> artifact_bytes "fig9");
-    ("BENCH_table2.json", fun () -> artifact_bytes "table2");
+    ("BENCH_fig5.json", fun () -> render ctx "fig5");
+    ("BENCH_fig9.json", fun () -> render ctx "fig9");
+    ("BENCH_table2.json", fun () -> render ctx "table2");
     ("BENCH_cacheserve.json", cacheserve_bytes);
     ("fuzz_seed42.transcript", fuzz_bytes);
     ("fuzz_world_seed42.transcript", fuzz_world_bytes);
@@ -235,7 +196,7 @@ let subjects =
      count source lines or time the host, so they stay unpinned. *)
   @ List.map
       (fun target ->
-        (Figures.artifact_name target, fun () -> artifact_bytes target))
+        (Figures.artifact_name target, fun () -> render ctx target))
       [
         "fig4"; "fig6"; "fig7"; "fig8"; "rangelock"; "ablations"; "pt-overhead";
       ]

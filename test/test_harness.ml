@@ -91,40 +91,20 @@ let test_pool_clamps_width () =
        [ Pool.job ~name:"a" (fun () -> 1); Pool.job ~name:"b" (fun () -> 2) ]);
   Alcotest.(check (list int)) "empty" [] (Pool.run ~jobs:4 [])
 
-(* When every job itself runs [per_job] worker domains (a sharded world
-   per pool job), the sensible default is fewer concurrent jobs, not
-   more domains: the product jobs * per_job must stay within the host's
-   recommendation, bottoming out at one serial job. *)
-let test_pool_default_jobs_oversubscription () =
-  let host = Domain.recommended_domain_count () in
-  Alcotest.(check int) "plain default" (max 1 host) (Pool.default_jobs ());
-  List.iter
-    (fun per_job ->
-      let jobs = Pool.default_jobs ~per_job () in
-      Alcotest.(check bool)
-        (Printf.sprintf "at least one job at per_job=%d" per_job)
-        true (jobs >= 1);
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs*per_job within host at per_job=%d" per_job)
-        true
-        (jobs = 1 || jobs * per_job <= host))
-    [ 1; 2; 4; 64 ]
-
 let test_pool_clamp_jobs () =
   let host = Domain.recommended_domain_count () in
+  Alcotest.(check int) "plain default" (max 1 host) (Pool.default_jobs ());
   (* An explicit request is only ever reduced, never raised, and never
      below one. *)
   Alcotest.(check int) "one stays one" 1 (Pool.clamp_jobs 1);
-  Alcotest.(check int) "huge per_job bottoms out at one" 1
-    (Pool.clamp_jobs ~per_job:(max host 1 * 2) 8);
   List.iter
-    (fun (jobs, per_job) ->
-      let c = Pool.clamp_jobs ~per_job jobs in
+    (fun jobs ->
+      let c = Pool.clamp_jobs jobs in
       Alcotest.(check bool)
-        (Printf.sprintf "clamp %dx%d in range" jobs per_job)
+        (Printf.sprintf "clamp %d in range" jobs)
         true
-        (c >= 1 && c <= jobs && (c = 1 || c * per_job <= host)))
-    [ (1024, 2); (8, 4); (3, 1); (2, 64) ]
+        (c >= 1 && c <= jobs && c <= max 1 host))
+    [ 1024; 8; 3; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
@@ -205,9 +185,7 @@ let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
 let test_fig5_deterministic_across_jobs () =
   let run jobs =
-    let ctx =
-      { Figures.quick = true; check = true; jobs; shards = 1; ppf = null_ppf }
-    in
+    let ctx = { Figures.quick = true; check = true; jobs; ppf = null_ppf } in
     match Figures.run_target ctx "fig5" with
     | Some out -> Json.to_string ~pretty:true out.Figures.json
     | None -> Alcotest.fail "fig5 target missing"
@@ -221,9 +199,7 @@ let test_fig5_deterministic_across_jobs () =
    lock, so a local run that claims zero sharing must fail and name it. *)
 let test_checked_renders_report () =
   let module MB = Workloads.Microbench.Make (Baselines.Linux_vm) in
-  let ctx =
-    { Figures.quick = true; check = true; jobs = 1; shards = 1; ppf = null_ppf }
-  in
+  let ctx = { Figures.quick = true; check = true; jobs = 1; ppf = null_ppf } in
   let _, verdict =
     Figures.checked ~ctx ~name:"Linux local 4 cores" ~allow:[]
       ~race_allow:[ "pt:shared" ] ~zero_sharing:true
@@ -257,8 +233,6 @@ let () =
           tc "failure propagation" `Quick test_pool_propagates_failure;
           tc "injected abort" `Quick test_pool_propagates_injected_abort;
           tc "width clamping" `Quick test_pool_clamps_width;
-          tc "default jobs oversubscription" `Quick
-            test_pool_default_jobs_oversubscription;
           tc "clamp_jobs" `Quick test_pool_clamp_jobs;
         ] );
       ( "json",
