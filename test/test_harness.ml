@@ -1,6 +1,7 @@
 (* Tests for the benchmark harness: the Domains worker pool, the
-   hand-rolled JSON layer, and the end-to-end guarantee that a parallel
-   sweep produces byte-identical artifacts to a serial one. *)
+   hand-rolled JSON layer, the .git/HEAD reader behind BENCH_meta.json,
+   and the end-to-end guarantee that a parallel sweep produces
+   byte-identical artifacts to a serial one. *)
 
 module Pool = Harness.Pool
 module Json = Harness.Json
@@ -177,6 +178,63 @@ let test_json_member () =
   Alcotest.(check bool) "non-object" true (Json.member "x" Json.Null = None)
 
 (* ------------------------------------------------------------------ *)
+(* Git: the commit BENCH_meta.json records                             *)
+
+(* [Git.commit] reads the working directory's .git, so each case lays
+   out [files] in a fresh directory, runs [f] there and removes it. *)
+let in_tree files f =
+  let root = Filename.temp_dir "harness_git" "" in
+  let rec mkdir_p d =
+    if not (Sys.file_exists d) then (
+      mkdir_p (Filename.dirname d);
+      Sys.mkdir d 0o755)
+  in
+  let rec remove p =
+    if Sys.is_directory p then (
+      Array.iter (fun e -> remove (Filename.concat p e)) (Sys.readdir p);
+      Sys.rmdir p)
+    else Sys.remove p
+  in
+  let cwd = Sys.getcwd () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      remove root)
+    (fun () ->
+      List.iter
+        (fun (path, contents) ->
+          let file = Filename.concat root path in
+          mkdir_p (Filename.dirname file);
+          Out_channel.with_open_text file (fun oc -> output_string oc contents))
+        files;
+      Sys.chdir root;
+      f ())
+
+let hash = "0123456789abcdef0123456789abcdef01234567"
+
+let test_git_branch () =
+  in_tree
+    [
+      (".git/HEAD", "ref: refs/heads/main\n");
+      (".git/refs/heads/main", hash ^ "\n");
+    ]
+    (fun () ->
+      Alcotest.(check string) "branch tip" hash (Harness.Git.commit ()))
+
+let test_git_detached () =
+  in_tree
+    [ (".git/HEAD", hash ^ "\n") ]
+    (fun () -> Alcotest.(check string) "detached" hash (Harness.Git.commit ()))
+
+let test_git_unknown () =
+  in_tree [] (fun () ->
+      Alcotest.(check string) "no .git" "unknown" (Harness.Git.commit ()));
+  in_tree
+    [ (".git/HEAD", "") ]
+    (fun () ->
+      Alcotest.(check string) "empty HEAD" "unknown" (Harness.Git.commit ()))
+
+(* ------------------------------------------------------------------ *)
 (* End to end: a parallel sweep must be indistinguishable from a serial
    one. Render the quick Figure 5 sweep (with the checker attached) at
    jobs=1 and jobs=4 and require byte-identical JSON. *)
@@ -241,6 +299,12 @@ let () =
           tc "float repr" `Quick test_json_float_repr;
           tc "parse errors" `Quick test_json_parse_errors;
           tc "member" `Quick test_json_member;
+        ] );
+      ( "git",
+        [
+          tc "branch HEAD" `Quick test_git_branch;
+          tc "detached HEAD" `Quick test_git_detached;
+          tc "outside a work tree" `Quick test_git_unknown;
         ] );
       ( "determinism",
         [ tc "fig5 serial = parallel" `Quick test_fig5_deterministic_across_jobs ] );
