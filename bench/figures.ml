@@ -15,7 +15,6 @@ module CB_refcache = Workloads.Counter_bench.Make (Refcnt.Refcache_counter)
 module CB_shared = Workloads.Counter_bench.Make (Refcnt.Shared_counter)
 module CB_snzi = Workloads.Counter_bench.Make (Refcnt.Snzi)
 module CB_dist = Workloads.Counter_bench.Make (Refcnt.Distributed_counter)
-module SB_shard = Workloads.Shard_bench.Make (Vm.Radixvm.Default)
 
 type ctx = {
   quick : bool;  (* shrink sweeps for smoke testing *)
@@ -1080,93 +1079,6 @@ let wallclock ctx =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Shard scaling: one multi-address-space world, N host domains        *)
-
-(* Host wall-clock is the *point* of this figure (how much real time N
-   domains save on a fixed world), so like [wallclock] it bypasses the
-   pool and runs its rows serially — each row's world is itself the
-   parallel workload being timed. Simulated results (ops, cycles,
-   cross-shard rates, digest) are byte-identical at every width; the
-   per-scenario digest check enforces that on every run. *)
-let shard ctx =
-  header ctx "Shard scaling (BENCH_shard.json): 8 nodes x 4 cores";
-  let nodes = 8 and cores = 4 and epoch = 100_000 in
-  let duration = if ctx.quick then 1_000_000 else 20_000_000 in
-  let widths = if ctx.quick then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let host = Pool.default_jobs () in
-  row_header ctx "scenario"
-    [ "shards"; "eff"; "ops"; "xs_sent"; "ipis"; "wall(s)"; "speedup" ];
-  let checks = ref [] and rows = ref [] in
-  List.iter
-    (fun scenario ->
-      let base_wall = ref 0.0 in
-      let digests = ref [] in
-      List.iter
-        (fun w ->
-          (* At most one domain per host core: oversubscribing is never
-             faster, and the bytes do not depend on the width. *)
-          let eff = min w (min nodes host) in
-          let cfg =
-            { Workloads.Shard_bench.nodes; cores; shards = eff; duration;
-              epoch }
-          in
-          let t0 = Unix.gettimeofday () in
-          let r = SB_shard.run cfg ~scenario in
-          let wall = Unix.gettimeofday () -. t0 in
-          if w = 1 then base_wall := wall;
-          let speedup = if wall > 0.0 then !base_wall /. wall else 1.0 in
-          digests := r.Workloads.Shard_bench.digest :: !digests;
-          row ctx
-            (if w = List.hd widths then scenario else "")
-            [
-              string_of_int w; string_of_int eff;
-              string_of_int r.Workloads.Shard_bench.ops;
-              string_of_int r.Workloads.Shard_bench.xs_sent;
-              string_of_int r.Workloads.Shard_bench.ipis;
-              Printf.sprintf "%.3f" wall;
-              Printf.sprintf "%.2f" speedup;
-            ];
-          rows :=
-            Json.Obj
-              [
-                ("scenario", Json.String scenario);
-                ("shards", Json.Int w);
-                ("effective_shards", Json.Int eff);
-                ("host_domains", Json.Int host);
-                ("nodes", Json.Int nodes);
-                ("cores", Json.Int cores);
-                ("duration_cycles", Json.Int duration);
-                ("epoch_cycles", Json.Int epoch);
-                ("ops", Json.Int r.Workloads.Shard_bench.ops);
-                ("remote_acks", Json.Int r.Workloads.Shard_bench.remote_acks);
-                ("epochs", Json.Int r.Workloads.Shard_bench.epochs);
-                ("xs_sent", Json.Int r.Workloads.Shard_bench.xs_sent);
-                ("xs_delivered", Json.Int r.Workloads.Shard_bench.xs_delivered);
-                ("sim_cycles", Json.Int r.Workloads.Shard_bench.sim_cycles);
-                ("ipis", Json.Int r.Workloads.Shard_bench.ipis);
-                ( "shootdown_events",
-                  Json.Int r.Workloads.Shard_bench.shootdown_events );
-                ("wall_clock_seconds", Json.Float wall);
-                ("speedup", Json.Float speedup);
-                ("digest", Json.String r.Workloads.Shard_bench.digest);
-              ]
-            :: !rows)
-        widths;
-      let ok =
-        match !digests with
-        | [] -> true
-        | d :: rest -> List.for_all (String.equal d) rest
-      in
-      if not ok then
-        Format.fprintf ctx.ppf
-          "  DIGEST MISMATCH: %s differs across shard widths\n" scenario;
-      checks :=
-        { check_name = "shard-det:" ^ scenario; clean = ok; report = "" }
-        :: !checks)
-    Workloads.Shard_bench.scenarios;
-  { json = Json.List (List.rev !rows); checks = List.rev !checks }
-
-(* ------------------------------------------------------------------ *)
 (* Cache serving ("mmap in anger"): a shared-memory cache's service
    throughput, per system x range-lock backend x cores. Unlike the
    microbenchmarks, the VM operations here (eviction munmap/remap,
@@ -1363,15 +1275,6 @@ let targets =
     t "rangelock" rangelock
       ~fields:[ "backend"; "mix"; "cores"; "writes_per_sec" ];
     t "wallclock" wallclock;
-    (* The shard figure's cross-shard traffic counters, wall-clock and
-       speedup, and the digest whose cross-width equality it asserts. *)
-    t "shard" shard
-      ~fields:
-        [
-          "scenario"; "shards"; "effective_shards"; "host_domains"; "nodes";
-          "cores"; "ops"; "xs_sent"; "xs_delivered"; "sim_cycles";
-          "wall_clock_seconds"; "speedup"; "digest";
-        ];
     t "cacheserve" cacheserve
       ~fields:[ "system"; "backend"; "cores"; "ops_per_sec"; "ops_per_core" ];
   ]

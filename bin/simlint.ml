@@ -76,7 +76,6 @@ let () =
               artifact = true;
               float_emitter = false;
               toplevel_state = true;
-              shard_engine = false;
               sim_core = true;
             });
         skip_dir = (fun _ -> false);

@@ -27,9 +27,4 @@ let recv core t =
         Some v
       end
 
-(* Barrier-side injection: the epoch-barrier engine is not a simulated
-   core, so posting pays no line traffic here — the receiver pays the
-   usual atomic read/write when it takes the message. *)
-let post t v ~ready = Queue.push (v, ready) t.q
-
 let length t = Queue.length t.q

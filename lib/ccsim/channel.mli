@@ -12,12 +12,4 @@ val create : Core.t -> 'a t
 val send : Core.t -> 'a t -> 'a -> unit
 val recv : Core.t -> 'a t -> 'a option
 
-val post : 'a t -> 'a -> ready:int -> unit
-(** Inject a message with an explicit ready time and no sending core: no
-    cache-line traffic is modeled on the posting side (the receiver pays
-    the usual costs on {!recv}). A delivery endpoint reserved to the
-    epoch-barrier engine ({!Harness.Shard}) for handing cross-shard
-    messages to a destination node's workload at an epoch boundary;
-    simlint's [ds-cross-shard] rule flags any other caller. *)
-
 val length : 'a t -> int

@@ -37,9 +37,7 @@ val now : t -> int
 val interrupt : t -> cycles:int -> unit
 (** Charge [cycles] of interrupt-handler time to this core: the cost is
     accumulated in [pending_intr] and folded into the clock at the core's
-    next step, exactly as for a locally delivered IPI. This is a delivery
-    endpoint — outside the simulator it may only be called by the
-    epoch-barrier engine ({!Harness.Shard}); simlint's [ds-cross-shard]
-    rule enforces that. *)
+    next step. This is {!Ipi}'s delivery primitive: each IPI it sends
+    lands on its target core through this call. *)
 
 val pp : Format.formatter -> t -> unit

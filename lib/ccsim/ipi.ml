@@ -78,26 +78,3 @@ let multicast machine (sender : Core.t) ~targets =
       sender.Core.clock <- !ack_max
     end
   end
-
-let remote machine (sender : Core.t) ~targets =
-  let p = Machine.params machine and stats = Machine.stats machine in
-  stats.Stats.shootdown_events <- stats.Stats.shootdown_events + 1;
-  let self = Machine.node machine in
-  List.iter
-    (fun (node, core) ->
-      if node <> self then begin
-        (* The sender pays the same serialized APIC send cost as for a
-           local target, but does not wait for an acknowledgment: the
-           page-table and TLB invalidations happened synchronously before
-           the IPI, and the completion handshake is deferred to the next
-           epoch boundary, where the shard engine delivers the handler
-           cost to the remote core. *)
-        let start = Int.max (Core.now sender) (Machine.ipi_free_at machine) in
-        Machine.set_ipi_free_at machine (start + p.Params.ipi_channel);
-        let sent = start + p.Params.ipi_send in
-        sender.Core.clock <- sent;
-        stats.Stats.shootdown_targets <- stats.Stats.shootdown_targets + 1;
-        Machine.uplink_send machine ~dst:node ~sent
-          (Machine.Xshootdown { core; handler = p.Params.ipi_handler })
-      end)
-    targets

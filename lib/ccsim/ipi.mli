@@ -21,15 +21,3 @@ val multicast : Machine.t -> Core.t -> targets:int list -> unit
     [Params.ipi_max_retries] attempts — safe because the invalidations
     themselves happen before the IPI; only the handshake is lost. Without
     such a plan the wait is unbounded, exactly the legacy timing. *)
-
-val remote : Machine.t -> Core.t -> targets:(int * int) list -> unit
-(** [remote m sender ~targets] sends one cross-shard shootdown IPI to
-    each [(node, core)] in [targets] (entries naming the sender's own
-    node are skipped — use {!multicast} for those). The sender pays the
-    serialized per-target APIC send cost and counts the round and its
-    targets, but does {e not} block for acknowledgments: each event is
-    buffered into the machine's epoch batch ({!Machine.uplink_send}) and
-    the handler cost lands on the remote core at the next epoch boundary,
-    at the same virtual time regardless of how nodes are laid out over
-    host domains. Requires an uplink ({!Machine.set_uplink}); raises
-    [Invalid_argument] on a standalone machine. *)

@@ -1,23 +1,5 @@
 type maint = { period : int; fn : Core.t -> unit; next : int array }
 
-(* Cross-shard traffic (see Harness.Shard): a machine that is one node of
-   a sharded world sends to remote nodes through its uplink, and the
-   epoch-barrier engine delivers the batched events at the next epoch
-   boundary. The payloads are deliberately tiny and integer-only so a
-   canonical order over them is trivial. *)
-type xpayload =
-  | Xshootdown of { core : int; handler : int }
-      (** interrupt [core] on the destination node, charging [handler]
-          cycles (the IPI handler cost drawn on the sending node) *)
-  | Xrc of { oid : int; delta : int }
-      (** shared-frame refcount flush: apply [delta] to object [oid]'s
-          ledger on its home node *)
-  | Xmsg of { tag : int; a : int; b : int }
-      (** workload-defined message (fork/reap requests and the like),
-          interpreted by the destination node's handler *)
-
-type xevent = { xdst : int; xsent : int; xpayload : xpayload }
-
 type t = {
   params : Params.t;
   stats : Stats.t;
@@ -42,12 +24,6 @@ type t = {
          "nothing due" case in [run_due_maint] is one integer compare. *)
   mutable ipi_free : int;
   mutable fault : Fault.t option;
-  mutable node : int;
-      (* this machine's node id when it is part of a sharded world
-         (Harness.Shard); 0 for a standalone machine *)
-  mutable uplink : (xevent -> unit) option;
-      (* outbox hook installed by the shard engine: cross-shard sends are
-         buffered here instead of delivered immediately *)
 }
 
 let create params =
@@ -70,8 +46,6 @@ let create params =
     maint_min = Array.make params.Params.ncores max_int;
     ipi_free = 0;
     fault = None;
-    node = 0;
-    uplink = None;
   }
 
 let set_fault t f =
@@ -332,21 +306,3 @@ let ipi_free_at t = t.ipi_free
 let set_ipi_free_at t v = t.ipi_free <- v
 
 let idle t = t.nactive = 0
-let node t = t.node
-
-let set_uplink t ~node fn =
-  t.node <- node;
-  t.uplink <- Some fn
-
-let uplink_send t ~dst ~sent payload =
-  match t.uplink with
-  | None -> invalid_arg "Machine.uplink_send: no uplink installed"
-  | Some fn -> fn { xdst = dst; xsent = sent; xpayload = payload }
-
-let deliver_interrupt t ~core ~cycles =
-  let c = t.cores.(core) in
-  Core.interrupt c ~cycles;
-  (* The interrupt is accounted where it lands: the receiving node's
-     stats count one IPI per delivered cross-shard shootdown (the sender
-     counted the shootdown round and its targets at send time). *)
-  t.stats.Stats.ipis <- t.stats.Stats.ipis + 1

@@ -20,21 +20,6 @@
 
 type t
 
-(** Cross-shard event payloads (see {!Harness.Shard}): when a machine is
-    one node of a sharded world, sends to remote nodes are buffered
-    through its uplink and delivered by the epoch-barrier engine in a
-    canonical (send time, source node, sequence) order at the next epoch
-    boundary, never immediately. *)
-type xpayload =
-  | Xshootdown of { core : int; handler : int }
-      (** interrupt [core] on the destination node for [handler] cycles *)
-  | Xrc of { oid : int; delta : int }
-      (** shared-frame refcount flush for object [oid]'s home node *)
-  | Xmsg of { tag : int; a : int; b : int }
-      (** workload-defined; interpreted by the destination node's handler *)
-
-type xevent = { xdst : int; xsent : int; xpayload : xpayload }
-
 val create : Params.t -> t
 val params : t -> Params.t
 val stats : t -> Stats.t
@@ -96,23 +81,3 @@ val set_ipi_free_at : t -> int -> unit
 
 val idle : t -> bool
 (** Every workload has retired ([run] would return immediately). *)
-
-val node : t -> int
-(** This machine's node id within a sharded world; [0] standalone. *)
-
-val set_uplink : t -> node:int -> (xevent -> unit) -> unit
-(** Install the shard engine's outbox hook and this machine's node id.
-    Reserved to {!Harness.Shard} (enforced by simlint [ds-cross-shard]). *)
-
-val uplink_send : t -> dst:int -> sent:int -> xpayload -> unit
-(** Buffer one cross-shard event into the epoch batch. [sent] is the
-    sending core's virtual time; delivery happens at the destination no
-    earlier than the next epoch boundary. @raise Invalid_argument when no
-    uplink is installed. *)
-
-val deliver_interrupt : t -> core:int -> cycles:int -> unit
-(** Deliver a cross-shard shootdown: charge [cycles] of handler time to
-    [core] (folded into its clock at its next step) and count one IPI on
-    this machine's stats. A delivery endpoint reserved to the
-    epoch-barrier engine — simlint's [ds-cross-shard] rule flags any
-    other caller. *)

@@ -76,31 +76,6 @@ let reset t =
   t.mmaps <- 0;
   t.munmaps <- 0
 
-let add ~into:a b =
-  a.l1_hits <- a.l1_hits + b.l1_hits;
-  a.transfers_local <- a.transfers_local + b.transfers_local;
-  a.transfers_remote <- a.transfers_remote + b.transfers_remote;
-  a.dram_fills <- a.dram_fills + b.dram_fills;
-  a.line_stall_cycles <- a.line_stall_cycles + b.line_stall_cycles;
-  a.lock_acquires <- a.lock_acquires + b.lock_acquires;
-  a.lock_contended <- a.lock_contended + b.lock_contended;
-  a.lock_wait_cycles <- a.lock_wait_cycles + b.lock_wait_cycles;
-  a.ipis <- a.ipis + b.ipis;
-  a.shootdown_events <- a.shootdown_events + b.shootdown_events;
-  a.shootdown_targets <- a.shootdown_targets + b.shootdown_targets;
-  a.shootdown_retries <- a.shootdown_retries + b.shootdown_retries;
-  a.shootdown_wait_cycles <- a.shootdown_wait_cycles + b.shootdown_wait_cycles;
-  a.tlb_hits <- a.tlb_hits + b.tlb_hits;
-  a.tlb_misses <- a.tlb_misses + b.tlb_misses;
-  a.hw_walks <- a.hw_walks + b.hw_walks;
-  a.pagefaults <- a.pagefaults + b.pagefaults;
-  a.fill_faults <- a.fill_faults + b.fill_faults;
-  a.alloc_faults <- a.alloc_faults + b.alloc_faults;
-  a.frames_allocated <- a.frames_allocated + b.frames_allocated;
-  a.frames_freed <- a.frames_freed + b.frames_freed;
-  a.mmaps <- a.mmaps + b.mmaps;
-  a.munmaps <- a.munmaps + b.munmaps
-
 let total_transfers t = t.transfers_local + t.transfers_remote
 
 let pp ppf t =

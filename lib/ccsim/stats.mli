@@ -36,12 +36,6 @@ type t = {
 val create : unit -> t
 val reset : t -> unit
 
-val add : into:t -> t -> unit
-(** [add ~into:acc s] accumulates every counter of [s] into [acc] — used
-    by the shard engine to merge per-node stats into one world total, in
-    node order, so the merged counters are identical at any shard
-    width. *)
-
 val total_transfers : t -> int
 (** Cache-line transfers of any distance (the "cache-line movement" the
     paper's design minimizes). *)

@@ -750,13 +750,14 @@ let run_session cfg = session (Gen cfg)
 let run_program ?(verbose = false) prog =
   session (Rep { prog; verbose; fail_fast = false })
 
-(* --- sharded worlds: [nodes] per-node sessions coupled by a static
-   cross-node spawn schedule (the fuzzer's analogue of the epoch-batched
-   fork/reap traffic in Harness.Shard). The schedule is drawn from
+(* --- fuzz worlds: [nodes] independent per-node sessions coupled only
+   by a static cross-node spawn schedule. The schedule is drawn from
    dedicated per-node rngs before any session runs, so it — and
    therefore every node's transcript — is a pure function of the world
    seed and node count. [jobs] only maps node sessions onto host
-   domains; no byte of the outcome depends on it. --- *)
+   domains; no byte of the outcome depends on it. The transcript's
+   "xshard:" lines keep their historical tag: the seed-42 world golden
+   pins them byte for byte. --- *)
 
 type world_outcome = {
   w_transcript : string;

@@ -159,7 +159,7 @@ val run_program : ?verbose:bool -> program -> outcome
     Core ids are taken mod the core count, and plan entries for
     out-of-range cores are dropped, so reduced programs stay valid. *)
 
-(** {1 Sharded worlds} *)
+(** {1 Fuzz worlds} *)
 
 type world_outcome = {
   w_transcript : string;

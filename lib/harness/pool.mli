@@ -10,9 +10,9 @@
     byte-identical for any [~jobs].
 
     Jobs must not print and must not share mutable state (each builds its
-    own simulated machine); the process-global id counters in {!Ccsim.Obs}
-    and {!Refcnt.Refcache} are atomic precisely so concurrent jobs cannot
-    corrupt each other's event streams. *)
+    own simulated machine); the simulator's process-global id counters
+    (ccsim's [Obs], refcnt's [Refcache]) are atomic precisely so
+    concurrent jobs cannot corrupt each other's event streams. *)
 
 type 'a job = { name : string; run : unit -> 'a }
 

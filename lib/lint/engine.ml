@@ -13,7 +13,6 @@ type scope = {
   artifact : bool;  (* output can reach an artifact or transcript *)
   float_emitter : bool;  (* the one module allowed to format floats *)
   toplevel_state : bool;  (* ds-toplevel-mutable applies *)
-  shard_engine : bool;  (* ds-cross-shard exempt: may call delivery endpoints *)
   sim_core : bool;  (* det-wallclock applies: no host clock reads *)
 }
 
@@ -42,9 +41,6 @@ let repo_classify path =
     (* Tests build per-run state in their drivers; module-level mutable
        state only endangers code the domain pool can reach. *)
     toplevel_state = not (has "test/");
-    (* The simulator owns the endpoints; the epoch-barrier engine
-       (Harness.Shard) is the one sanctioned caller outside it. *)
-    shard_engine = has "lib/ccsim/" || has "lib/harness/";
     (* Everything under lib/ is the deterministic core or its support
        libraries: wall budgets belong to bin/ drivers, which pass any
        elapsed time in as plain data. *)
@@ -81,25 +77,6 @@ let entropy_idents =
     "Random.self_init"; "Random.State.make_self_init"; "Sys.time";
     "Unix.gettimeofday"; "Unix.time";
   ]
-
-(* The sharded world's delivery endpoints: each mutates a destination
-   node's state directly (a core's pending-interrupt ledger, a channel, a
-   machine's uplink hook) with no epoch buffering, so any caller outside
-   the simulator and the epoch-barrier engine can bypass the canonical
-   batch order and make results depend on shard layout. Everyone else
-   sends with [Machine.uplink_send] and lets the barrier deliver. Matched
-   in both the alias form (Ccsim.Machine.f) and the wrapped-library form
-   (Ccsim__Machine.f) a resolved path can take. *)
-let xshard_endpoints =
-  [
-    "Machine.deliver_interrupt"; "Machine.set_uplink"; "Channel.post";
-    "Core.interrupt";
-  ]
-
-let xshard_endpoint n =
-  List.exists
-    (fun e -> String.equal n ("Ccsim." ^ e) || String.equal n ("Ccsim__" ^ e))
-    xshard_endpoints
 
 (* The subset of [entropy_idents] that reads the host wall clock. In a
    sim-core module these additionally fire [det-wallclock] — a separate
@@ -276,12 +253,6 @@ let collect scope modname file_fallback str =
     in
     let raw = Path.name path in
     let n = normalize raw in
-    if (not scope.shard_engine) && xshard_endpoint n then
-      emit Finding.Ds_cross_shard loc
-        (Printf.sprintf
-           "%s is a cross-shard delivery endpoint reserved to the \
-            epoch-barrier engine; send with Machine.uplink_send and let \
-            Harness.Shard deliver at the epoch boundary" n);
     if List.exists (String.equal n) entropy_idents then
       emit Finding.Det_entropy loc
         (Printf.sprintf

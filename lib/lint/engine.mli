@@ -16,10 +16,6 @@ type scope = {
       (** the deterministic float emitter itself (exempt from
           [det-float-format]) *)
   toplevel_state : bool;  (** [ds-toplevel-mutable] applies *)
-  shard_engine : bool;
-      (** the simulator ([lib/ccsim/]) or the epoch-barrier engine
-          ([lib/harness/]): the only code allowed to touch the sharded
-          world's delivery endpoints ([ds-cross-shard] exempt) *)
   sim_core : bool;
       (** a simulator-core ([lib/]) module: host wall-clock reads
           additionally fire [det-wallclock] on top of [det-entropy] *)

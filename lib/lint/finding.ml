@@ -1,6 +1,5 @@
 type rule =
   | Ds_toplevel_mutable
-  | Ds_cross_shard
   | Det_entropy
   | Det_wallclock
   | Det_getenv
@@ -15,7 +14,6 @@ type rule =
 let all_rules =
   [
     Ds_toplevel_mutable;
-    Ds_cross_shard;
     Det_entropy;
     Det_wallclock;
     Det_getenv;
@@ -30,7 +28,6 @@ let all_rules =
 
 let rule_id = function
   | Ds_toplevel_mutable -> "ds-toplevel-mutable"
-  | Ds_cross_shard -> "ds-cross-shard"
   | Det_entropy -> "det-entropy"
   | Det_wallclock -> "det-wallclock"
   | Det_getenv -> "det-getenv"

@@ -6,14 +6,6 @@ type rule =
   | Ds_toplevel_mutable
       (** Module-level mutable state that is not [Atomic.t] — the shared
           state a parallel sweep can race on. *)
-  | Ds_cross_shard
-      (** A call to one of the sharded world's delivery endpoints
-          ([Machine.deliver_interrupt], [Machine.set_uplink],
-          [Channel.post], [Core.interrupt]) outside the simulator and the
-          epoch-barrier engine — direct mutation of another shard's state
-          that bypasses the deterministic batch exchange. Send with
-          [Machine.uplink_send] (or [Harness.Shard.post] from the engine)
-          instead. *)
   | Det_entropy
       (** A source of run-to-run nondeterminism: wall clocks or
           self-seeded RNGs. *)

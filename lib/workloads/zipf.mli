@@ -5,7 +5,7 @@
     inverse-CDF over a precomputed table, driven by an explicit
     splitmix64 state — no global [Random], no wall clock — so a sampler
     created with the same [(n, s, seed)] emits the same stream on any
-    host, in any domain, at any shard width. *)
+    host, in any domain, at any pool width. *)
 
 type t
 

@@ -96,9 +96,11 @@ let () =
   let per_write = "minor words per page write" in
   Alcotest.run "alloc"
     [
-      (* First: its count shifts by about 0.3% when other tests run
-         before it in the same process, and first it reads what a fresh
-         process reads. *)
+      (* First: the checker keeps its locksets as Int_set Patricia
+         trees keyed by lock id, so the words this session allocates
+         follow the bit patterns of the ids it draws from the
+         process-global Obs.fresh_lock_id counter. Run first, it draws
+         the ids a fresh process draws. *)
       ( "minor words per session",
         [
           tc "checked fuzz session, seed 42" `Quick

@@ -68,7 +68,7 @@ let fuzz_bytes () =
       ^ String.concat "\n" outcome.Fuzz.failures);
   outcome.Fuzz.transcript
 
-(* The sharded fuzz world: 4 coupled node sessions with cross-node spawn
+(* The fuzz world: 4 node sessions coupled by cross-node spawn
    injections, run on genuine pools of 1, 2 and 4 domains, so even a
    small host really lays the nodes out three different ways. *)
 let fuzz_world_bytes () =
@@ -192,8 +192,8 @@ let subjects =
     ("fuzz_seed42.transcript", fuzz_bytes);
     ("fuzz_world_seed42.transcript", fuzz_world_bytes);
   ]
-  (* Every other deterministic quick target: table1, wallclock and shard
-     count source lines or time the host, so they stay unpinned. *)
+  (* Every other deterministic quick target: table1 and wallclock count
+     source lines or time the host, so they stay unpinned. *)
   @ List.map
       (fun target ->
         (Figures.artifact_name target, fun () -> render ctx target))

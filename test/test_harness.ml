@@ -221,6 +221,21 @@ let test_git_branch () =
     (fun () ->
       Alcotest.(check string) "branch tip" hash (Harness.Git.commit ()))
 
+(* After [git pack-refs] the branch has no loose file: its hash is on
+   its own line of packed-refs, after the header and any other ref, and
+   a peeled "^" line may follow. *)
+let test_git_packed () =
+  let other = String.make 40 'f' in
+  in_tree
+    [
+      (".git/HEAD", "ref: refs/heads/main\n");
+      ( ".git/packed-refs",
+        "# pack-refs with: peeled fully-peeled sorted\n" ^ other
+        ^ " refs/heads/dev\n" ^ hash ^ " refs/heads/main\n^" ^ other ^ "\n" );
+    ]
+    (fun () ->
+      Alcotest.(check string) "packed tip" hash (Harness.Git.commit ()))
+
 let test_git_detached () =
   in_tree
     [ (".git/HEAD", hash ^ "\n") ]
@@ -303,6 +318,7 @@ let () =
       ( "git",
         [
           tc "branch HEAD" `Quick test_git_branch;
+          tc "packed ref" `Quick test_git_packed;
           tc "detached HEAD" `Quick test_git_detached;
           tc "outside a work tree" `Quick test_git_unknown;
         ] );

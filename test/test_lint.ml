@@ -224,20 +224,6 @@ let () =
             (check_silent ~file:"bad_domain.ml" ~site:"Bad_domain.hits"
                "Atomic.t at top level is not flagged");
         ] );
-      ( "shard-safety",
-        [
-          fires "bad_shard.ml" "ds-cross-shard" "Bad_shard.poke_remote";
-          fires "bad_shard.ml" "ds-cross-shard" "Bad_shard.steal_uplink";
-          fires "bad_shard.ml" "ds-cross-shard" "Bad_shard.inject";
-          fires "bad_shard.ml" "ds-cross-shard" "Bad_shard.charge";
-          (* A module alias must not hide the endpoint from the
-             typed-AST walk. *)
-          fires "bad_shard.ml" "ds-cross-shard" "Bad_shard.aliased";
-          Alcotest.test_case "uplink_send exempt" `Quick
-            (check_silent ~file:"bad_shard.ml" ~site:"Bad_shard.sanctioned"
-               "Machine.uplink_send buffers into the sender's own outbox; \
-                not flagged");
-        ] );
       ( "determinism",
         [
           fires "bad_determinism.ml" "det-entropy"
