@@ -769,6 +769,20 @@ let test_ipi_self_skip () =
   Ipi.multicast m a ~targets:[ 0 ];
   Alcotest.(check int) "no self ipi" 0 (Machine.stats m).Stats.ipis
 
+(* Ipi delivers through Core.interrupt, which only accrues: the handler
+   cost reaches the clock when the core next reads it. *)
+let test_interrupt_folds_at_next_step () =
+  let c = Machine.core (machine ()) 1 in
+  let t0 = Core.now c in
+  Core.interrupt c ~cycles:100;
+  Core.interrupt c ~cycles:50;
+  Alcotest.(check int) "clock untouched" t0 c.Core.clock;
+  Alcotest.(check int) "costs accrue" 150 c.Core.pending_intr;
+  Alcotest.(check int) "folded" (t0 + 150) (Core.now c);
+  Alcotest.(check int) "pending cleared" 0 c.Core.pending_intr;
+  Alcotest.check_raises "negative cost" (Invalid_argument "Core.interrupt")
+    (fun () -> Core.interrupt c ~cycles:(-1))
+
 (* ------------------------------------------------------------------ *)
 (* Channels                                                            *)
 
@@ -969,6 +983,8 @@ let () =
           tc "channel serializes" `Quick test_ipi_channel_serializes_senders;
           tc "sender serial" `Quick test_ipi_sender_serial_per_target;
           tc "self skip" `Quick test_ipi_self_skip;
+          tc "interrupt folds at next step" `Quick
+            test_interrupt_folds_at_next_step;
         ] );
       ( "conservation",
         [ tc "counters sum to accesses" `Quick test_stats_conservation ] );

@@ -236,6 +236,29 @@ let test_git_packed () =
     (fun () ->
       Alcotest.(check string) "packed tip" hash (Harness.Git.commit ()))
 
+(* A branch in neither place is unknown, even when packed-refs holds a
+   ref whose name starts with the branch's. *)
+let test_git_packed_absent () =
+  in_tree
+    [
+      (".git/HEAD", "ref: refs/heads/main\n");
+      (".git/packed-refs", hash ^ " refs/heads/mainline\n");
+    ]
+    (fun () ->
+      Alcotest.(check string) "not packed" "unknown" (Harness.Git.commit ()))
+
+(* A commit after [git pack-refs] writes a loose file and leaves the
+   packed line stale: the loose file wins. *)
+let test_git_loose_wins () =
+  in_tree
+    [
+      (".git/HEAD", "ref: refs/heads/main\n");
+      (".git/refs/heads/main", hash ^ "\n");
+      (".git/packed-refs", String.make 40 'f' ^ " refs/heads/main\n");
+    ]
+    (fun () ->
+      Alcotest.(check string) "loose over packed" hash (Harness.Git.commit ()))
+
 let test_git_detached () =
   in_tree
     [ (".git/HEAD", hash ^ "\n") ]
@@ -319,6 +342,8 @@ let () =
         [
           tc "branch HEAD" `Quick test_git_branch;
           tc "packed ref" `Quick test_git_packed;
+          tc "packed ref absent" `Quick test_git_packed_absent;
+          tc "loose ref over packed" `Quick test_git_loose_wins;
           tc "detached HEAD" `Quick test_git_detached;
           tc "outside a work tree" `Quick test_git_unknown;
         ] );

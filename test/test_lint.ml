@@ -37,17 +37,18 @@ let findings () =
   let _, lines = Lazy.force scan in
   List.filter (fun l -> not (String.length l >= 8 && String.sub l 0 8 = "simlint:")) lines
 
+(* [contains needle l]: [needle] occurs somewhere in the line [l]. *)
+let contains needle l =
+  let n = String.length needle and ln = String.length l in
+  let rec go i = i + n <= ln && (String.sub l i n = needle || go (i + 1)) in
+  go 0
+
 let has_finding ~file ~rule ~site =
   List.exists
     (fun l ->
-      let contains needle =
-        let n = String.length needle and ln = String.length l in
-        let rec go i = i + n <= ln && (String.sub l i n = needle || go (i + 1)) in
-        go 0
-      in
-      contains (file ^ ":")
-      && contains (Printf.sprintf "[%s]" rule)
-      && contains (site ^ ":"))
+      contains (file ^ ":") l
+      && contains (Printf.sprintf "[%s]" rule) l
+      && contains (site ^ ":") l)
     (findings ())
 
 let check_fires ~file ~rule ~site () =
@@ -59,16 +60,7 @@ let check_fires ~file ~rule ~site () =
 let check_silent ~file ~site msg () =
   Alcotest.(check bool) msg false
     (List.exists
-       (fun l ->
-         let needle = file ^ ":" in
-         let n = String.length needle and ln = String.length l in
-         let rec go i = i + n <= ln && (String.sub l i n = needle || go (i + 1)) in
-         go 0
-         &&
-         let s = site ^ ":" in
-         let sn = String.length s in
-         let rec go2 i = i + sn <= ln && (String.sub l i sn = s || go2 (i + 1)) in
-         go2 0)
+       (fun l -> contains (file ^ ":") l && contains (site ^ ":") l)
        (findings ()))
 
 let test_exit_code () =
@@ -101,13 +93,7 @@ let test_finding_format () =
 let test_good_clean () =
   let _, lines = Lazy.force scan in
   Alcotest.(check bool) "good_clean.ml has zero findings" false
-    (List.exists
-       (fun l ->
-         let needle = "good_clean.ml:" in
-         let n = String.length needle and ln = String.length l in
-         let rec go i = i + n <= ln && (String.sub l i n = needle || go (i + 1)) in
-         go 0)
-       lines)
+    (List.exists (contains "good_clean.ml:") lines)
 
 let with_temp_allow contents f =
   let path = Filename.temp_file "lint_allow" ".txt" in
@@ -128,15 +114,7 @@ let test_allow_suppresses () =
           (Printf.sprintf "--all-scopes --allow %s %s" allow fixture_root)
       in
       Alcotest.(check bool) "det-entropy suppressed for Bad_determinism" false
-        (List.exists
-           (fun l ->
-             let needle = "[det-entropy] Bad_determinism" in
-             let n = String.length needle and ln = String.length l in
-             let rec go i =
-               i + n <= ln && (String.sub l i n = needle || go (i + 1))
-             in
-             go 0)
-           lines))
+        (List.exists (contains "[det-entropy] Bad_determinism") lines))
 
 let test_allow_rule_ids_independent () =
   (* The additive wall-clock rule has its own id: pinning det-entropy for
@@ -150,15 +128,7 @@ let test_allow_rule_ids_independent () =
       in
       Alcotest.(check int) "det-wallclock still fails the scan" 1 code;
       Alcotest.(check bool) "det-wallclock survives a det-entropy pin" true
-        (List.exists
-           (fun l ->
-             let needle = "[det-wallclock] Bad_wallclock" in
-             let n = String.length needle and ln = String.length l in
-             let rec go i =
-               i + n <= ln && (String.sub l i n = needle || go (i + 1))
-             in
-             go 0)
-           lines))
+        (List.exists (contains "[det-wallclock] Bad_wallclock") lines))
 
 let test_allow_stale () =
   with_temp_allow "hot-marshal:No_such_module.nowhere # stale on purpose\n"
@@ -169,15 +139,7 @@ let test_allow_stale () =
       in
       Alcotest.(check int) "stale entry still fails" 1 code;
       Alcotest.(check bool) "allow-stale reported" true
-        (List.exists
-           (fun l ->
-             let needle = "[allow-stale] No_such_module.nowhere" in
-             let n = String.length needle and ln = String.length l in
-             let rec go i =
-               i + n <= ln && (String.sub l i n = needle || go (i + 1))
-             in
-             go 0)
-           lines))
+        (List.exists (contains "[allow-stale] No_such_module.nowhere") lines))
 
 let test_allow_malformed () =
   with_temp_allow "det-entropy:Bad_determinism\n" (fun allow ->
@@ -187,16 +149,7 @@ let test_allow_malformed () =
       in
       Alcotest.(check int) "malformed entry fails" 1 code;
       Alcotest.(check bool) "allow-malformed reported" true
-        (List.exists
-           (fun l ->
-             let needle = "[allow-malformed]"
-             in
-             let n = String.length needle and ln = String.length l in
-             let rec go i =
-               i + n <= ln && (String.sub l i n = needle || go (i + 1))
-             in
-             go 0)
-           lines))
+        (List.exists (contains "[allow-malformed]") lines))
 
 let fires file rule site =
   Alcotest.test_case
@@ -244,7 +197,13 @@ let () =
           (* Additive by design: the same sites also trip det-entropy, so
              a det-entropy pin alone can never cover a sim-core clock. *)
           fires "bad_wallclock.ml" "det-entropy" "Bad_wallclock.stamp";
+          fires "bad_wallclock.ml" "det-entropy" "Bad_wallclock.epoch";
+          fires "bad_wallclock.ml" "det-entropy" "Bad_wallclock.sneaky";
+          fires "bad_wallclock.ml" "det-entropy" "Bad_wallclock.opened";
+          fires "bad_wallclock.ml" "det-entropy" "Bad_wallclock.sampler";
           fires "bad_determinism.ml" "det-wallclock" "Bad_determinism.wall_now";
+          fires "bad_determinism.ml" "det-wallclock"
+            "Bad_determinism.coarse_now";
           fires "bad_order.ml" "det-hashtbl-order" "Bad_order.dump";
           fires "bad_order.ml" "det-hashtbl-order" "Bad_order.keys";
           fires "bad_order.ml" "det-hashtbl-order" "Bad_order.stream";
@@ -275,6 +234,12 @@ let () =
                "string (=) is specialized, not flagged");
           fires "bad_hot.ml" "hot-hashtbl" "Bad_hot.lookup";
           fires "bad_hot.ml" "hot-hashtbl" "Bad_hot.store";
+          (* A top-level Hashtbl.create has no enclosing binding: the
+             finding names the module. *)
+          fires "bad_hot.ml" "hot-hashtbl" "Bad_hot";
+          fires "bad_domain.ml" "hot-hashtbl" "Bad_domain.bump";
+          (* Additive with det-hashtbl-order: iteration is a probe too. *)
+          fires "bad_order.ml" "hot-hashtbl" "Bad_order.dump";
           fires "bad_hot.ml" "hot-marshal" "Bad_hot.save";
           fires "bad_hot.ml" "hot-marshal" "Bad_hot.load";
         ] );
