@@ -57,7 +57,7 @@ let jobs_arg =
            printed in seed order, so the output does not depend on this.")
 
 let check_arg =
-  Arg.(value & flag & info [ "check" ] ~doc:"Attach the dynamic checkers (lockset, TLB, Refcache, leaked locks) to every session.")
+  Arg.(value & flag & info [ "check" ] ~doc:"Attach the dynamic checkers (stale TLB, Refcache ledger, leaked locks, lock order) to every session.")
 
 let verbose_arg =
   Arg.(value & flag & info [ "verbose" ] ~doc:"Print one transcript line per operation.")

@@ -26,5 +26,3 @@ let recv core t =
         Line.write_atomic core t.line;
         Some v
       end
-
-let length t = Queue.length t.q

@@ -11,5 +11,3 @@ type 'a t
 val create : Core.t -> 'a t
 val send : Core.t -> 'a t -> 'a -> unit
 val recv : Core.t -> 'a t -> 'a option
-
-val length : 'a t -> int

@@ -84,34 +84,44 @@ type rc_rec = {
   mutable rr_freed : bool;
 }
 
-(* A core's held locks in one mode: a multiset (count per id) plus the
-   persistent set of the distinct ids, edited on 0 -> 1 and 1 -> 0 count
-   transitions. Range locking holds one lock per radix slot, thousands at
-   once under a whole-space operation; a line seeded from this set keeps
-   a pointer to it, and successive versions share all but one path. *)
+(* A core's held locks in one mode: a multiset (count per lock number)
+   plus the persistent set of the distinct numbers, edited on 0 -> 1 and
+   1 -> 0 count transitions. Range locking holds one lock per radix slot,
+   thousands at once under a whole-space operation; a line seeded from
+   this set keeps a pointer to it, and successive versions share all but
+   one path. *)
 type lockset = { counts : int Int_table.t; mutable set : Int_set.t }
 
-type t = {
-  machine : Machine.t;
+(* What only the race detector and the sharing census read. A checker
+   attached with [~sharing:false] has none of it. *)
+type sharing = {
   lines : line_rec Int_table.t;
   dummy_line_rec : line_rec;
-  held : held_lock list array;  (* per core, most recent acquisition first *)
   held_all : lockset array;
       (* per core: every mode. Incremental mirror of [held], so a lockset
          query costs no rebuild from the whole held list. *)
   held_wr : lockset array;
       (* per core: write-mode holds only *)
-  seen_locks : int Int_table.t;
-      (* locks that have completed a first acquisition; see note_acquire *)
+  mutable races : race list;
+}
+
+type t = {
+  machine : Machine.t;
+  sharing : sharing option;
+  held : held_lock list array;  (* per core, most recent acquisition first *)
+  locks : int Int_table.t;
+      (* lock id -> lock number: 0, 1, 2, ... in order of first
+         acquisition. Lock ids come from a process-global counter, so
+         keying locksets and findings by number makes both depend on this
+         checker's event stream alone. *)
   edges : lock_edge Int_table.t;
-      (* keyed [from lsl 31 lor to]: lock ids are line ids, far below
-         2^31 in any feasible run, so the packing is injective *)
+      (* keyed [from lsl 31 lor to] over lock numbers, which stay far
+         below 2^31 in any feasible run, so the packing is injective *)
   tlb : int Int_table.t array;
       (* per core: [asid lsl 44 lor vpn] keys it may cache (vpns fit 44
          bits — the simulated address space tops out well below that) *)
   rc : rc_rec Int_table.t;
   dummy_rc : rc_rec;
-  mutable races : race list;
   mutable tlb_violations : tlb_violation list;
   mutable rc_violations : rc_violation list;
   mutable accesses : int;  (* every line access seen (incl. lock traffic) *)
@@ -122,9 +132,9 @@ type t = {
 exception
   Livelock of { elapsed : int; horizon : int; dump : string }
 
-let line_rec t line label =
-  let r = Int_table.find_default t.lines line t.dummy_line_rec in
-  if r != t.dummy_line_rec then r
+let line_rec s line label =
+  let r = Int_table.find_default s.lines line s.dummy_line_rec in
+  if r != s.dummy_line_rec then r
   else begin
     let r =
       {
@@ -138,14 +148,14 @@ let line_rec t line label =
         lr_raced = false;
       }
     in
-    Int_table.set t.lines line r;
+    Int_table.set s.lines line r;
     r
   end
 
 (* The lockset protecting an access: read-mode rwlock acquisitions protect
    only reads (two readers cannot conflict, but a reader does not exclude a
    writer). *)
-let held_ls t ~core ~write = if write then t.held_wr.(core) else t.held_all.(core)
+let held_ls s ~core ~write = if write then s.held_wr.(core) else s.held_all.(core)
 
 let ls_incr ls id =
   let c = Int_table.find_default ls.counts id 0 in
@@ -170,13 +180,13 @@ let note_census r ~core ~write =
     r.lr_reads <- r.lr_reads + 1
   end
 
-let refine t r ~core ~write =
-  r.lr_cand <- Int_set.inter r.lr_cand (held_ls t ~core ~write).set
+let refine s r ~core ~write =
+  r.lr_cand <- Int_set.inter r.lr_cand (held_ls s ~core ~write).set
 
-let report_race t r ~line ~core ~write =
+let report_race s r ~line ~core ~write =
   if (not r.lr_raced) && Int_set.is_empty r.lr_cand then begin
     r.lr_raced <- true;
-    t.races <-
+    s.races <-
       {
         race_line = line;
         race_label = r.lr_label;
@@ -184,44 +194,52 @@ let report_race t r ~line ~core ~write =
         race_write = write;
         race_cores = IS.elements (IS.union r.lr_readers r.lr_writers);
       }
-      :: t.races
+      :: s.races
   end
 
-let note_plain t r ~line ~core ~write =
+let note_plain s r ~line ~core ~write =
   match r.lr_state with
   | Virgin -> r.lr_state <- Exclusive core
   | Exclusive c when c = core -> ()
   | Exclusive _ ->
       (* Second core: the candidate set starts as this access's lockset,
          shared, not copied. *)
-      r.lr_cand <- (held_ls t ~core ~write).set;
+      r.lr_cand <- (held_ls s ~core ~write).set;
       if write then begin
         r.lr_state <- Shared_mod;
-        report_race t r ~line ~core ~write
+        report_race s r ~line ~core ~write
       end
       else r.lr_state <- Shared
   | Shared ->
-      refine t r ~core ~write;
+      refine s r ~core ~write;
       if write then begin
         r.lr_state <- Shared_mod;
-        report_race t r ~line ~core ~write
+        report_race s r ~line ~core ~write
       end
   | Shared_mod ->
-      refine t r ~core ~write;
-      report_race t r ~line ~core ~write
+      refine s r ~core ~write;
+      report_race s r ~line ~core ~write
 
 let note_access t ~line ~label ~core ~write kind =
   t.accesses <- t.accesses + 1;
-  let r = line_rec t line label in
-  note_census r ~core ~write;
-  match kind with
-  | Obs.Plain -> note_plain t r ~line ~core ~write
-  | Obs.Atomic -> ()
+  match t.sharing with
+  | None -> ()
+  | Some s -> (
+      let r = line_rec s line label in
+      note_census r ~core ~write;
+      match kind with
+      | Obs.Plain -> note_plain s r ~line ~core ~write
+      | Obs.Atomic -> ())
+
+(* A lock operation writes the lock's line. *)
+let note_lock_line t ~core ~line ~label =
+  t.accesses <- t.accesses + 1;
+  match t.sharing with
+  | None -> ()
+  | Some s -> note_census (line_rec s line label) ~core ~write:true
 
 let note_acquire t ~core ~lock ~line ~label ~rd =
-  t.accesses <- t.accesses + 1;
-  let r = line_rec t line label in
-  note_census r ~core ~write:true;
+  note_lock_line t ~core ~line ~label;
   let held = t.held.(core) in
   (* One edge from the most recently acquired lock still held suffices:
      a lock below the top of the held list was held when everything above
@@ -239,46 +257,55 @@ let note_acquire t ~core ~lock ~line ~label ~rd =
      such a lock and no deadlock can involve that acquisition. Recording
      it would thread held-stack -> newborn edges through the graph and
      report the birth pattern as a cycle. *)
-  let virgin = not (Int_table.mem t.seen_locks lock) in
-  if virgin then Int_table.set t.seen_locks lock 1;
+  let n = Int_table.find_default t.locks lock (-1) in
+  let virgin = n < 0 in
+  let n =
+    if virgin then begin
+      let n = Int_table.length t.locks in
+      Int_table.set t.locks lock n;
+      n
+    end
+    else n
+  in
   (match held with
-  | h :: _ when (not virgin) && h.hl_lock <> lock ->
-      let key = (h.hl_lock lsl 31) lor lock in
+  | h :: _ when (not virgin) && h.hl_lock <> n ->
+      let key = (h.hl_lock lsl 31) lor n in
       if not (Int_table.mem t.edges key) then
         Int_table.set t.edges key
           {
             e_from = h.hl_lock;
             e_from_label = h.hl_label;
-            e_to = lock;
+            e_to = n;
             e_to_label = label;
             e_core = core;
             e_held = held;
           }
   | _ -> ());
-  ls_incr t.held_all.(core) lock;
-  if not rd then ls_incr t.held_wr.(core) lock;
-  t.held.(core) <-
-    { hl_lock = lock; hl_label = label; hl_rd = rd } :: held
+  (match t.sharing with
+  | None -> ()
+  | Some s ->
+      ls_incr s.held_all.(core) n;
+      if not rd then ls_incr s.held_wr.(core) n);
+  t.held.(core) <- { hl_lock = n; hl_label = label; hl_rd = rd } :: held
 
 let note_release t ~core ~lock ~line ~label =
-  t.accesses <- t.accesses + 1;
-  let r = line_rec t line label in
-  note_census r ~core ~write:true;
+  note_lock_line t ~core ~line ~label;
+  let n = Int_table.find_default t.locks lock (-1) in
   let dropped = ref None in
   let rec drop = function
     | [] -> []  (* release without acquire: tolerated (attached mid-run) *)
-    | h :: rest when h.hl_lock = lock && Option.is_none !dropped ->
+    | h :: rest when h.hl_lock = n && Option.is_none !dropped ->
         dropped := Some h;
         rest
     | h :: rest -> h :: drop rest
   in
   t.held.(core) <- drop t.held.(core);
   (* Keep the count tables in step with the entry actually removed. *)
-  match !dropped with
-  | Some h ->
-      ls_decr t.held_all.(core) lock;
-      if not h.hl_rd then ls_decr t.held_wr.(core) lock
-  | None -> ()
+  match (!dropped, t.sharing) with
+  | Some h, Some s ->
+      ls_decr s.held_all.(core) n;
+      if not h.hl_rd then ls_decr s.held_wr.(core) n
+  | _ -> ()
 
 let note_rc t ~core ~oid ~label f =
   let r =
@@ -410,43 +437,52 @@ let handle t ev =
             else None
           end)
 
-let attach machine =
+let attach ?(sharing = true) machine =
   let ncores = Machine.ncores machine in
-  let dummy_line_rec =
-    {
-      lr_label = "";
-      lr_state = Virgin;
-      lr_cand = Int_set.empty;
-      lr_readers = IS.empty;
-      lr_writers = IS.empty;
-      lr_reads = 0;
-      lr_writes = 0;
-      lr_raced = false;
-    }
-  in
   let dummy_edge =
     { e_from = -1; e_from_label = ""; e_to = -1; e_to_label = ""; e_core = -1; e_held = [] }
   in
   let dummy_rc =
     { rr_label = ""; rr_count = 0; rr_made = false; rr_freed = false }
   in
-  let fresh_ls () =
-    { counts = Int_table.create ~size_hint:64 0; set = Int_set.empty }
+  let sharing =
+    if not sharing then None
+    else begin
+      let dummy_line_rec =
+        {
+          lr_label = "";
+          lr_state = Virgin;
+          lr_cand = Int_set.empty;
+          lr_readers = IS.empty;
+          lr_writers = IS.empty;
+          lr_reads = 0;
+          lr_writes = 0;
+          lr_raced = false;
+        }
+      in
+      let fresh_ls () =
+        { counts = Int_table.create ~size_hint:64 0; set = Int_set.empty }
+      in
+      Some
+        {
+          lines = Int_table.create ~size_hint:4096 dummy_line_rec;
+          dummy_line_rec;
+          held_all = Array.init ncores (fun _ -> fresh_ls ());
+          held_wr = Array.init ncores (fun _ -> fresh_ls ());
+          races = [];
+        }
+    end
   in
   let t =
     {
       machine;
-      lines = Int_table.create ~size_hint:4096 dummy_line_rec;
-      dummy_line_rec;
+      sharing;
       held = Array.make ncores [];
-      held_all = Array.init ncores (fun _ -> fresh_ls ());
-      held_wr = Array.init ncores (fun _ -> fresh_ls ());
-      seen_locks = Int_table.create ~size_hint:1024 0;
+      locks = Int_table.create ~size_hint:1024 0;
       edges = Int_table.create ~size_hint:64 dummy_edge;
       tlb = Array.init ncores (fun _ -> Int_table.create ~size_hint:64 0);
       rc = Int_table.create ~size_hint:1024 dummy_rc;
       dummy_rc;
-      races = [];
       tlb_violations = [];
       rc_violations = [];
       accesses = 0;
@@ -467,19 +503,30 @@ let detach t = Obs.set_sink (Machine.obs t.machine) None
    as they are excluded from the paper's steady-state averages. *)
 let reset_window t =
   t.accesses <- 0;
-  Int_table.iter
-    (fun _ r ->
-      r.lr_readers <- IS.empty;
-      r.lr_writers <- IS.empty;
-      r.lr_reads <- 0;
-      r.lr_writes <- 0)
-    t.lines
+  match t.sharing with
+  | None -> ()
+  | Some s ->
+      Int_table.iter
+        (fun _ r ->
+          r.lr_readers <- IS.empty;
+          r.lr_writers <- IS.empty;
+          r.lr_reads <- 0;
+          r.lr_writes <- 0)
+        s.lines
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 
+(* The sharing analyses' state, for a query that reads it. A checker
+   attached with [~sharing:false] never built it, so the query has no
+   answer; "clean" would be a lie. *)
+let sharing_of t query =
+  match t.sharing with
+  | Some s -> s
+  | None -> invalid_arg ("Check." ^ query ^ ": attached with ~sharing:false")
+
 let accesses t = t.accesses
-let races t = List.rev t.races
+let races t = List.rev (sharing_of t "races").races
 let tlb_violations t = List.rev t.tlb_violations
 let rc_violations t = List.rev t.rc_violations
 
@@ -516,12 +563,13 @@ let line_info line r =
   }
 
 let multi_writer_lines ?(allow = []) t =
+  let s = sharing_of t "multi_writer_lines" in
   Int_table.fold
     (fun line r acc ->
       if IS.cardinal r.lr_writers >= 2 && not (List.mem r.lr_label allow) then
         line_info line r :: acc
       else acc)
-    t.lines []
+    s.lines []
   |> List.sort (fun a b -> compare a.li_line b.li_line)
 
 type label_census = {
@@ -534,6 +582,7 @@ type label_census = {
 }
 
 let census t =
+  let s = sharing_of t "census" in
   let tbl = Hashtbl.create 32 in
   Int_table.iter
     (fun _ r ->
@@ -560,7 +609,7 @@ let census t =
           lc_writes = c.lc_writes + r.lr_writes;
           lc_max_writers = Int.max c.lc_max_writers nw;
         })
-    t.lines;
+    s.lines;
   Hashtbl.fold (fun _ c acc -> c :: acc) tbl []
   |> List.sort (fun a b -> compare a.lc_label b.lc_label)
 
@@ -665,6 +714,7 @@ let filter_races ~race_allow races =
       List.filter (fun r -> not (List.mem r.race_label labels)) races
 
 let ok ?allow ?(race_allow = []) t =
+  ignore (sharing_of t "ok");
   List.is_empty (filter_races ~race_allow (races t))
   && List.is_empty (cycles t)
   && List.is_empty (tlb_violations t)
@@ -755,6 +805,7 @@ let pp_census ppf cs =
   Format.fprintf ppf "@]"
 
 let report ?allow ?(race_allow = []) ppf t =
+  ignore (sharing_of t "report");
   let races = filter_races ~race_allow (races t)
   and cycles = cycles t
   and tlbv = tlb_violations t

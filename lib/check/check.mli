@@ -26,14 +26,29 @@
 
     Attach before the run ([Check.attach machine]), query or
     [Check.report] after. Detaching restores the zero-cost uninstrumented
-    path. *)
+    path.
+
+    The race detector and the zero-sharing verifier cost the most: a
+    lock's acquire and release edit the core's held locksets, and every
+    access to a shared line intersects its candidate set with them. A
+    caller that reads neither attaches with [~sharing:false] and keeps
+    the other three analyses, the {!leaked_locks} query and the
+    watchdog.
+
+    Findings name a lock by its number in this checker: locks are
+    numbered 0, 1, 2, ... in the order of their first acquisition while
+    attached, so a report depends on the run alone, not on how many
+    locks the process created before it. *)
 
 type t
 
-val attach : Ccsim.Machine.t -> t
+val attach : ?sharing:bool -> Ccsim.Machine.t -> t
 (** Install the checker as the machine's event sink. At most one checker
     can be attached to a machine at a time (a second [attach] replaces the
-    first). *)
+    first). [sharing] (default [true]) runs the lockset race detector and
+    the sharing census. With [~sharing:false], {!races}, {!census},
+    {!multi_writer_lines}, {!ok} and {!report} raise [Invalid_argument];
+    every other query answers as on a full checker. *)
 
 val detach : t -> unit
 
@@ -88,13 +103,18 @@ type race = {
   race_cores : int list;  (** every core that touched the line *)
 }
 
-type held_lock = { hl_lock : int; hl_label : string; hl_rd : bool }
+type held_lock = {
+  hl_lock : int;  (** the lock's number in this checker *)
+  hl_label : string;
+  hl_rd : bool;
+}
 
 type leaked_lock = { ll_core : int; ll_lock : int; ll_label : string }
-(** A lock some core acquired and never released (see {!leaked_locks}). *)
+(** A lock some core acquired and never released (see {!leaked_locks});
+    [ll_lock] is its number in this checker. *)
 
 type lock_edge = {
-  e_from : int;
+  e_from : int;  (** lock number, as [e_to] *)
   e_from_label : string;
   e_to : int;
   e_to_label : string;
@@ -151,7 +171,7 @@ type label_census = {
 
 val races : t -> race list
 (** Cross-core accesses to write-shared lines with an empty lockset, in
-    discovery order; at most one per line. *)
+    discovery order; at most one per line. Needs [sharing]. *)
 
 val cycles : t -> cycle list
 (** One representative cycle per strongly-connected component of the
@@ -164,10 +184,11 @@ val cycles : t -> cycle list
 val multi_writer_lines : ?allow:string list -> t -> line_info list
 (** Lines written by two or more cores whose label is not in [allow]. For
     a disjoint-region workload on RadixVM this must be empty with
-    [~allow:radixvm_allow] — the paper's zero-sharing claim. *)
+    [~allow:radixvm_allow] — the paper's zero-sharing claim. Needs
+    [sharing]. *)
 
 val census : t -> label_census list
-(** Per-label sharing summary, sorted by label. *)
+(** Per-label sharing summary, sorted by label. Needs [sharing]. *)
 
 val tlb_violations : t -> tlb_violation list
 (** Translations still cached by some core after the range's unmap (and
@@ -197,7 +218,8 @@ val ok : ?allow:string list -> ?race_allow:string list -> t -> bool
     lines outside [allow]. [race_allow] names line {e labels} whose
     concurrency discipline the line-granular lockset analysis cannot
     express — e.g. the list range-lock backend's ordered list, which is
-    traversed and spliced lock-free by design. Default: no filtering. *)
+    traversed and spliced lock-free by design. Default: no filtering.
+    Needs [sharing]. *)
 
 val radixvm_allow : string list
 (** The documented allowlist for RadixVM on disjoint-region workloads:
@@ -216,7 +238,7 @@ val report :
   unit
 (** Human-readable report: access total, per-label census, then each
     analysis's findings and a PASS/FAIL verdict ([allow] as in
-    {!multi_writer_lines}, [race_allow] as in {!ok}). *)
+    {!multi_writer_lines}, [race_allow] as in {!ok}). Needs [sharing]. *)
 
 val pp_cycle : Format.formatter -> cycle -> unit
 val pp_tlb_violation : Format.formatter -> tlb_violation -> unit

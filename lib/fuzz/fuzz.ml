@@ -164,7 +164,11 @@ let session ?(inject = fun (_ : int) -> []) src =
   let machine =
     Machine.create (Params.default ~ncores:cfg.ncores ~epoch_cycles:epoch ())
   in
-  let checker = if cfg.check then Some (Check.attach machine) else None in
+  (* The transcript reports the TLB, refcount, leaked-lock and lock-order
+     findings only, so the race and sharing analyses are not run. *)
+  let checker =
+    if cfg.check then Some (Check.attach ~sharing:false machine) else None
+  in
   (* The fault plan is drawn from the session rng, except that core 1 is
      always configured to acknowledge IPIs late enough (past
      ipi_ack_timeout) to force at least one sender-side retry — together

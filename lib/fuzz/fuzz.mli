@@ -31,7 +31,9 @@ type config = {
   seed : int;
   ops : int;  (** operations per session *)
   ncores : int;  (** simulated cores (clamped to at least 2) *)
-  check : bool;  (** attach the {!Check} dynamic analyses *)
+  check : bool;
+      (** attach a {!Check} checker without its sharing analyses, and
+          report its TLB, refcount, leaked-lock and lock-order findings *)
   verbose : bool;  (** one transcript line per operation *)
   broken : bool;
       (** known-bad mode: skip rollback on injected aborts

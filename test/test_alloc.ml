@@ -15,10 +15,13 @@
    set, plus 1%. A change that allocates more on the mmap, fault, serve
    or munmap path, in a checked session, or grows an address space's
    state, fails here; one that allocates less should lower the bound.
-   One more gate compares two runs instead of a fixed count: the live
-   words at the end of a local window must not grow with the window's
-   length (16M cycles against 4M, within 1%), since host memory should
-   track the live simulated state, not everything the run has freed. *)
+   Two more gates compare runs instead of a fixed count: the live words
+   at the end of a local window must not grow with the window's length
+   (16M cycles against 4M, within 1%), since host memory should track
+   the live simulated state, not everything the run has freed; and a
+   checked run must allocate exactly the same words whatever ran before
+   it in the process, since lock ids come from a process-global
+   counter and the checker must not let them shape its state. *)
 
 module R = Vm.Radixvm.Default
 module MB = Workloads.Microbench.Make (R)
@@ -84,6 +87,34 @@ let fuzz_session_words () =
   Alcotest.(check (list string)) "the session passes" [] o.Fuzz.failures;
   words
 
+(* Minor words of a small local window of RadixVM under a full checker,
+   whose locksets are keyed by lock number. *)
+let checked_local_words () =
+  let before = Gc.minor_words () in
+  let r =
+    MB.local ~warmup ~ncores ~duration
+      ~on_machine:(fun m -> ignore (Check.attach m))
+      R.create
+  in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "the window writes pages" true (page_writes r > 0);
+  words
+
+(* [count] run again after the process draws 1,000 lock ids, and once
+   more right after that run, must allocate what its first run did. *)
+let order_independent count () =
+  let first = count () in
+  for _ = 1 to 1_000 do
+    ignore (Ccsim.Obs.fresh_lock_id ())
+  done;
+  let after_draws = count () in
+  let after_run = count () in
+  let words = int_of_float in
+  Alcotest.(check int) "minor words after 1,000 lock-id draws" (words first)
+    (words after_draws);
+  Alcotest.(check int) "minor words after another run" (words first)
+    (words after_run)
+
 let gate ~unit_ ~measured count () =
   let value = count () in
   let bound = measured *. 1.01 in
@@ -96,16 +127,15 @@ let () =
   let per_write = "minor words per page write" in
   Alcotest.run "alloc"
     [
-      (* First: the checker keeps its locksets as Int_set Patricia
-         trees keyed by lock id, so the words this session allocates
-         follow the bit patterns of the ids it draws from the
-         process-global Obs.fresh_lock_id counter. Run first, it draws
-         the ids a fresh process draws. *)
       ( "minor words per session",
         [
           tc "checked fuzz session, seed 42" `Quick
-            (gate ~unit_:"minor words" ~measured:44_883_637.
+            (gate ~unit_:"minor words" ~measured:15_542_525.
                fuzz_session_words);
+          tc "checked fuzz session, order-independent" `Quick
+            (order_independent fuzz_session_words);
+          tc "full checker on a local window, order-independent" `Quick
+            (order_independent checked_local_words);
         ] );
       ( per_write,
         [

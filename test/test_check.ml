@@ -80,9 +80,9 @@ let test_race_silent_under_lock () =
 (* Core 0 acquires A then B; core 1 acquires B then A. No deadlock occurs
    in the (atomic-step) run, but the lock-order graph has an A<->B cycle —
    the latent deadlock the analysis exists to catch. *)
-let test_lock_order_cycle_fires () =
+let ab_ba ?sharing () =
   let m = machine () in
-  let chk = Check.attach m in
+  let chk = Check.attach ?sharing m in
   let c0 = Machine.core m 0 in
   let a = Lock.create ~label:"fixture:A" c0 in
   let b = Lock.create ~label:"fixture:B" c0 in
@@ -112,14 +112,17 @@ let test_lock_order_cycle_fires () =
             (e.Check.e_held <> []))
         cyc
   | cs -> Alcotest.failf "expected one cycle, got %d" (List.length cs));
-  Alcotest.(check bool) "verdict fails" false (Check.ok chk)
+  chk
+
+let test_lock_order_cycle_fires () =
+  Alcotest.(check bool) "verdict fails" false (Check.ok (ab_ba ()))
 
 (* Cycle recovery stays linear in the lock-order graph. Each ring of
    gadgets s -> d -> {c, trap}, c -> next s is one SCC; each trap is a
    chain of diamonds from d whose only exit returns to d, so it holds
    2^layers simple paths. A search that remembers only its current path
-   enumerates them whenever adjacency order (which follows the
-   process-global lock ids) sends it into a trap before c; four rings make
+   enumerates them whenever adjacency order (which follows the edge
+   table's slot order) sends it into a trap before c; four rings make
    that all but certain. *)
 let test_lock_order_cycles_linear () =
   let m = machine () in
@@ -244,9 +247,9 @@ let test_wide_hold_race () =
    and TLB — the stale-TLB window every shootdown protocol exists to
    close. The checker's TLB mirror must catch core 1's surviving
    translation the moment the unmap declares itself done. *)
-let test_stale_tlb_fires () =
+let stale_tlb ?sharing () =
   let m = machine () in
-  let chk = Check.attach m in
+  let chk = Check.attach ?sharing m in
   let mmu = Vm.Mmu.create m Vm.Page_table.Per_core in
   let c0 = Machine.core m 0 and c1 = Machine.core m 1 in
   let pfn = Physmem.alloc (Machine.physmem m) c0 in
@@ -271,13 +274,14 @@ let test_stale_tlb_fires () =
   Obs.emit (Machine.obs m)
     (Obs.Unmap_done { core = 0; asid; lo = 100; hi = 101 });
   Alcotest.(check int) "clean after full shootdown" 1
-    (List.length (Check.tlb_violations chk))
+    (List.length (Check.tlb_violations chk));
+  chk
 
 (* Hand-written bad reference-count traces (the real Refcache is correct,
    so the broken protocols are injected directly into the event stream). *)
-let test_rc_violations_fire () =
+let rc_misuse ?sharing () =
   let m = machine () in
-  let chk = Check.attach m in
+  let chk = Check.attach ?sharing m in
   let obs = Machine.obs m in
   let lbl = "fixture:rc" in
   (* Freed while the count is still 2: a premature free. *)
@@ -305,7 +309,8 @@ let test_rc_violations_fire () =
   Alcotest.(check bool) "dec after free" true (has Check.Dec_after_free);
   Alcotest.(check bool) "negative count" true (has Check.Negative_count);
   Alcotest.(check int) "exactly the five injected faults" 5
-    (List.length faults)
+    (List.length faults);
+  chk
 
 (* ------------------------------------------------------------------ *)
 (* Checker mechanics                                                   *)
@@ -355,6 +360,83 @@ let test_refcache_ledger_matches () =
     (Check.rc_count chk ~oid);
   Alcotest.(check int) "no violations over a correct lifecycle" 0
     (List.length (Check.rc_violations chk))
+
+(* ------------------------------------------------------------------ *)
+(* Without the sharing analyses                                        *)
+
+(* An mmap that aborts with its rollback skipped leaves its range locks
+   held, for the leaked-lock query to find. *)
+let broken_rollback ?sharing () =
+  let m = machine () in
+  let chk = Check.attach ?sharing m in
+  let plan = Fault.create ~seed:0 () in
+  Machine.set_fault m (Some plan);
+  let vm = Radixvm.create m in
+  let c0 = Machine.core m 0 in
+  Fault.set_break_rollback plan true;
+  Fault.abort_ops plan ~op:"mmap" ~point:"locked" ~prob:1.0 ();
+  (match Vm.Vm_types.trap (fun () -> Radixvm.mmap vm c0 ~vpn:20 ~npages:3 ()) with
+  | Error (Vm.Vm_types.Aborted _) -> ()
+  | Ok () -> Alcotest.fail "abort did not fire"
+  | Error e -> Alcotest.failf "wrong error: %a" Vm.Vm_types.pp_vm_error e);
+  Alcotest.(check bool) "leaked locks detected" true
+    (Check.leaked_locks chk <> []);
+  chk
+
+(* A 1-cycle watchdog horizon trips inside an mmap issued while core 0
+   holds a lock of its own; the result is the held-lock dump. *)
+let watchdog ?sharing () =
+  let m = machine () in
+  let chk = Check.attach ?sharing m in
+  let vm = Radixvm.create m in
+  let c0 = Machine.core m 0 in
+  Lock.acquire c0 (Lock.create ~label:"fixture:outer" c0);
+  Check.arm_watchdog chk ~horizon:1;
+  Check.feed_watchdog chk;
+  match Radixvm.mmap vm c0 ~vpn:0 ~npages:2 () with
+  | () -> Alcotest.fail "watchdog did not trip"
+  | exception Check.Livelock { dump; _ } ->
+      (* Innermost first: the outer lock, this checker's first, ends it. *)
+      Alcotest.(check bool) "the dump ends with lock 0" true
+        (String.ends_with ~suffix:"    lock 0 (fixture:outer)\n" dump);
+      (chk, dump)
+
+(* Everything a checker attached with [~sharing:false] still answers,
+   rendered as the reports print it. Address-space ids come from a
+   process-global counter, not from the checker; no fixture has more
+   than one space, so its id is read as 0. *)
+let findings chk =
+  let pp f l = List.map (Format.asprintf "%a" f) l in
+  pp Check.pp_cycle (Check.cycles chk)
+  @ pp Check.pp_tlb_violation
+      (List.map
+         (fun v -> { v with Check.tv_asid = 0 })
+         (Check.tlb_violations chk))
+  @ pp Check.pp_rc_violation (Check.rc_violations chk)
+  @ pp Check.pp_leaked_lock (Check.leaked_locks chk)
+  @ [ Printf.sprintf "%d accesses" (Check.accesses chk) ]
+
+(* Each fixture, run under both modes, reports the same findings, lock
+   numbers included. *)
+let same_without_sharing run () =
+  Alcotest.(check (list string))
+    "the same findings without the sharing analyses" (run ~sharing:true)
+    (run ~sharing:false)
+
+let test_sharing_queries_refused () =
+  let chk = ab_ba ~sharing:false () in
+  let refused name query =
+    match query () with
+    | () -> Alcotest.failf "%s answered without the sharing analyses" name
+    | exception Invalid_argument _ -> ()
+  in
+  refused "races" (fun () -> ignore (Check.races chk));
+  refused "census" (fun () -> ignore (Check.census chk));
+  refused "multi_writer_lines" (fun () ->
+      ignore (Check.multi_writer_lines chk));
+  refused "ok" (fun () -> ignore (Check.ok chk));
+  refused "report" (fun () ->
+      ignore (Format.asprintf "%a" (fun ppf -> Check.report ppf) chk))
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance: real workloads                                          *)
@@ -509,8 +591,27 @@ let () =
           tc "cycle recovery linear" `Quick test_lock_order_cycles_linear;
           tc "consistent order silent" `Quick
             test_lock_order_silent_when_consistent;
-          tc "stale TLB detected" `Quick test_stale_tlb_fires;
-          tc "refcount misuse detected" `Quick test_rc_violations_fire;
+          tc "stale TLB detected" `Quick (fun () -> ignore (stale_tlb ()));
+          tc "refcount misuse detected" `Quick (fun () -> ignore (rc_misuse ()));
+        ] );
+      ( "sharing off",
+        [
+          tc "AB/BA cycle" `Quick
+            (same_without_sharing (fun ~sharing -> findings (ab_ba ~sharing ())));
+          tc "stale TLB" `Quick
+            (same_without_sharing (fun ~sharing ->
+                 findings (stale_tlb ~sharing ())));
+          tc "refcount misuse" `Quick
+            (same_without_sharing (fun ~sharing ->
+                 findings (rc_misuse ~sharing ())));
+          tc "broken rollback leaks locks" `Quick
+            (same_without_sharing (fun ~sharing ->
+                 findings (broken_rollback ~sharing ())));
+          tc "watchdog dump" `Quick
+            (same_without_sharing (fun ~sharing ->
+                 let chk, dump = watchdog ~sharing () in
+                 findings chk @ [ dump ]));
+          tc "sharing queries refused" `Quick test_sharing_queries_refused;
         ] );
       ( "mechanics",
         [

@@ -783,33 +783,6 @@ let test_fuzz_crash_sessions_recover () =
   Alcotest.(check bool) "crash session passes" true o.Fuzz.passed;
   Alcotest.(check bool) "crashes were actually injected" true (o.Fuzz.crashes > 0)
 
-(* Lock ids are a global counter, so a failure line's "lock 674030"
-   depends on how many locks the process created before the replay —
-   byte-identity across replays holds per fresh process (the CLI path),
-   while two replays inside this one test process differ only there.
-   Mask the ids before comparing. *)
-let mask_lock_ids s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    if !i + 5 <= n && String.sub s !i 5 = "lock " then begin
-      Buffer.add_string b "lock ";
-      i := !i + 5;
-      let j = ref !i in
-      while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do
-        incr j
-      done;
-      if !j > !i then Buffer.add_char b '#';
-      i := !j
-    end
-    else begin
-      Buffer.add_char b s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
-
 (* The acceptance bound: the known-bad 600-op --broken failure shrinks to
    a reproducer of at most 25 ops that still fails, and the minimized
    program replays deterministically. *)
@@ -836,8 +809,7 @@ let test_shrinker_minimizes_broken_failure () =
       | Ok parsed ->
           let po = Fuzz.run_program parsed in
           Alcotest.(check string) "repro file replays identically"
-            (mask_lock_ids mo.Fuzz.transcript)
-            (mask_lock_ids po.Fuzz.transcript)
+            mo.Fuzz.transcript po.Fuzz.transcript
 
 (* Shrinking is itself deterministic: the same failing program minimizes
    to the same reproducer every time (smaller corpus to keep it quick —
