@@ -45,16 +45,6 @@ let max_sessions_arg =
         ~doc:"Hard cap on sessions regardless of remaining budget \
               (0 = no cap).")
 
-let nodes_arg =
-  Arg.(
-    value
-    & opt (Cli.count "--nodes") 1
-    & info [ "nodes" ]
-        ~doc:"Run each session as a world of this many coupled node \
-              sessions (Fuzz.run_world), one host domain per node up to \
-              the host's count. Palettes still derive from (seed, index), \
-              so failures stay reproducible.")
-
 let out_dir_arg =
   Arg.(
     value & opt dir "."
@@ -85,38 +75,7 @@ let palette ~seed ~index =
     watchdog = Some watchdog_horizon;
   }
 
-(* One unit of chaos: a plain session, or — with --nodes N — a world of
-   N coupled node sessions. Reported through one shape either way. *)
-let run_unit ~nodes ~jobs cfg =
-  if nodes <= 1 then begin
-    let o = Fuzz.run_session cfg in
-    ( o.Fuzz.passed,
-      o.Fuzz.crashes,
-      o.Fuzz.livelocked,
-      o.Fuzz.transcript,
-      if o.Fuzz.passed then None else Some o )
-  end
-  else begin
-    let w = Fuzz.run_world ~jobs ~nodes cfg in
-    let crashes =
-      List.fold_left
-        (fun a (o : Fuzz.outcome) -> a + o.Fuzz.crashes)
-        0 w.Fuzz.w_outcomes
-    in
-    let livelocked =
-      List.exists (fun (o : Fuzz.outcome) -> o.Fuzz.livelocked) w.Fuzz.w_outcomes
-    in
-    ( w.Fuzz.w_passed,
-      crashes,
-      livelocked,
-      w.Fuzz.w_transcript,
-      List.find_opt
-        (fun (o : Fuzz.outcome) -> not o.Fuzz.passed)
-        w.Fuzz.w_outcomes )
-  end
-
-let main seconds seed max_sessions nodes out_dir verbose =
-  let jobs = Harness.Pool.clamp_jobs nodes in
+let main seconds seed max_sessions out_dir verbose =
   let t0 = Unix.gettimeofday () in
   let elapsed () = Unix.gettimeofday () -. t0 in
   let rows = ref [] in
@@ -132,37 +91,30 @@ let main seconds seed max_sessions nodes out_dir verbose =
     incr n;
     let cfg = palette ~seed ~index in
     let s0 = Unix.gettimeofday () in
-    let passed, crashes, livelocked, transcript, failing =
-      run_unit ~nodes ~jobs cfg
-    in
+    let o = Fuzz.run_session cfg in
+    let { Fuzz.passed; crashes; livelocked; _ } = o in
     let wall = Unix.gettimeofday () -. s0 in
     total_crashes := !total_crashes + crashes;
     if livelocked then incr total_livelocks;
-    Printf.printf "chaos: session %d seed=%d backend=%s cores=%d ops=%d%s -> \
+    Printf.printf "chaos: session %d seed=%d backend=%s cores=%d ops=%d -> \
                    %s (%d reaped%s, %.2fs)\n%!"
       index cfg.Fuzz.seed
       (Locks.Range_lock.name cfg.Fuzz.rangelock)
       cfg.Fuzz.ncores cfg.Fuzz.ops
-      (if nodes > 1 then Printf.sprintf " nodes=%d" nodes else "")
       (if passed then "PASS" else "FAIL")
       crashes
       (if livelocked then ", LIVELOCK" else "")
       wall;
-    if verbose || not passed then print_string transcript;
+    if verbose || not passed then print_string o.Fuzz.transcript;
     if not passed then begin
-      (match failing with
-      | Some o ->
-          (* For a world, the artifact is the failing node's own recorded
-             program — it replays standalone with radixvm-fuzz --repro. *)
-          let artifact =
-            Filename.concat out_dir
-              (Printf.sprintf "chaos_repro_%d.txt" o.Fuzz.program.Fuzz.pr_seed)
-          in
-          Fuzz.write_artifact artifact o;
-          Printf.printf
-            "chaos: repro written to %s\n  replay: radixvm-fuzz --repro %s\n%!"
-            artifact artifact
-      | None -> ());
+      let artifact =
+        Filename.concat out_dir
+          (Printf.sprintf "chaos_repro_%d.txt" cfg.Fuzz.seed)
+      in
+      Fuzz.write_artifact artifact o;
+      Printf.printf
+        "chaos: repro written to %s\n  replay: radixvm-fuzz --repro %s\n%!"
+        artifact artifact;
       failures := cfg.Fuzz.seed :: !failures
     end;
     rows :=
@@ -172,7 +124,6 @@ let main seconds seed max_sessions nodes out_dir verbose =
           ("backend", Json.String (Locks.Range_lock.name cfg.Fuzz.rangelock));
           ("cores", Json.Int cfg.Fuzz.ncores);
           ("ops", Json.Int cfg.Fuzz.ops);
-          ("nodes", Json.Int nodes);
           ("passed", Json.Bool passed);
           ("crashes", Json.Int crashes);
           ("livelocked", Json.Bool livelocked);
@@ -208,7 +159,7 @@ let cmd =
   Cmd.v
     (Cmd.info "radixvm-chaos" ~doc)
     Term.(
-      const main $ seconds_arg $ seed_arg $ max_sessions_arg $ nodes_arg
-      $ out_dir_arg $ verbose_arg)
+      const main $ seconds_arg $ seed_arg $ max_sessions_arg $ out_dir_arg
+      $ verbose_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -1,12 +1,11 @@
 (* radixvm-fuzz: seeded fault-injection fuzzer / soak harness for the VM
    stack.
 
-   Each run is a batch of independent sessions (seeds seed .. seed+runs-1),
-   or with --nodes N of N-node worlds, executed on a worker pool;
-   transcripts are printed in seed order, so the output is byte-identical
-   for any --jobs. A failing session writes a self-contained repro
-   artifact (the reified program plus the failing transcript) and prints
-   the command that replays it:
+   Each run is a batch of independent sessions (seeds seed .. seed+runs-1)
+   executed on a worker pool; transcripts are printed in seed order, so
+   the output is byte-identical for any --jobs. A failing session writes
+   a self-contained repro artifact (the reified program plus the failing
+   transcript) and prints the command that replays it:
 
      radixvm-fuzz --seed 42 --ops 600 --cores 4 --runs 2 --jobs 2
      radixvm-fuzz --repro fuzz_repro_1337.txt        # replay an artifact
@@ -35,26 +34,15 @@ let runs_arg =
     & opt (Cli.count "--runs") 1
     & info [ "runs" ] ~doc:"Number of sessions (consecutive seeds, at least 1).")
 
-let nodes_arg =
-  Arg.(
-    value
-    & opt (Cli.count "--nodes") 1
-    & info [ "nodes" ]
-        ~doc:
-          "World width: run each seed as a world of this many coupled \
-           node sessions exchanging spawn requests at barrier points \
-           (1 = the classic single-machine session). Worlds run one \
-           after another, each on the $(b,--jobs) pool.")
-
 let jobs_arg =
   Arg.(
     value
     & opt (Cli.count "--jobs") (Harness.Pool.default_jobs ())
     & info [ "jobs" ]
         ~doc:
-          "Worker domains, at most the host's count. Sessions (and a \
-           world's node sessions) are independent and results are \
-           printed in seed order, so the output does not depend on this.")
+          "Worker domains, at most the host's count. Sessions are \
+           independent and results are printed in seed order, so the \
+           output does not depend on this.")
 
 let check_arg =
   Arg.(value & flag & info [ "check" ] ~doc:"Attach the dynamic checkers (stale TLB, Refcache ledger, leaked locks, lock order) to every session.")
@@ -150,9 +138,7 @@ let do_shrink ~artifact (o : Fuzz.outcome) =
         minimal.Fuzz.pr_ncores min_path min_path;
       true
 
-(* The first failing session writes the repro artifact. In a world that
-   is the failing node's own recorded program, which replays standalone
-   — no world involved. *)
+(* The first failing session writes the repro artifact. *)
 let report_failure ~shrink (o : Fuzz.outcome) =
   let artifact =
     Printf.sprintf "fuzz_repro_%d.txt" o.Fuzz.program.Fuzz.pr_seed
@@ -177,49 +163,41 @@ let replay_main path shrink verbose =
         exit 1
       end
 
-let main seed ops cores runs nodes jobs check verbose broken crash watchdog
+let main seed ops cores runs jobs check verbose broken crash watchdog
     rangelock repro shrink =
   match repro with
   | Some path -> replay_main path shrink verbose
   | None ->
       let jobs = Harness.Pool.clamp_jobs jobs in
-      let cfg i =
-        { Fuzz.seed = seed + i; ops; ncores = cores; check; verbose; broken;
-          rangelock; crash; watchdog }
+      let outcomes =
+        Harness.Pool.run ~jobs
+          (List.init runs (fun i ->
+               Harness.Pool.job
+                 ~name:(Printf.sprintf "fuzz-%d" (seed + i))
+                 (fun () ->
+                   Fuzz.run_session
+                     { Fuzz.seed = seed + i; ops; ncores = cores; check;
+                       verbose; broken; rangelock; crash; watchdog })))
       in
-      (* (transcript, passed) per seed, and every session outcome. *)
-      let units, outcomes =
-        if nodes = 1 then
-          let os =
-            Harness.Pool.run ~jobs
-              (List.init runs (fun i ->
-                   Harness.Pool.job
-                     ~name:(Printf.sprintf "fuzz-%d" (seed + i))
-                     (fun () -> Fuzz.run_session (cfg i))))
-          in
-          (List.map (fun (o : Fuzz.outcome) -> (o.transcript, o.passed)) os, os)
-        else
-          let ws =
-            List.init runs (fun i -> Fuzz.run_world ~jobs ~nodes (cfg i))
-          in
-          ( List.map (fun w -> (w.Fuzz.w_transcript, w.Fuzz.w_passed)) ws,
-            List.concat_map (fun w -> w.Fuzz.w_outcomes) ws )
+      List.iter (fun (o : Fuzz.outcome) -> print_string o.transcript) outcomes;
+      let failing =
+        List.filter (fun (o : Fuzz.outcome) -> not o.passed) outcomes
       in
-      List.iter (fun (t, _) -> print_string t) units;
-      let failed = List.length (List.filter (fun (_, p) -> not p) units) in
-      Printf.printf "fuzz: %d/%d %s passed\n" (runs - failed) runs
-        (if nodes = 1 then "sessions" else "worlds");
-      Option.iter (report_failure ~shrink)
-        (List.find_opt (fun (o : Fuzz.outcome) -> not o.passed) outcomes);
-      if failed > 0 then exit 1
+      Printf.printf "fuzz: %d/%d sessions passed\n"
+        (runs - List.length failing) runs;
+      match failing with
+      | o :: _ ->
+          report_failure ~shrink o;
+          exit 1
+      | [] -> ()
 
 let cmd =
   let doc = "seeded fault-injection fuzzer for the RadixVM stack" in
   Cmd.v
     (Cmd.info "radixvm-fuzz" ~doc)
     Term.(
-      const main $ seed_arg $ ops_arg $ cores_arg $ runs_arg $ nodes_arg
-      $ jobs_arg $ check_arg $ verbose_arg $ broken_arg $ crash_arg
-      $ watchdog_arg $ rangelock_arg $ repro_arg $ shrink_arg)
+      const main $ seed_arg $ ops_arg $ cores_arg $ runs_arg $ jobs_arg
+      $ check_arg $ verbose_arg $ broken_arg $ crash_arg $ watchdog_arg
+      $ rangelock_arg $ repro_arg $ shrink_arg)
 
 let () = exit (Cmd.eval cmd)

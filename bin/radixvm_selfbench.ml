@@ -75,22 +75,7 @@ let () =
   let ops_per_sec = float_of_int fuzz_cfg.Fuzz.ops /. fuzz_s in
   Printf.printf "fuzz 600 ops (checked):    %7.2f s  (%.0f ops/s)\n%!" fuzz_s
     ops_per_sec;
-  (* 2b. A sharded fuzz world: 4 coupled node sessions on up to 4 host
-     domains (at most the host's count). *)
-  let world_cfg =
-    { Fuzz.default with Fuzz.seed = 42; ops = 300; ncores = 4; check = true }
-  in
-  let world, world_s =
-    time (fun () ->
-        Fuzz.run_world ~jobs:(Harness.Pool.clamp_jobs 4) ~nodes:4 world_cfg)
-  in
-  if not world.Fuzz.w_passed then begin
-    prerr_endline "selfbench: sharded fuzz world FAILED; timings meaningless";
-    print_string world.Fuzz.w_transcript;
-    exit 1
-  end;
-  Printf.printf "fuzz world 4x300 (checked):%7.2f s\n%!" world_s;
-  (* 2c. The quick cacheserve sweep, serial: the heaviest figure target
+  (* 2b. The quick cacheserve sweep, serial: the heaviest figure target
      (seven systems x three core counts, page-cache rows disk-bound), so
      its wall time is worth gating on its own. *)
   let cacheserve, cacheserve_s =
@@ -131,7 +116,6 @@ let () =
             ([
                metric "fig5_quick_wall" (Json.Float fig5_s) "s";
                metric "fuzz600_checked_wall" (Json.Float fuzz_s) "s";
-               metric "fuzz_sharded_wall" (Json.Float world_s) "s";
                metric "cacheserve_wall" (Json.Float cacheserve_s) "s";
                metric ~better:"higher" "fuzz_ops_per_sec"
                  (Json.Float ops_per_sec) "ops/s";

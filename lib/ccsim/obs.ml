@@ -22,12 +22,13 @@ type t = {
   mutable sink : (event -> unit) option;
   mutable quiet : int;
   mutable hot : bool;
+  mutable asids : int;  (* address-space ids handed out so far *)
 }
 
 let refresh t =
   t.hot <- (t.quiet = 0 && match t.sink with Some _ -> true | None -> false)
 
-let create () = { sink = None; quiet = 0; hot = false }
+let create () = { sink = None; quiet = 0; hot = false; asids = 0 }
 
 let set_sink t sink =
   t.sink <- sink;
@@ -60,6 +61,11 @@ let fresh_lock_id () = Atomic.fetch_and_add lock_ids 1
 
 (* Address-space ids distinguish the TLB events of different MMUs: every
    address space has its own per-core TLB instances, so "core 1 caches
-   vpn 101" is only meaningful relative to an address space. *)
-let asids = Atomic.make 0
-let fresh_asid () = Atomic.fetch_and_add asids 1
+   vpn 101" is only meaningful relative to an address space. They are
+   numbered per machine, so a finding names the same space however many
+   machines the process built before, and the ids stay small enough to
+   pack beside a vpn. *)
+let fresh_asid t =
+  let a = t.asids in
+  t.asids <- a + 1;
+  a

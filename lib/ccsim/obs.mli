@@ -30,9 +30,10 @@ type event =
       (** [rd] marks a read-side (shared-mode) acquisition of an rwlock. *)
   | Release of { core : int; lock : int; line : int; label : string; rd : bool }
   | Tlb_fill of { core : int; asid : int; vpn : int }
-      (** [asid] names the address space (from {!fresh_asid}): each MMU has
-          its own per-core TLB instances, and two address spaces caching
-          the same vpn on the same core are unrelated translations. *)
+      (** [asid] names the address space (from {!fresh_asid}, unique on
+          one machine): each MMU has its own per-core TLB instances, and
+          two address spaces caching the same vpn on the same core are
+          unrelated translations. *)
   | Tlb_drop of { core : int; asid : int; vpn : int }
   | Unmap_done of { core : int; asid : int; lo : int; hi : int }
       (** A VM implementation finished removing \[lo,hi) from address
@@ -67,5 +68,6 @@ val quiet_decr : t -> unit
 val fresh_line_id : unit -> int
 val fresh_lock_id : unit -> int
 
-val fresh_asid : unit -> int
-(** A process-unique address-space id for TLB events; one per MMU. *)
+val fresh_asid : t -> int
+(** The next address-space id for TLB events on this machine: 0, 1, 2,
+    ... in the order its MMUs are created. *)

@@ -119,7 +119,8 @@ type t = {
          below 2^31 in any feasible run, so the packing is injective *)
   tlb : int Int_table.t array;
       (* per core: [asid lsl 44 lor vpn] keys it may cache (vpns fit 44
-         bits — the simulated address space tops out well below that) *)
+         bits — the simulated address space tops out well below that —
+         and asids, numbered per machine, stay far below 2^18) *)
   rc : rc_rec Int_table.t;
   dummy_rc : rc_rec;
   mutable tlb_violations : tlb_violation list;
@@ -614,13 +615,15 @@ let census t =
   |> List.sort (fun a b -> compare a.lc_label b.lc_label)
 
 (* Lock-order cycles: Tarjan's SCC over the edge set; every SCC with at
-   least two locks contains a cycle, which we recover with a DFS restricted
-   to that SCC so the report can show each edge's acquisition context.
-   The DFS shares one visited set across the whole search: every vertex of
-   the SCC reaches the start, so the first vertex entered with an edge back
-   to it closes a cycle, and each vertex is entered once. (A per-path
-   visited set enumerates simple paths, exponentially many in a large
-   SCC.) *)
+   least two locks contains a cycle. Each SCC reports one, with every
+   edge's acquisition context: the shortest cycle through its start lock.
+   A breadth-first search from the start over the SCC's own edges enters
+   each lock once, by a shortest path, so the first edge found back to
+   the start closes a shortest cycle, and recovery stays linear in the
+   SCC's edges. (A search that remembers only its current path
+   enumerates simple paths, exponentially many in a large SCC; a
+   depth-first walk stays linear but can return a cycle through nearly
+   every lock of the SCC.) *)
 let cycles t =
   let adj = Int_table.create ~size_hint:64 [] in
   Int_table.iter
@@ -672,34 +675,46 @@ let cycles t =
   Int_table.iter
     (fun v _ -> if not (Int_table.mem index v) then strongconnect v)
     adj;
-  (* One representative cycle per SCC. *)
   List.filter_map
     (fun scc ->
       let inside = List.fold_left (fun s v -> IS.add v s) IS.empty scc in
       let start = List.hd scc in
-      let visited = ref (IS.singleton start) in
-      let rec walk v path =
-        let outs = Int_table.find_default adj v [] in
-        let outs = List.filter (fun e -> IS.mem e.e_to inside) outs in
-        let closing = List.find_opt (fun e -> e.e_to = start) outs in
-        match closing with
-        | Some e
-          when (match path with [] -> e.e_from <> start | _ :: _ -> true) ->
-            Some (List.rev (e :: path))
-        | _ ->
-            List.fold_left
-              (fun acc e ->
-                match acc with
-                | Some _ -> acc
-                | None ->
-                    if IS.mem e.e_to !visited then None
-                    else begin
-                      visited := IS.add e.e_to !visited;
-                      walk e.e_to (e :: path)
-                    end)
-              None outs
+      let outs v =
+        List.filter
+          (fun e -> IS.mem e.e_to inside)
+          (Int_table.find_default adj v [])
       in
-      walk start [])
+      (* [level]: the locks first reached at one distance from [start],
+         each with its path from [start], newest edge first. A self-edge
+         on [start] closes no cycle. *)
+      let rec search visited level =
+        let closing (_, path) e =
+          if e.e_to = start && e.e_from <> start then
+            Some (List.rev (e :: path))
+          else None
+        in
+        match
+          List.find_map
+            (fun ((v, _) as from) -> List.find_map (closing from) (outs v))
+            level
+        with
+        | Some _ as cycle -> cycle
+        | None -> (
+            let visited, next =
+              List.fold_left
+                (fun acc (v, path) ->
+                  List.fold_left
+                    (fun (visited, next) e ->
+                      if IS.mem e.e_to visited then (visited, next)
+                      else (IS.add e.e_to visited, (e.e_to, e :: path) :: next))
+                    acc (outs v))
+                (visited, []) level
+            in
+            match next with
+            | [] -> None
+            | _ :: _ -> search visited (List.rev next))
+      in
+      search (IS.singleton start) [ (start, []) ])
     !sccs
 
 (* Label-level race filtering, the same convention as bench's checked

@@ -38,7 +38,9 @@
     Findings name a lock by its number in this checker: locks are
     numbered 0, 1, 2, ... in the order of their first acquisition while
     attached, so a report depends on the run alone, not on how many
-    locks the process created before it. *)
+    locks the process created before it. They name an address space by
+    its id on the machine ({!Ccsim.Obs.fresh_asid}), which likewise
+    counts from 0 on every machine. *)
 
 type t
 
@@ -137,7 +139,9 @@ type line_info = {
 
 type tlb_violation = {
   tv_unmap_core : int;
-  tv_asid : int;  (** the address space the unmap happened in *)
+  tv_asid : int;
+      (** the address space the unmap happened in, by its id on the
+          machine *)
   tv_stale_core : int;
   tv_vpn : int;
   tv_lo : int;
@@ -174,12 +178,13 @@ val races : t -> race list
     discovery order; at most one per line. Needs [sharing]. *)
 
 val cycles : t -> cycle list
-(** One representative cycle per strongly-connected component of the
-    lock-order graph. Empty means the acquisition order is a partial
-    order — no potential deadlock was observed. A lock's very first
-    acquisition records no edge: nascent objects are born locked before
-    they are published (see [Radix.expand]), so nothing can wait on that
-    acquisition and it cannot participate in a deadlock. *)
+(** One cycle per strongly-connected component of the lock-order graph:
+    a shortest cycle through the component's first-discovered lock.
+    Empty means the acquisition order is a partial order — no potential
+    deadlock was observed. A lock's very first acquisition records no
+    edge: nascent objects are born locked before they are published (see
+    [Radix.expand]), so nothing can wait on that acquisition and it
+    cannot participate in a deadlock. *)
 
 val multi_writer_lines : ?allow:string list -> t -> line_info list
 (** Lines written by two or more cores whose label is not in [allow]. For

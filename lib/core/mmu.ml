@@ -7,14 +7,14 @@ type t = {
 }
 
 let create machine kind =
-  let params = Machine.params machine in
-  let asid = Obs.fresh_asid () in
+  let params = Machine.params machine and obs = Machine.obs machine in
+  let asid = Obs.fresh_asid obs in
   {
     asid;
     pt = Page_table.create machine kind;
     tlbs =
       Array.init (Machine.ncores machine) (fun i ->
-          Tlb.create ~obs:(Machine.obs machine) ~core:i ~asid
+          Tlb.create ~obs ~core:i ~asid
             ~capacity:params.Params.tlb_entries ());
   }
 

@@ -21,8 +21,9 @@ type translation =
 val create : Ccsim.Machine.t -> Page_table.kind -> t
 
 val asid : t -> int
-(** The address-space id (from {!Ccsim.Obs.fresh_asid}) tagging every TLB
-    event this MMU's per-core TLBs emit; [Unmap_done] emitters must use
+(** The address-space id (from {!Ccsim.Obs.fresh_asid}: 0 for the
+    machine's first MMU, 1 for its second, ...) tagging every TLB event
+    this MMU's per-core TLBs emit; [Unmap_done] emitters must use
     the same id so the checker scopes staleness to one address space. *)
 
 val kind : t -> Page_table.kind

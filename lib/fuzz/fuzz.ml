@@ -121,7 +121,7 @@ type src =
    session can cost quadratic checker work if run to completion). *)
 exception Failed_fast
 
-let session ?(inject = fun (_ : int) -> []) src =
+let session src =
   let cfg =
     match src with
     | Gen cfg -> { cfg with ncores = max 2 cfg.ncores; ops = max 1 cfg.ops }
@@ -632,17 +632,7 @@ let session ?(inject = fun (_ : int) -> []) src =
     (match checker with Some ck -> Check.feed_watchdog ck | None -> ());
     if counted_op op then begin
       incr counted;
-      if !counted mod 97 = 0 then begin
-        Machine.drain machine ~cycles:epoch;
-        (* Cross-node spawn injections land here, right after the drain:
-           the fuzzer's barrier points. Replay needs no hook — injected
-           ops are recorded like any other, at exactly this position. *)
-        List.iter
-          (fun sp ->
-            if generating then record sp;
-            run_op sp)
-          (inject (!counted / 97))
-      end;
+      if !counted mod 97 = 0 then Machine.drain machine ~cycles:epoch;
       if !counted mod 128 = 0 then check_invariants ""
     end;
     (* A crash that killed the last process leaves nothing to fuzz:
@@ -753,99 +743,6 @@ let run_session cfg = session (Gen cfg)
 
 let run_program ?(verbose = false) prog =
   session (Rep { prog; verbose; fail_fast = false })
-
-(* --- fuzz worlds: [nodes] independent per-node sessions coupled only
-   by a static cross-node spawn schedule. The schedule is drawn from
-   dedicated per-node rngs before any session runs, so it — and
-   therefore every node's transcript — is a pure function of the world
-   seed and node count. [jobs] only maps node sessions onto host
-   domains; no byte of the outcome depends on it. The transcript's
-   "xshard:" lines keep their historical tag: the seed-42 world golden
-   pins them byte for byte. --- *)
-
-type world_outcome = {
-  w_transcript : string;
-  w_passed : bool;
-  w_failures : string list;
-  w_spawns : int;
-  w_outcomes : outcome list;
-}
-
-let node_seed ~seed n = seed + (7919 * n)
-
-(* Each node's rng decides, per barrier index, whether it asks the next
-   node to spawn a fresh process there — executed on the destination as
-   an ordinary [Spawn] op at that barrier, which replay reproduces from
-   the recorded program alone. *)
-let world_schedule ~seed ~nodes ~ops =
-  let barriers = ops / 97 in
-  let per_dst = Array.make nodes [] in
-  let all = ref [] in
-  for n = 0 to nodes - 1 do
-    let rng = Random.State.make [| 0x5a7d; seed; n |] in
-    for b = 1 to barriers do
-      if nodes > 1 && Random.State.int rng 3 = 0 then begin
-        let dst = (n + 1) mod nodes in
-        let id = 1000 + (100 * n) + b in
-        per_dst.(dst) <- (b, id, n) :: per_dst.(dst);
-        all := (b, n, dst, id) :: !all
-      end
-    done
-  done;
-  (Array.map List.rev per_dst, List.sort compare !all)
-
-let run_world ?jobs ~nodes cfg =
-  if nodes < 1 then invalid_arg "Fuzz.run_world: nodes must be at least 1";
-  let cfg = { cfg with ops = max 1 cfg.ops; ncores = max 2 cfg.ncores } in
-  let per_dst, all = world_schedule ~seed:cfg.seed ~nodes ~ops:cfg.ops in
-  let outcomes =
-    Harness.Pool.run ?jobs
-      (List.init nodes (fun n ->
-           let sched = per_dst.(n) in
-           let inject b =
-             List.filter_map
-               (fun (bb, id, _src) ->
-                 if bb = b then Some (Spawn { id }) else None)
-               sched
-           in
-           Harness.Pool.job
-             ~name:(Printf.sprintf "fuzz-node-%d" n)
-             (fun () ->
-               session ~inject
-                 (Gen { cfg with seed = node_seed ~seed:cfg.seed n }))))
-  in
-  (* The world transcript deliberately never mentions the pool width:
-     widths 1/2/4 must render the same bytes (golden-pinned). *)
-  let buf = Buffer.create 8192 in
-  let line fmt =
-    Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt
-  in
-  line "world: seed=%d nodes=%d ops=%d cores=%d xspawns=%d" cfg.seed nodes
-    cfg.ops cfg.ncores (List.length all);
-  List.iter
-    (fun (b, src, dst, id) ->
-      line "xshard: @%d node%d -> node%d spawn p%d" b src dst id)
-    all;
-  let failures = ref [] in
-  List.iteri
-    (fun n (o : outcome) ->
-      line "--- node %d seed=%d ---" n (node_seed ~seed:cfg.seed n);
-      Buffer.add_string buf o.transcript;
-      failures :=
-        !failures @ List.map (Printf.sprintf "node %d: %s" n) o.failures)
-    outcomes;
-  let passed = !failures = [] in
-  line "world verdict: %s (%d/%d nodes)"
-    (if passed then "PASS" else "FAIL")
-    (List.length (List.filter (fun (o : outcome) -> o.passed) outcomes))
-    nodes;
-  {
-    w_transcript = Buffer.contents buf;
-    w_passed = passed;
-    w_failures = !failures;
-    w_spawns = List.length all;
-    w_outcomes = outcomes;
-  }
 
 (* --- serialization: a repro file is a line-oriented program, terminated
    by "end" so a transcript can ride along after it --- *)

@@ -468,8 +468,7 @@ let test_fresh_ids_domain_safe () =
       (2 * n) (Hashtbl.length seen)
   in
   check_disjoint "line ids" Obs.fresh_line_id;
-  check_disjoint "lock ids" Obs.fresh_lock_id;
-  check_disjoint "asids" Obs.fresh_asid
+  check_disjoint "lock ids" Obs.fresh_lock_id
 
 (* ------------------------------------------------------------------ *)
 (* Physical memory                                                     *)

@@ -117,18 +117,13 @@ let ab_ba ?sharing () =
 let test_lock_order_cycle_fires () =
   Alcotest.(check bool) "verdict fails" false (Check.ok (ab_ba ()))
 
-(* Cycle recovery stays linear in the lock-order graph. Each ring of
-   gadgets s -> d -> {c, trap}, c -> next s is one SCC; each trap is a
-   chain of diamonds from d whose only exit returns to d, so it holds
-   2^layers simple paths. A search that remembers only its current path
-   enumerates them whenever adjacency order (which follows the edge
-   table's slot order) sends it into a trap before c; four rings make
-   that all but certain. *)
-let test_lock_order_cycles_linear () =
+(* A checker and two helpers that build a lock-order graph on core 0:
+   [fresh ()] makes a published lock (a lock's first acquisition records
+   no edge), and [edge a b] records a -> b. *)
+let lock_graph () =
   let m = machine () in
   let chk = Check.attach m in
   let c0 = Machine.core m 0 in
-  (* Published at birth: a lock's first acquisition records no edge. *)
   let fresh () =
     let l = Lock.create ~label:"fixture:ring" c0 in
     Lock.acquire c0 l;
@@ -141,6 +136,33 @@ let test_lock_order_cycles_linear () =
     Lock.release c0 b;
     Lock.release c0 a
   in
+  (chk, fresh, edge)
+
+let check_closed cycles =
+  List.iter
+    (fun (cyc : Check.cycle) ->
+      let rec closed first = function
+        | (a : Check.lock_edge) :: (b :: _ as rest) ->
+            a.Check.e_to = b.Check.e_from && closed first rest
+        | [ last ] -> last.Check.e_to = first
+        | [] -> false
+      in
+      match cyc with
+      | [] -> Alcotest.fail "empty cycle"
+      | e :: _ ->
+          Alcotest.(check bool) "edges chain and close" true
+            (closed e.Check.e_from cyc))
+    cycles
+
+(* Cycle recovery stays linear in the lock-order graph. Each ring of
+   gadgets s -> d -> {c, trap}, c -> next s is one SCC; each trap is a
+   chain of diamonds from d whose only exit returns to d, so it holds
+   2^layers simple paths. A search that remembers only its current path
+   enumerates them whenever adjacency order (which follows the edge
+   table's slot order) sends it into a trap before c; four rings make
+   that all but certain. *)
+let test_lock_order_cycles_linear () =
+  let chk, fresh, edge = lock_graph () in
   let rings = 4 and gadgets = 6 and layers = 24 in
   for _ = 1 to rings do
     let s = Array.init gadgets (fun _ -> fresh ()) in
@@ -163,19 +185,33 @@ let test_lock_order_cycles_linear () =
   done;
   let cycles = Check.cycles chk in
   Alcotest.(check int) "one cycle per ring" rings (List.length cycles);
+  check_closed cycles
+
+(* The reported cycle is a shortest one. Each wheel is one SCC: a hub h
+   with a two-edge cycle h -> x -> h through every spoke x, and a ring
+   over the spokes, so every lock lies on a two-edge cycle. A depth-first
+   walk that leaves a spoke along the ring before it tries the hub
+   returns a longer cycle (up to the whole ring); adjacency order follows
+   the edge table's slot order, and four wheels make that all but
+   certain. *)
+let test_lock_order_cycle_shortest () =
+  let chk, fresh, edge = lock_graph () in
+  let wheels = 4 and spokes = 6 in
+  for _ = 1 to wheels do
+    let h = fresh () in
+    let x = Array.init spokes (fun _ -> fresh ()) in
+    Array.iteri
+      (fun i xi ->
+        edge h xi;
+        edge xi h;
+        edge xi x.((i + 1) mod spokes))
+      x
+  done;
+  let cycles = Check.cycles chk in
+  Alcotest.(check int) "one cycle per wheel" wheels (List.length cycles);
+  check_closed cycles;
   List.iter
-    (fun (cyc : Check.cycle) ->
-      let rec closed first = function
-        | (a : Check.lock_edge) :: (b :: _ as rest) ->
-            a.Check.e_to = b.Check.e_from && closed first rest
-        | [ last ] -> last.Check.e_to = first
-        | [] -> false
-      in
-      match cyc with
-      | [] -> Alcotest.fail "empty cycle"
-      | e :: _ ->
-          Alcotest.(check bool) "edges chain and close" true
-            (closed e.Check.e_from cyc))
+    (fun cyc -> Alcotest.(check int) "two edges" 2 (List.length cyc))
     cycles
 
 (* Both cores acquire in the same order: a partial order, no cycle. *)
@@ -276,6 +312,26 @@ let stale_tlb ?sharing () =
   Alcotest.(check int) "clean after full shootdown" 1
     (List.length (Check.tlb_violations chk));
   chk
+
+(* Address spaces are numbered per machine: however many MMUs another
+   machine built first, a fresh machine's first MMU is space 0, and a
+   stale-TLB finding in it names space 0. *)
+let test_asids_per_machine () =
+  let other = machine () in
+  List.iter
+    (fun kind -> ignore (Vm.Mmu.create other kind))
+    [ Vm.Page_table.Per_core; Vm.Page_table.Shared; Vm.Page_table.Per_core ];
+  Alcotest.(check int) "a fresh machine's first MMU is space 0" 0
+    (Vm.Mmu.asid (Vm.Mmu.create (machine ()) Vm.Page_table.Per_core));
+  match Check.tlb_violations (stale_tlb ()) with
+  | [ v ] ->
+      Alcotest.(check string) "the finding names space 0"
+        "stale TLB: core 1 still caches vpn 100 of space 0 after core 0 \
+         unmapped [100,101)"
+        (Format.asprintf "%a" Check.pp_tlb_violation v)
+  | vs ->
+      Alcotest.failf "expected one stale-TLB violation, got %d"
+        (List.length vs)
 
 (* Hand-written bad reference-count traces (the real Refcache is correct,
    so the broken protocols are injected directly into the event stream). *)
@@ -402,16 +458,11 @@ let watchdog ?sharing () =
       (chk, dump)
 
 (* Everything a checker attached with [~sharing:false] still answers,
-   rendered as the reports print it. Address-space ids come from a
-   process-global counter, not from the checker; no fixture has more
-   than one space, so its id is read as 0. *)
+   rendered as the reports print it. *)
 let findings chk =
   let pp f l = List.map (Format.asprintf "%a" f) l in
   pp Check.pp_cycle (Check.cycles chk)
-  @ pp Check.pp_tlb_violation
-      (List.map
-         (fun v -> { v with Check.tv_asid = 0 })
-         (Check.tlb_violations chk))
+  @ pp Check.pp_tlb_violation (Check.tlb_violations chk)
   @ pp Check.pp_rc_violation (Check.rc_violations chk)
   @ pp Check.pp_leaked_lock (Check.leaked_locks chk)
   @ [ Printf.sprintf "%d accesses" (Check.accesses chk) ]
@@ -589,9 +640,12 @@ let () =
           tc "wide hold: one dropped lock races" `Quick test_wide_hold_race;
           tc "AB/BA cycle detected" `Quick test_lock_order_cycle_fires;
           tc "cycle recovery linear" `Quick test_lock_order_cycles_linear;
+          tc "shortest cycle reported" `Quick test_lock_order_cycle_shortest;
           tc "consistent order silent" `Quick
             test_lock_order_silent_when_consistent;
           tc "stale TLB detected" `Quick (fun () -> ignore (stale_tlb ()));
+          tc "address spaces numbered per machine" `Quick
+            test_asids_per_machine;
           tc "refcount misuse detected" `Quick (fun () -> ignore (rc_misuse ()));
         ] );
       ( "sharing off",

@@ -773,7 +773,10 @@ let test_record_replay_byte_identical () =
         p.Fuzz.transcript
 
 (* Under a crash palette the oracle-checked session must still pass:
-   every injected crash is reaped and the survivors stay clean. *)
+   every injected crash is reaped and the survivors stay clean. A crash
+   that kills the last process makes the session spawn a fresh one
+   mid-stream, the only source of [Spawn] ops, so this seed must do it
+   at least once. *)
 let test_fuzz_crash_sessions_recover () =
   let cfg =
     { Fuzz.default with
@@ -781,7 +784,11 @@ let test_fuzz_crash_sessions_recover () =
   in
   let o = Fuzz.run_session cfg in
   Alcotest.(check bool) "crash session passes" true o.Fuzz.passed;
-  Alcotest.(check bool) "crashes were actually injected" true (o.Fuzz.crashes > 0)
+  Alcotest.(check bool) "crashes were actually injected" true (o.Fuzz.crashes > 0);
+  Alcotest.(check bool) "a process was spawned mid-session" true
+    (List.exists
+       (String.starts_with ~prefix:"spawn: ")
+       (String.split_on_char '\n' o.Fuzz.transcript))
 
 (* The acceptance bound: the known-bad 600-op --broken failure shrinks to
    a reproducer of at most 25 ops that still fails, and the minimized

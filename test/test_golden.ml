@@ -2,10 +2,10 @@
    performance work must not move the simulation.
 
    Regenerates, in-process, the artifacts of a `--quick --jobs 2` sweep
-   of every deterministic bench target, the transcripts of the seed-42
-   checked fuzz session and world, and the model-checked cache-serve
-   sessions, digests each, and compares against the digests committed
-   in test/golden/digests.txt.
+   of every deterministic bench target, the transcript of the seed-42
+   checked fuzz session, and the model-checked cache-serve sessions,
+   digests each, and compares against the digests committed in
+   test/golden/digests.txt.
    Any drift in the cost model or operation semantics — including from
    host-side optimization of the simulator's hot paths — changes the
    simulated cycle counts and therefore the bytes, and fails tier-1
@@ -67,14 +67,6 @@ let fuzz_bytes () =
       ("golden fuzz session failed:\n"
       ^ String.concat "\n" outcome.Fuzz.failures);
   outcome.Fuzz.transcript
-
-(* The fuzz world: 4 node sessions coupled by cross-node spawn
-   injections, run on genuine pools of 1, 2 and 4 domains, so even a
-   small host really lays the nodes out three different ways. *)
-let fuzz_world_bytes () =
-  let base = { Fuzz.default with Fuzz.seed = 42 } in
-  same_at_widths "world transcript" (fun jobs ->
-      (Fuzz.run_world ~jobs ~nodes:4 base).Fuzz.w_transcript)
 
 (* The model-checked cache-serve session (4 cores, 3 forked processes, 64
    slots, fault plan seed 11). The history alone is too weak a subject:
@@ -190,7 +182,6 @@ let subjects =
     ("BENCH_table2.json", fun () -> render ctx "table2");
     ("BENCH_cacheserve.json", cacheserve_bytes);
     ("fuzz_seed42.transcript", fuzz_bytes);
-    ("fuzz_world_seed42.transcript", fuzz_world_bytes);
   ]
   (* Every other deterministic quick target: table1 and wallclock count
      source lines or time the host, so they stay unpinned. *)
@@ -263,6 +254,18 @@ let check_subject goldens (name, make) () =
            altered the cost model or operation semantics."
           name expected actual
 
+(* A digest line that names no subject pins nothing, and would hide a
+   subject deleted by mistake: fail on it, as simlint fails on a stale
+   lint.allow entry. *)
+let check_no_stale goldens () =
+  match
+    List.filter (fun (name, _) -> not (List.mem_assoc name subjects)) goldens
+  with
+  | [] -> ()
+  | stale ->
+      Alcotest.failf "digest lines that name no subject (delete them): %s"
+        (String.concat ", " (List.map fst stale))
+
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--regen" then regen ()
   else
@@ -275,4 +278,9 @@ let () =
               Alcotest.test_case (fst subject) `Slow
                 (check_subject goldens subject))
             subjects );
+        ( "digest file",
+          [
+            Alcotest.test_case "no stale digest lines" `Quick
+              (check_no_stale goldens);
+          ] );
       ]
