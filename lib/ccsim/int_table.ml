@@ -95,8 +95,6 @@ let find_default t key default =
     let s = find_slot t key in
     if s < 0 then default else Array.unsafe_get t.vals s
 
-let mem t key = key >= 0 && find_slot t key >= 0
-
 let remove t key =
   if key >= 0 then begin
     let s = find_slot t key in

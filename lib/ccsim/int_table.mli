@@ -18,8 +18,6 @@ val find_default : 'a t -> int -> 'a -> 'a
 (** [find_default t k d] is the binding of [k], or [d] when absent.
     Allocation-free. *)
 
-val mem : 'a t -> int -> bool
-
 val remove : 'a t -> int -> unit
 (** No-op when absent. *)
 

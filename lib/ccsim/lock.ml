@@ -10,11 +10,11 @@ let create ?(label = "lock") (core : Core.t) =
     Line.create ~label core.Core.params core.Core.stats
       ~home_socket:core.Core.socket
   in
-  { id = Obs.fresh_lock_id (); label; line; free_time = 0 }
+  { id = Obs.fresh_lock_id core.Core.obs; label; line; free_time = 0 }
 
-let create_on ?label line =
+let create_on ?label (core : Core.t) line =
   let label = match label with Some l -> l | None -> Line.label line in
-  { id = Obs.fresh_lock_id (); label; line; free_time = 0 }
+  { id = Obs.fresh_lock_id core.Core.obs; label; line; free_time = 0 }
 
 let id t = t.id
 

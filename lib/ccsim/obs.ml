@@ -23,12 +23,13 @@ type t = {
   mutable quiet : int;
   mutable hot : bool;
   mutable asids : int;  (* address-space ids handed out so far *)
+  mutable locks : int;  (* lock ids handed out so far *)
 }
 
 let refresh t =
   t.hot <- (t.quiet = 0 && match t.sink with Some _ -> true | None -> false)
 
-let create () = { sink = None; quiet = 0; hot = false; asids = 0 }
+let create () = { sink = None; quiet = 0; hot = false; asids = 0; locks = 0 }
 
 let set_sink t sink =
   t.sink <- sink;
@@ -47,24 +48,29 @@ let quiet_decr t =
   t.quiet <- t.quiet - 1;
   refresh t
 
-(* Identity spaces for lines and locks. Ids are only used to correlate
-   events and name findings in reports; they never feed back into the cost
-   model, so a process-wide counter keeps creation sites untouched by
-   plumbing. The counters are atomic because the benchmark harness runs
-   independent simulations on concurrent domains: ids from simultaneous
-   jobs interleave (no longer dense per machine), but uniqueness — the
-   only property the checkers' ledgers rely on — always holds. *)
+(* Line ids are only used to correlate events and name findings in
+   reports; they never feed back into the cost model, so a process-wide
+   counter keeps line creation sites untouched by plumbing. The counter is
+   atomic because the benchmark harness runs independent simulations on
+   concurrent domains: ids from simultaneous jobs interleave (no longer
+   dense per machine), but uniqueness — the only property the checkers'
+   ledgers rely on — always holds. *)
 let line_ids = Atomic.make 0
 let fresh_line_id () = Atomic.fetch_and_add line_ids 1
-let lock_ids = Atomic.make 0
-let fresh_lock_id () = Atomic.fetch_and_add lock_ids 1
 
-(* Address-space ids distinguish the TLB events of different MMUs: every
-   address space has its own per-core TLB instances, so "core 1 caches
-   vpn 101" is only meaningful relative to an address space. They are
-   numbered per machine, so a finding names the same space however many
-   machines the process built before, and the ids stay small enough to
-   pack beside a vpn. *)
+(* Lock ids and address-space ids are numbered per machine: 0, 1, 2, ...
+   in creation order, so they stay dense and small however many machines
+   the process built before. A checker keeps its per-lock state in arrays
+   indexed by the lock id; an asid is packed beside a vpn, and a finding
+   names the space by it. Address-space ids distinguish the TLB events of
+   different MMUs: every address space has its own per-core TLB
+   instances, so "core 1 caches vpn 101" is only meaningful relative to
+   an address space. *)
+let fresh_lock_id t =
+  let l = t.locks in
+  t.locks <- l + 1;
+  l
+
 let fresh_asid t =
   let a = t.asids in
   t.asids <- a + 1;

@@ -66,7 +66,14 @@ val quiet_incr : t -> unit
 val quiet_decr : t -> unit
 
 val fresh_line_id : unit -> int
-val fresh_lock_id : unit -> int
+(** The next line id: unique across the process, from one counter shared
+    by every domain. *)
+
+val fresh_lock_id : t -> int
+(** The next lock id on this machine: 0, 1, 2, ... in the order its
+    locks ({!Lock.create}, {!Lock.create_on}, {!Rwlock.create}) are
+    created. The ids are dense, so a checker can index its per-lock state
+    by them. *)
 
 val fresh_asid : t -> int
 (** The next address-space id for TLB events on this machine: 0, 1, 2,

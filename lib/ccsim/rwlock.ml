@@ -11,7 +11,13 @@ let create ?(label = "rwlock") (core : Core.t) =
     Line.create ~label core.Core.params core.Core.stats
       ~home_socket:core.Core.socket
   in
-  { id = Obs.fresh_lock_id (); label; line; writer_free = 0; readers_free = 0 }
+  {
+    id = Obs.fresh_lock_id core.Core.obs;
+    label;
+    line;
+    writer_free = 0;
+    readers_free = 0;
+  }
 
 let id t = t.id
 let label t = t.label

@@ -12,7 +12,8 @@ type t
 val create : ?label:string -> Core.t -> t
 
 val id : t -> int
-(** Stable identity used to correlate instrumentation events. *)
+(** Stable identity used to correlate instrumentation events, drawn from
+    the same per-machine counter as {!Lock.id}. *)
 
 val label : t -> string
 val read_acquire : Core.t -> t -> unit

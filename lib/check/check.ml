@@ -109,14 +109,17 @@ type t = {
   machine : Machine.t;
   sharing : sharing option;
   held : held_lock list array;  (* per core, most recent acquisition first *)
-  locks : int Int_table.t;
-      (* lock id -> lock number: 0, 1, 2, ... in order of first
-         acquisition. Lock ids come from a process-global counter, so
-         keying locksets and findings by number makes both depend on this
-         checker's event stream alone. *)
-  edges : lock_edge Int_table.t;
-      (* keyed [from lsl 31 lor to] over lock numbers, which stay far
-         below 2^31 in any feasible run, so the packing is injective *)
+  mutable numbers : int array;
+      (* lock id -> lock number, or -1 before the lock's first acquisition
+         while attached. Numbers count 0, 1, 2, ... in order of first
+         acquisition, so locksets and findings depend on this checker's
+         event stream alone, not on the locks created before it attached.
+         Lock ids are dense per machine ({!Obs.fresh_lock_id}), so the
+         array doubles until it covers the machine's locks. *)
+  mutable nlocks : int;  (* numbers handed out *)
+  mutable outs : lock_edge list array;
+      (* lock number -> its out-edges in the lock-order graph, newest
+         first: at most one per target, the first one recorded *)
   tlb : int Int_table.t array;
       (* per core: [asid lsl 44 lor vpn] keys it may cache (vpns fit 44
          bits — the simulated address space tops out well below that —
@@ -239,6 +242,34 @@ let note_lock_line t ~core ~line ~label =
   | None -> ()
   | Some s -> note_census (line_rec s line label) ~core ~write:true
 
+(* [a], doubled until index [i] fits, new slots [fill]. *)
+let grow a i fill =
+  let len = ref (Array.length a) in
+  while !len <= i do
+    len := 2 * !len
+  done;
+  let b = Array.make !len fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let number t lock =
+  if lock < Array.length t.numbers then t.numbers.(lock) else -1
+
+(* Number a lock at its first acquisition. *)
+let fresh_number t lock =
+  let n = t.nlocks in
+  t.nlocks <- n + 1;
+  if lock >= Array.length t.numbers then t.numbers <- grow t.numbers lock (-1);
+  t.numbers.(lock) <- n;
+  if n >= Array.length t.outs then t.outs <- grow t.outs n [];
+  n
+
+(* Top-level, not [List.exists] with a closure, so finding an edge
+   already recorded allocates nothing. *)
+let rec has_edge_to n = function
+  | [] -> false
+  | e :: rest -> e.e_to = n || has_edge_to n rest
+
 let note_acquire t ~core ~lock ~line ~label ~rd =
   note_lock_line t ~core ~line ~label;
   let held = t.held.(core) in
@@ -258,21 +289,14 @@ let note_acquire t ~core ~lock ~line ~label ~rd =
      such a lock and no deadlock can involve that acquisition. Recording
      it would thread held-stack -> newborn edges through the graph and
      report the birth pattern as a cycle. *)
-  let n = Int_table.find_default t.locks lock (-1) in
+  let n = number t lock in
   let virgin = n < 0 in
-  let n =
-    if virgin then begin
-      let n = Int_table.length t.locks in
-      Int_table.set t.locks lock n;
-      n
-    end
-    else n
-  in
+  let n = if virgin then fresh_number t lock else n in
   (match held with
   | h :: _ when (not virgin) && h.hl_lock <> n ->
-      let key = (h.hl_lock lsl 31) lor n in
-      if not (Int_table.mem t.edges key) then
-        Int_table.set t.edges key
+      let outs = t.outs.(h.hl_lock) in
+      if not (has_edge_to n outs) then
+        t.outs.(h.hl_lock) <-
           {
             e_from = h.hl_lock;
             e_from_label = h.hl_label;
@@ -281,6 +305,7 @@ let note_acquire t ~core ~lock ~line ~label ~rd =
             e_core = core;
             e_held = held;
           }
+          :: outs
   | _ -> ());
   (match t.sharing with
   | None -> ()
@@ -289,24 +314,33 @@ let note_acquire t ~core ~lock ~line ~label ~rd =
       if not rd then ls_incr s.held_wr.(core) n);
   t.held.(core) <- { hl_lock = n; hl_label = label; hl_rd = rd } :: held
 
+(* [held] without its entry [h] (compared physically). *)
+let rec remove_held h = function
+  | [] -> []
+  | x :: rest -> if x == h then rest else x :: remove_held h rest
+
+(* Keep the count tables in step with the held entry actually removed. *)
+let release_ls t ~core h =
+  match t.sharing with
+  | None -> ()
+  | Some s ->
+      ls_decr s.held_all.(core) h.hl_lock;
+      if not h.hl_rd then ls_decr s.held_wr.(core) h.hl_lock
+
 let note_release t ~core ~lock ~line ~label =
   note_lock_line t ~core ~line ~label;
-  let n = Int_table.find_default t.locks lock (-1) in
-  let dropped = ref None in
-  let rec drop = function
-    | [] -> []  (* release without acquire: tolerated (attached mid-run) *)
-    | h :: rest when h.hl_lock = n && Option.is_none !dropped ->
-        dropped := Some h;
-        rest
-    | h :: rest -> h :: drop rest
-  in
-  t.held.(core) <- drop t.held.(core);
-  (* Keep the count tables in step with the entry actually removed. *)
-  match (!dropped, t.sharing) with
-  | Some h, Some s ->
-      ls_decr s.held_all.(core) n;
-      if not h.hl_rd then ls_decr s.held_wr.(core) n
-  | _ -> ()
+  let n = number t lock in
+  match t.held.(core) with
+  | h :: rest when h.hl_lock = n ->
+      (* The usual LIFO release pops the top: no search, no allocation. *)
+      t.held.(core) <- rest;
+      release_ls t ~core h
+  | held -> (
+      match List.find_opt (fun h -> h.hl_lock = n) held with
+      | Some h ->
+          t.held.(core) <- remove_held h held;
+          release_ls t ~core h
+      | None -> () (* release without acquire: tolerated (attached mid-run) *))
 
 let note_rc t ~core ~oid ~label f =
   let r =
@@ -440,9 +474,6 @@ let handle t ev =
 
 let attach ?(sharing = true) machine =
   let ncores = Machine.ncores machine in
-  let dummy_edge =
-    { e_from = -1; e_from_label = ""; e_to = -1; e_to_label = ""; e_core = -1; e_held = [] }
-  in
   let dummy_rc =
     { rr_label = ""; rr_count = 0; rr_made = false; rr_freed = false }
   in
@@ -479,8 +510,9 @@ let attach ?(sharing = true) machine =
       machine;
       sharing;
       held = Array.make ncores [];
-      locks = Int_table.create ~size_hint:1024 0;
-      edges = Int_table.create ~size_hint:64 dummy_edge;
+      numbers = Array.make 256 (-1);
+      nlocks = 0;
+      outs = Array.make 256 [];
       tlb = Array.init ncores (fun _ -> Int_table.create ~size_hint:64 0);
       rc = Int_table.create ~size_hint:1024 dummy_rc;
       dummy_rc;
@@ -614,108 +646,148 @@ let census t =
   Hashtbl.fold (fun _ c acc -> c :: acc) tbl []
   |> List.sort (fun a b -> compare a.lc_label b.lc_label)
 
-(* Lock-order cycles: Tarjan's SCC over the edge set; every SCC with at
-   least two locks contains a cycle. Each SCC reports one, with every
-   edge's acquisition context: the shortest cycle through its start lock.
-   A breadth-first search from the start over the SCC's own edges enters
-   each lock once, by a shortest path, so the first edge found back to
-   the start closes a shortest cycle, and recovery stays linear in the
-   SCC's edges. (A search that remembers only its current path
-   enumerates simple paths, exponentially many in a large SCC; a
-   depth-first walk stays linear but can return a cycle through nearly
-   every lock of the SCC.) *)
+(* Lock-order cycles: Tarjan's SCC over the lock-order graph; every SCC
+   with at least two locks contains a cycle. Each SCC reports one, with
+   every edge's acquisition context: the shortest cycle through its
+   lowest-numbered lock, and the SCCs are listed in ascending order of
+   that lock. Both searches try a lock's out-edges in ascending order of
+   their target, so the report depends on the recorded edges alone, not
+   on the order they were recorded in. A breadth-first search from the
+   start over the SCC's own edges enters each lock once, by a shortest
+   path, so the first edge found back to the start closes a shortest
+   cycle, and recovery stays linear in the SCC's edges. (A search that
+   remembers only its current path enumerates simple paths, exponentially
+   many in a large SCC; a depth-first walk stays linear but can return a
+   cycle through nearly every lock of the SCC.) Range locking takes one
+   lock per radix slot, so the graph can hold tens of thousands of locks:
+   both searches run over int arrays indexed by lock number, and the
+   depth-first one keeps its own stack. *)
+let no_edge =
+  {
+    e_from = -1;
+    e_from_label = "";
+    e_to = -1;
+    e_to_label = "";
+    e_core = -1;
+    e_held = [];
+  }
+
+(* Store [outs] from [edges.(i)] on, keeping [edges.(lo)] to the last
+   one stored in ascending order of target: an insertion sort, which
+   allocates nothing, and out-lists are short. *)
+let rec place edges lo i = function
+  | [] -> ()
+  | e :: outs ->
+      let j = ref i in
+      while !j > lo && edges.(!j - 1).e_to > e.e_to do
+        edges.(!j) <- edges.(!j - 1);
+        decr j
+      done;
+      edges.(!j) <- e;
+      place edges lo (i + 1) outs
+
 let cycles t =
-  let adj = Int_table.create ~size_hint:64 [] in
-  Int_table.iter
-    (fun _ e ->
-      Int_table.set adj e.e_from (e :: Int_table.find_default adj e.e_from []))
-    t.edges;
-  let index = Int_table.create ~size_hint:64 (-1) in
-  let lowlink = Int_table.create ~size_hint:64 (-1) in
-  let on_stack = Int_table.create ~size_hint:64 false in
-  let stack = ref [] in
+  let n = t.nlocks in
+  (* Compressed adjacency: lock [v]'s out-edges, in ascending order of
+     their target, sit at positions [first.(v)] to [first.(v + 1) - 1] of
+     [edges]. *)
+  let first = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    first.(v + 1) <- first.(v) + List.length t.outs.(v)
+  done;
+  let edges = Array.make first.(n) no_edge in
+  for v = 0 to n - 1 do
+    place edges first.(v) first.(v) t.outs.(v)
+  done;
+  (* Tarjan. [comp] is -1 until a lock's SCC is complete, so a visited
+     lock is on the SCC stack exactly while its [comp] is -1; a finished
+     SCC of two or more locks is marked with its lowest lock, a single
+     lock with [n]. *)
+  let index = Array.make n (-1) and low = Array.make n 0 in
+  let comp = Array.make n (-1) in
+  let stack = Array.make n 0 and sp = ref 0 in
+  let next = Array.sub first 0 n in
+  let calls = Array.make n 0 and depth = ref 0 in
   let counter = ref 0 in
-  let sccs = ref [] in
-  let rec strongconnect v =
-    Int_table.set index v !counter;
-    Int_table.set lowlink v !counter;
+  let enter v =
+    index.(v) <- !counter;
+    low.(v) <- !counter;
     incr counter;
-    stack := v :: !stack;
-    Int_table.set on_stack v true;
-    List.iter
-      (fun e ->
-        let w = e.e_to in
-        if not (Int_table.mem index w) then begin
-          strongconnect w;
-          Int_table.set lowlink v
-            (Int.min
-               (Int_table.find_default lowlink v max_int)
-               (Int_table.find_default lowlink w max_int))
-        end
-        else if Int_table.mem on_stack w then
-          Int_table.set lowlink v
-            (Int.min
-               (Int_table.find_default lowlink v max_int)
-               (Int_table.find_default index w max_int)))
-      (Int_table.find_default adj v []);
-    if Int_table.find_default lowlink v (-1) = Int_table.find_default index v (-2)
-    then begin
-      let rec pop acc =
-        match !stack with
-        | [] -> acc
-        | w :: rest ->
-            stack := rest;
-            Int_table.remove on_stack w;
-            if w = v then w :: acc else pop (w :: acc)
-      in
-      let scc = pop [] in
-      if List.length scc >= 2 then sccs := scc :: !sccs
+    stack.(!sp) <- v;
+    incr sp;
+    calls.(!depth) <- v;
+    incr depth
+  in
+  let finish v =
+    decr depth;
+    if !depth > 0 then begin
+      let u = calls.(!depth - 1) in
+      low.(u) <- Int.min low.(u) low.(v)
+    end;
+    if low.(v) = index.(v) then begin
+      let bottom = ref !sp in
+      let lowest = ref v in
+      while stack.(!bottom - 1) <> v do
+        decr bottom;
+        lowest := Int.min !lowest stack.(!bottom)
+      done;
+      decr bottom;
+      let c = if !bottom = !sp - 1 then n else !lowest in
+      for k = !bottom to !sp - 1 do
+        comp.(stack.(k)) <- c
+      done;
+      sp := !bottom
     end
   in
-  Int_table.iter
-    (fun v _ -> if not (Int_table.mem index v) then strongconnect v)
-    adj;
-  List.filter_map
-    (fun scc ->
-      let inside = List.fold_left (fun s v -> IS.add v s) IS.empty scc in
-      let start = List.hd scc in
-      let outs v =
-        List.filter
-          (fun e -> IS.mem e.e_to inside)
-          (Int_table.find_default adj v [])
-      in
-      (* [level]: the locks first reached at one distance from [start],
-         each with its path from [start], newest edge first. A self-edge
-         on [start] closes no cycle. *)
-      let rec search visited level =
-        let closing (_, path) e =
-          if e.e_to = start && e.e_from <> start then
-            Some (List.rev (e :: path))
-          else None
-        in
-        match
-          List.find_map
-            (fun ((v, _) as from) -> List.find_map (closing from) (outs v))
-            level
-        with
-        | Some _ as cycle -> cycle
-        | None -> (
-            let visited, next =
-              List.fold_left
-                (fun acc (v, path) ->
-                  List.fold_left
-                    (fun (visited, next) e ->
-                      if IS.mem e.e_to visited then (visited, next)
-                      else (IS.add e.e_to visited, (e.e_to, e :: path) :: next))
-                    acc (outs v))
-                (visited, []) level
-            in
-            match next with
-            | [] -> None
-            | _ :: _ -> search visited (List.rev next))
-      in
-      search (IS.singleton start) [ (start, []) ])
-    !sccs
+  for root = 0 to n - 1 do
+    if index.(root) < 0 then begin
+      enter root;
+      while !depth > 0 do
+        let v = calls.(!depth - 1) in
+        let i = next.(v) in
+        if i < first.(v + 1) then begin
+          next.(v) <- i + 1;
+          let w = edges.(i).e_to in
+          if index.(w) < 0 then enter w
+          else if comp.(w) < 0 then low.(v) <- Int.min low.(v) index.(w)
+        end
+        else finish v
+      done
+    end
+  done;
+  (* Breadth-first from [start], remembering in [via] the position of the
+     edge that first reached each lock. *)
+  let via = Array.make n (-1) and queue = Array.make n 0 in
+  let shortest start =
+    let c = comp.(start) in
+    queue.(0) <- start;
+    let head = ref 0 and tail = ref 1 and closing = ref (-1) in
+    while !closing < 0 do
+      let v = queue.(!head) in
+      incr head;
+      let i = ref first.(v) in
+      while !closing < 0 && !i < first.(v + 1) do
+        let w = edges.(!i).e_to in
+        if w = start then closing := !i
+        else if comp.(w) = c && via.(w) < 0 then begin
+          via.(w) <- !i;
+          queue.(!tail) <- w;
+          incr tail
+        end;
+        incr i
+      done
+    done;
+    let rec path i acc =
+      let e = edges.(i) in
+      if e.e_from = start then e :: acc else path via.(e.e_from) (e :: acc)
+    in
+    path !closing []
+  in
+  let found = ref [] in
+  for v = n - 1 downto 0 do
+    if comp.(v) = v then found := shortest v :: !found
+  done;
+  !found
 
 (* Label-level race filtering, the same convention as bench's checked
    wrapper: some structures are lock-free by design (the list range-lock

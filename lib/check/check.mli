@@ -37,10 +37,13 @@
 
     Findings name a lock by its number in this checker: locks are
     numbered 0, 1, 2, ... in the order of their first acquisition while
-    attached, so a report depends on the run alone, not on how many
-    locks the process created before it. They name an address space by
-    its id on the machine ({!Ccsim.Obs.fresh_asid}), which likewise
-    counts from 0 on every machine. *)
+    attached, so a report depends on the run alone, not on the locks the
+    machine created before the checker attached. They name an address
+    space by its id on the machine ({!Ccsim.Obs.fresh_asid}), which
+    counts from 0 on every machine. The checker keeps its per-lock state
+    in arrays indexed by the lock's id, which its machine numbers densely
+    from 0 ({!Ccsim.Obs.fresh_lock_id}): an acquire or release costs
+    array lookups, not hash lookups. *)
 
 type t
 
@@ -179,12 +182,14 @@ val races : t -> race list
 
 val cycles : t -> cycle list
 (** One cycle per strongly-connected component of the lock-order graph:
-    a shortest cycle through the component's first-discovered lock.
-    Empty means the acquisition order is a partial order — no potential
-    deadlock was observed. A lock's very first acquisition records no
-    edge: nascent objects are born locked before they are published (see
-    [Radix.expand]), so nothing can wait on that acquisition and it
-    cannot participate in a deadlock. *)
+    a shortest cycle that starts at the component's lowest-numbered lock,
+    listed in ascending order of that lock. Which shortest cycle is
+    reported depends on the recorded edges alone, not on the order they
+    were recorded in. Empty means the acquisition order is a partial
+    order — no potential deadlock was observed. A lock's very first
+    acquisition records no edge: nascent objects are born locked before
+    they are published (see [Radix.expand]), so nothing can wait on that
+    acquisition and it cannot participate in a deadlock. *)
 
 val multi_writer_lines : ?allow:string list -> t -> line_info list
 (** Lines written by two or more cores whose label is not in [allow]. For

@@ -103,8 +103,13 @@ let acquire (core : Core.t) t ~lo ~hi =
           Line.create ~label:"rangelock:node" core.Core.params core.Core.stats
             ~home_socket:core.Core.socket
         in
-        { n_line = line; n_lock = Lock.create_on line; n_lo = lo; n_hi = hi;
-          n_busy = false }
+        {
+          n_line = line;
+          n_lock = Lock.create_on core line;
+          n_lo = lo;
+          n_hi = hi;
+          n_busy = false;
+        }
   in
   node.n_lo <- lo;
   node.n_hi <- hi;

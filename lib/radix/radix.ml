@@ -112,7 +112,8 @@ let alloc_node t (core : Core.t) ~level ~base ~content =
       base;
       slots = Array.make fanout content;
       lines;
-      locks = Array.init fanout (fun i -> Lock.create_on lines.(i / spl));
+      locks =
+        Array.init fanout (fun i -> Lock.create_on core lines.(i / spl));
       obj;
       weak;
       parent = None;

@@ -446,8 +446,9 @@ let test_tlb_invalidate_range_paths () =
   Alcotest.(check bool) "3 survives" true (Tlb.mem t2 3)
 
 (* ------------------------------------------------------------------ *)
-(* Process-global id counters: two domains allocating concurrently must
-   never observe the same id. *)
+(* Ids. Line ids come from a process-global counter: two domains
+   allocating concurrently must never observe the same id. Lock ids are
+   numbered per machine. *)
 
 let test_fresh_ids_domain_safe () =
   let n = 10_000 in
@@ -467,8 +468,26 @@ let test_fresh_ids_domain_safe () =
       (name ^ ": all distinct")
       (2 * n) (Hashtbl.length seen)
   in
-  check_disjoint "line ids" Obs.fresh_line_id;
-  check_disjoint "lock ids" Obs.fresh_lock_id
+  check_disjoint "line ids" Obs.fresh_line_id
+
+(* Whatever locks another machine created first, a fresh machine's first
+   three locks, one of each kind, draw ids 0, 1 and 2. *)
+let test_lock_ids_per_machine () =
+  let earlier = Machine.core (machine ()) 0 in
+  for _ = 1 to 10 do
+    ignore (Lock.create earlier);
+    ignore (Rwlock.create earlier)
+  done;
+  let c = Machine.core (machine ()) 1 in
+  let l = Lock.create c in
+  let rw = Rwlock.create c in
+  let on =
+    Lock.create_on c
+      (Line.create c.Core.params c.Core.stats ~home_socket:c.Core.socket)
+  in
+  Alcotest.(check (list int))
+    "Lock.create, Rwlock.create, Lock.create_on" [ 0; 1; 2 ]
+    [ Lock.id l; Rwlock.id rw; Lock.id on ]
 
 (* ------------------------------------------------------------------ *)
 (* Physical memory                                                     *)
@@ -959,7 +978,10 @@ let () =
           tc "invalidate_range paths" `Quick test_tlb_invalidate_range_paths;
         ] );
       ( "ids",
-        [ tc "domain-safe counters" `Quick test_fresh_ids_domain_safe ] );
+        [
+          tc "domain-safe counters" `Quick test_fresh_ids_domain_safe;
+          tc "lock ids numbered per machine" `Quick test_lock_ids_per_machine;
+        ] );
       ( "physmem",
         [
           tc "alloc free" `Quick test_physmem_alloc_free;

@@ -155,22 +155,20 @@ let check_closed cycles =
     cycles
 
 (* Cycle recovery stays linear in the lock-order graph. Each ring of
-   gadgets s -> d -> {c, trap}, c -> next s is one SCC; each trap is a
+   gadgets s -> d -> {trap, c}, c -> next s is one SCC; each trap is a
    chain of diamonds from d whose only exit returns to d, so it holds
-   2^layers simple paths. A search that remembers only its current path
-   enumerates them whenever adjacency order (which follows the edge
-   table's slot order) sends it into a trap before c; four rings make
-   that all but certain. *)
+   2^layers simple paths. Adjacency follows the target's lock number and
+   every trap's locks are numbered below its c, so a search that
+   remembers only its current path enters each trap before c and
+   enumerates all of its paths. *)
 let test_lock_order_cycles_linear () =
   let chk, fresh, edge = lock_graph () in
   let rings = 4 and gadgets = 6 and layers = 24 in
   for _ = 1 to rings do
     let s = Array.init gadgets (fun _ -> fresh ()) in
     for i = 0 to gadgets - 1 do
-      let d = fresh () and c = fresh () in
+      let d = fresh () in
       edge s.(i) d;
-      edge d c;
-      edge c s.((i + 1) mod gadgets);
       let top = ref d in
       for _ = 1 to layers do
         let l = fresh () and r = fresh () and b = fresh () in
@@ -180,31 +178,33 @@ let test_lock_order_cycles_linear () =
         edge r b;
         top := b
       done;
-      edge !top d
+      edge !top d;
+      let c = fresh () in
+      edge d c;
+      edge c s.((i + 1) mod gadgets)
     done
   done;
   let cycles = Check.cycles chk in
   Alcotest.(check int) "one cycle per ring" rings (List.length cycles);
   check_closed cycles
 
-(* The reported cycle is a shortest one. Each wheel is one SCC: a hub h
-   with a two-edge cycle h -> x -> h through every spoke x, and a ring
-   over the spokes, so every lock lies on a two-edge cycle. A depth-first
-   walk that leaves a spoke along the ring before it tries the hub
-   returns a longer cycle (up to the whole ring); adjacency order follows
-   the edge table's slot order, and four wheels make that all but
-   certain. *)
+(* The reported cycle is a shortest one. Each wheel is one SCC: a ring
+   over the spokes, and a hub h with a two-edge cycle h -> x -> h through
+   every spoke x, so every lock lies on a two-edge cycle. The hub is
+   numbered above its spokes and adjacency follows the target's lock
+   number, so a depth-first walk from the lowest spoke follows the ring
+   before it tries the hub, and returns the whole ring. *)
 let test_lock_order_cycle_shortest () =
   let chk, fresh, edge = lock_graph () in
   let wheels = 4 and spokes = 6 in
   for _ = 1 to wheels do
-    let h = fresh () in
     let x = Array.init spokes (fun _ -> fresh ()) in
+    let h = fresh () in
     Array.iteri
       (fun i xi ->
+        edge xi x.((i + 1) mod spokes);
         edge h xi;
-        edge xi h;
-        edge xi x.((i + 1) mod spokes))
+        edge xi h)
       x
   done;
   let cycles = Check.cycles chk in
@@ -213,6 +213,44 @@ let test_lock_order_cycle_shortest () =
   List.iter
     (fun cyc -> Alcotest.(check int) "two edges" 2 (List.length cyc))
     cycles
+
+(* Which cycle is reported depends on the recorded edges alone. Each
+   gadget is a pair of rings s <-> a and s <-> b through its lowest lock
+   s: one SCC with two equally short cycles. Its cycle must start at s,
+   the cycles must be listed in ascending order of their start, and
+   recording the same edges in reverse order must render the same
+   cycles. Lock 0, published first, stays outside every gadget: the
+   lowest lock of all would start its cycle under almost any rule. *)
+let test_lock_order_cycle_start () =
+  let gadgets = 5 in
+  let record order =
+    let chk, fresh, edge = lock_graph () in
+    ignore (fresh ());
+    let edges = ref [] in
+    for _ = 1 to gadgets do
+      let s = fresh () in
+      let a = fresh () in
+      let b = fresh () in
+      edges := !edges @ [ (a, s); (s, a); (b, s); (s, b) ]
+    done;
+    List.iter (fun (x, y) -> edge x y) (order !edges);
+    chk
+  in
+  let forward = record Fun.id and backward = record List.rev in
+  let cycles = Check.cycles forward in
+  check_closed cycles;
+  Alcotest.(check (list int))
+    "each cycle starts at its gadget's lowest lock"
+    (List.init gadgets (fun g -> 1 + (3 * g)))
+    (List.map
+       (fun (cyc : Check.cycle) -> (List.hd cyc).Check.e_from)
+       cycles);
+  let render chk =
+    List.map (Format.asprintf "%a" Check.pp_cycle) (Check.cycles chk)
+  in
+  Alcotest.(check (list string))
+    "the same cycles from the edges in reverse order" (render forward)
+    (render backward)
 
 (* Both cores acquire in the same order: a partial order, no cycle. *)
 let test_lock_order_silent_when_consistent () =
@@ -641,6 +679,8 @@ let () =
           tc "AB/BA cycle detected" `Quick test_lock_order_cycle_fires;
           tc "cycle recovery linear" `Quick test_lock_order_cycles_linear;
           tc "shortest cycle reported" `Quick test_lock_order_cycle_shortest;
+          tc "cycle starts at the lowest lock" `Quick
+            test_lock_order_cycle_start;
           tc "consistent order silent" `Quick
             test_lock_order_silent_when_consistent;
           tc "stale TLB detected" `Quick (fun () -> ignore (stale_tlb ()));
